@@ -11,6 +11,7 @@ bit for bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,9 @@ class Mask:
     m: np.ndarray
 
     def __post_init__(self):
-        assert self.m.ndim == 2
-        assert self.m.dtype == bool
+        if self.m.ndim != 2 or self.m.dtype != bool:
+            raise ValueError(f"mask must be a 2-d bool array, got "
+                             f"{self.m.ndim}-d {self.m.dtype}")
 
     @property
     def k(self) -> int:
@@ -101,13 +103,17 @@ def _ce_input_grads(model: Model, x: np.ndarray, y: np.ndarray,
 
 def pgd(model: Model, x: np.ndarray, y: np.ndarray, eps: float = PGD_EPS,
         step: float = PGD_STEP, iters: int = PGD_ITERS,
-        rng: np.random.Generator | None = None, random_start: bool = True,
-        record: bool = False) -> PgdResult:
+        rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+        random_start: bool = True, record: bool = False) -> PgdResult:
     """Projected sign-gradient ascent on cross entropy.
 
     Every iterate is projected to the l-inf eps-ball around x intersected
     with [0,1]. A sample whose gradient goes non-finite is frozen at its
     last valid iterate and flagged rather than poisoning the batch.
+
+    `rng` is one Generator for the whole batch's random start, or one per
+    sample; sample i then draws its start from rng[i] alone, exactly as a
+    batch of one would.
     """
     if eps < 0 or step < 0 or iters < 0:
         raise ValueError("eps, step, iters must be nonnegative")
@@ -116,7 +122,13 @@ def pgd(model: Model, x: np.ndarray, y: np.ndarray, eps: float = PGD_EPS,
     if random_start:
         if rng is None:
             raise ValueError("random_start needs an rng")
-        cur = np.clip(x + rng.uniform(-eps, eps, size=x.shape), 0.0, 1.0)
+        if isinstance(rng, np.random.Generator):
+            start = rng.uniform(-eps, eps, size=x.shape)
+        elif len(rng) != len(x):
+            raise ValueError(f"{len(rng)} generators for {len(x)} samples")
+        else:
+            start = np.stack([r.uniform(-eps, eps, size=x.shape[1:]) for r in rng])
+        cur = np.clip(x + start, 0.0, 1.0)
     else:
         cur = x.copy()
     aborted = np.zeros(len(x), dtype=bool)
@@ -208,7 +220,8 @@ def ioa(model: Model, x: np.ndarray, y: int, n_max: int, r_max: int,
     if not 0.0 <= color <= 1.0:
         raise ValueError(f"color must be in [0,1], got {color}")
     x = np.asarray(x, dtype=np.float64)
-    assert x.ndim == 3, "occlusion needs [C,H,W] images"
+    if x.ndim != 3:
+        raise ValueError(f"occlusion needs a [C,H,W] image, got shape {x.shape}")
     _, h, w = x.shape
     cur = x.copy()
     steps: list[IoaStep] = []
@@ -273,7 +286,7 @@ def corrupt(x: np.ndarray, kind: str, param: float,
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """Parameters of one attack; `apply` runs it on a single sample."""
+    """Parameters of one attack; `apply` runs it on a batch of samples."""
 
     kind: str  # pgd | ina1 | ina2 | ioa | rn | corrupt
     eps: float = PGD_EPS
@@ -304,22 +317,43 @@ class AttackSpec:
             return f"ioa(n={self.n},r={self.r})"
         return f"corrupt({self.corrupt_kind},{self.param:g})"
 
+    def apply(self, model: Model, xs: np.ndarray, ys: np.ndarray,
+              rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Perturbed copies of a batch; sample i draws only from rngs[i].
+
+        Model queries are batched: one PGD tape per iteration and one
+        attribution tape for the whole batch, so a sample's output equals
+        its batch-of-one output up to float rounding. Masks and noise stay
+        per sample. IOA re-attributes its own painted image at every step
+        and runs sample by sample.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys)
+        if not len(xs) == len(ys) == len(rngs):
+            raise ValueError(f"{len(xs)} samples, {len(ys)} labels, "
+                             f"{len(rngs)} generators")
+        if self.kind == "pgd":
+            return pgd(model, xs, ys, self.eps, self.step, self.iters, rngs).x_adv
+        if self.kind in ("ina1", "ina2"):
+            noise = ina1 if self.kind == "ina1" else ina2
+            maps = attribute(model, xs, ys, self.method)
+            outs = [noise(x, build_topk_mask(m.reduced, self.k), rng)
+                    for x, m, rng in zip(xs, maps, rngs)]
+        elif self.kind == "ioa":
+            outs = [ioa(model, x, int(y), self.n, self.r, self.color, self.method).x_adv
+                    for x, y in zip(xs, ys)]
+        elif self.kind == "rn":
+            outs = [rn(x, self.k, rng) for x, rng in zip(xs, rngs)]
+        else:
+            outs = [corrupt(x, self.corrupt_kind, self.param, rng)
+                    for x, rng in zip(xs, rngs)]
+        return np.stack(outs)
+
 
 def apply_spec(spec: AttackSpec, model: Model, x: np.ndarray, y: int,
                rng: np.random.Generator) -> np.ndarray:
-    """One perturbed [C,H,W] sample for the given attack."""
-    if spec.kind == "pgd":
-        return pgd(model, x[None], np.array([y]), spec.eps, spec.step, spec.iters,
-                   rng).x_adv[0]
-    if spec.kind in ("ina1", "ina2"):
-        red = attribute(model, x[None], np.array([y]), spec.method)[0].reduced
-        mask = build_topk_mask(red, spec.k)
-        return (ina1 if spec.kind == "ina1" else ina2)(x, mask, rng)
-    if spec.kind == "ioa":
-        return ioa(model, x, y, spec.n, spec.r, spec.color, spec.method).x_adv
-    if spec.kind == "rn":
-        return rn(x, spec.k, rng)
-    return corrupt(x, spec.corrupt_kind, spec.param, rng)
+    """One perturbed sample for the given attack: a batch of one."""
+    return spec.apply(model, np.asarray(x)[None], np.array([y]), [rng])[0]
 
 
 @dataclass(frozen=True)
@@ -338,7 +372,8 @@ def error_rate(models: list[Model], spec: AttackSpec, pixels: np.ndarray,
     Only samples every model classifies correctly when clean count; each
     model is then attacked independently, but a given sample uses the
     same noise stream against every model (keyed by the sample's index),
-    so differences in rates come from the models, not the draws.
+    so differences in rates come from the models, not the draws. The
+    joint pool is attacked and predicted as one batch per model.
     """
     if not models:
         raise ValueError("need at least one model")
@@ -349,11 +384,11 @@ def error_rate(models: list[Model], spec: AttackSpec, pixels: np.ndarray,
     joint = np.nonzero(correct.all(axis=0))[0]
     if len(joint) == 0:
         raise ValueError("no sample is classified correctly by every model")
+    xs, ys = np.asarray(pixels)[joint], labels[joint]
     wrong = np.zeros((len(models), len(joint)), dtype=bool)
     for mi, model in enumerate(models):
-        for ji, si in enumerate(joint):
-            rng = seed_stream(seed, "attack", spec.label(), int(indices[si]))
-            x_adv = apply_spec(spec, model, pixels[si], int(labels[si]), rng)
-            wrong[mi, ji] = int(predict(model, x_adv[None])[0]) != int(labels[si])
+        rngs = [seed_stream(seed, "attack", spec.label(), int(indices[si]))
+                for si in joint]
+        wrong[mi] = predict(model, spec.apply(model, xs, ys, rngs)) != ys
     rates = tuple(float(w.mean()) for w in wrong)
     return ErrorRateReport(rates, len(joint), indices[joint], wrong)

@@ -49,10 +49,6 @@ def _wrap(values: np.ndarray, method: str, targets) -> list[AttributionMap]:
     return [AttributionMap(v, method, int(t)) for v, t in zip(values, targets)]
 
 
-def reduced_stack(maps: list[AttributionMap]) -> np.ndarray:
-    return np.stack([m.reduced for m in maps])
-
-
 def input_gradients(model: Model, x: np.ndarray, y: np.ndarray,
                     score: str = "logit") -> np.ndarray:
     """d(class score)/d(input) for each sample, [N, C, H, W]."""

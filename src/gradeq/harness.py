@@ -10,11 +10,9 @@ output is log.txt, which is deliberately excluded from the bundle manifest.
 
 from dataclasses import dataclass, field
 from pathlib import Path
-import concurrent.futures
 import hashlib
 import json
 import math
-import os
 import time
 import xml.sax.saxutils
 
@@ -23,7 +21,7 @@ import numpy as np
 from . import attribution
 from .attacks import AttackSpec, CORRUPT_KINDS, corrupt, error_rate, pgd
 from .data import ImageBatch, load_cifar, synth_blobs, train_val_split
-from .inequality import GiniReport, block_sums, gini_exact
+from .inequality import GiniReport, block_sums, gini, gini_exact
 from .models import Model, build_model, load_checkpoint, predict, save_checkpoint
 from .seeding import seed_stream
 from .theory import sweep_mask_stats
@@ -52,15 +50,6 @@ SEVERITY = {
 }
 
 STAGES = ("data", "train", "tables", "attack", "theory", "corrupt", "plots")
-
-
-def thread_count() -> int:
-    """Worker count for stage-level fan-out. GRADEQ_THREADS is the only
-    environment knob the pipeline reads; default is serial."""
-    try:
-        return max(1, int(os.environ.get("GRADEQ_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # --------------------------------------------------------------------------
@@ -496,9 +485,8 @@ def _stage_tables(state: RunState) -> None:
             if m.zero_norm:
                 continue
             r = m.reduced
-            ginis.append((gini_exact(r.reshape(-1)),
-                          gini_exact(block_sums(r, region).reshape(-1))
-                          if r.ndim == 2 else gini_exact(r.reshape(-1))))
+            g = gini(r)
+            ginis.append((g, gini(block_sums(r, region)) if r.ndim == 2 else g))
         gg = float(np.mean([a for a, _ in ginis])) if ginis else float("nan")
         rg = float(np.mean([b for _, b in ginis])) if ginis else float("nan")
         gini_rows.append([name, meth, float(lam), clean, adv, gg, rg,
@@ -532,21 +520,10 @@ def _stage_attack(state: RunState) -> None:
     sub = state.holdout
     names = list(state.models)
     models = [state.models[n] for n in names]
-
-    def one(entry):
+    rows = []
+    for entry in cfg.attack_entries:
         spec = _attack_spec(entry)
         rep = error_rate(models, spec, sub.pixels, sub.labels, cfg.seed)
-        return entry, spec, rep
-
-    workers = thread_count()
-    if workers > 1 and len(cfg.attack_entries) > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(one, cfg.attack_entries))
-    else:
-        results = [one(e) for e in cfg.attack_entries]
-
-    rows = []
-    for entry, spec, rep in results:
         if spec.kind in ("ina1", "ina2", "rn"):
             param = float(spec.k)
         elif spec.kind == "pgd":
@@ -561,8 +538,8 @@ def _stage_attack(state: RunState) -> None:
     state.emit_csv("curves/error_rate.csv",
                    ["attack", "kind", "label", "param", "model", "error_rate",
                     "evaluated", "seed", "config"], rows)
-    state.log(f"attack: {len(results)} specs x {len(names)} models, "
-              f"joint pool {results[0][2].evaluated if results else 0}")
+    state.log(f"attack: {len(cfg.attack_entries)} specs x {len(names)} models, "
+              f"joint pool {rep.evaluated}")
 
 
 def _stage_theory(state: RunState) -> None:

@@ -32,6 +32,8 @@ def gini(values: np.ndarray) -> float:
     if np.any(phi < 0):
         raise ValueError("gini requires nonnegative values")
     total = phi.sum()
+    if not np.isfinite(total):  # a NaN or inf entry carries into the sum
+        raise ValueError("gini requires finite values")
     if total <= 0.0:
         raise ValueError("gini undefined when all values are zero")
     phi = np.sort(phi)

@@ -12,18 +12,21 @@ S2 = sum(w_{d_i}^2):
 
 Nonlinear models enter through their first-order surrogate at each
 input, so everything downstream of `linearize` is approximate for them.
+The sweeps build every surrogate's weights from one batched
+`input_gradients` call, the same gradients `linearize` takes one input
+at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-import math
-
 from .attacks import Mask, topk_flags
-from .models import Model, linearize
+from .attribution import input_gradients
+from .models import Model, linearize  # noqa: F401  (re-exported: one input's surrogate)
 
 NOISE_KINDS = ("additive", "mult_additive", "occlusion")
 
@@ -62,8 +65,10 @@ class MaskStats:
 
     def __post_init__(self):
         slack = 1e-9 * max(1.0, self.k * self.sum_sq)
-        assert self.sum ** 2 <= self.k * self.sum_sq + slack
-        assert self.sum_abs ** 2 >= self.sum ** 2 - slack
+        if self.sum ** 2 > self.k * self.sum_sq + slack:
+            raise ValueError("S1^2 exceeds k*S2 (Cauchy-Schwarz)")
+        if self.sum_abs ** 2 < self.sum ** 2 - slack:
+            raise ValueError("sum of |w| is below |S1|")
 
 
 def _flat_mask(mask, size: int) -> np.ndarray:
@@ -83,8 +88,8 @@ def mask_stats(w: np.ndarray, mask) -> MaskStats:
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     sel = w[_flat_mask(mask, w.size)]
     # fsum: correctly rounded, so the result is independent of term order
-    return MaskStats(sel.size, math.fsum(v * v for v in sel), math.fsum(sel),
-                     math.fsum(abs(v) for v in sel))
+    return MaskStats(sel.size, math.fsum((sel * sel).tolist()),
+                     math.fsum(sel.tolist()), math.fsum(np.abs(sel).tolist()))
 
 
 def predicted_deviation(model, mask, spec: NoiseSpec) -> float:
@@ -151,7 +156,8 @@ def sweep_mask_stats(model: Model, pixels: np.ndarray, labels: np.ndarray,
                      draws: int = 16) -> list[CurvePoint]:
     """Average S2 and S1^2 over the dataset for each mask size.
 
-    Each input contributes through its linearized score. `random` draws
+    Each input contributes through its linearized score, whose weights
+    are the input gradient of its labeled logit. `random` draws
     `draws` pixel subsets per input; `attribution_ranked` takes the top-k
     pixels of the surrogate's channel-summed magnitude, the ranking the
     inductive attacks use.
@@ -165,11 +171,15 @@ def sweep_mask_stats(model: Model, pixels: np.ndarray, labels: np.ndarray,
     per_image = pixels[0].ndim == 3
     channels = pixels.shape[1] if per_image else 1
     pix_n = int(np.prod(pixels.shape[-2:])) if per_image else pixels.shape[-1]
+    if np.any((labels < 0) | (labels >= model.classes)):
+        raise ValueError(f"labels out of range for {model.classes} classes")
+    grads = input_gradients(model, pixels, labels)
+    if not np.all(np.isfinite(grads)):
+        raise FloatingPointError("non-finite input gradient at linearization point")
     surrogates = []
-    for i in range(len(pixels)):
-        lin = linearize(model, pixels[i], int(labels[i]))
-        w = lin.w
-        red = np.abs(w.reshape(pixels[i].shape)).sum(axis=0) if per_image else np.abs(w)
+    for g in grads:
+        w = g.reshape(-1)
+        red = np.abs(g).sum(axis=0) if per_image else np.abs(w)
         surrogates.append((w, red))
 
     points = []

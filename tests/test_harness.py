@@ -375,14 +375,6 @@ def test_stage_failure_recorded_with_partials(tmp_path):
     assert manifest["failed_stage"] == "data"
 
 
-def test_thread_fanout_keeps_outputs_identical(tmp_path, monkeypatch, pipeline):
-    cfg_path, config, _ = pipeline
-    serial = (config.out / "curves" / "error_rate.csv").read_bytes()
-    monkeypatch.setenv("GRADEQ_THREADS", "3")
-    run(load_config(cfg_path))
-    assert (config.out / "curves" / "error_rate.csv").read_bytes() == serial
-
-
 # --------------------------------------------------------------------------
 # attribution-file fixture path
 

@@ -65,6 +65,14 @@ class TestGini:
         with pytest.raises(ValueError):
             ineq.gini([0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN would otherwise pass the sign check and come out as the statistic
+        with pytest.raises(ValueError, match="finite"):
+            ineq.gini([1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            ineq.regional_gini(np.array([[1.0, 2.0], [bad, 0.5]]), 1)
+
     def test_exact_matches_float(self):
         phi = [1, 2, 9]
         assert ineq.gini_exact(phi) == Fraction(4, 9)

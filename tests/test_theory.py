@@ -43,7 +43,7 @@ class TestMaskStats:
             assert st.k == int(m.sum())
 
     def test_cauchy_schwarz_guard(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             th.MaskStats(k=2, sum_sq=1.0, sum=3.0, sum_abs=3.0)
 
     def test_size_mismatch(self):
