@@ -78,27 +78,30 @@ class PgdResult:
 
 def _ce_input_grads(model: Model, x: np.ndarray, y: np.ndarray,
                     aborted: np.ndarray) -> np.ndarray:
-    def one(xi, yi):
+    """Cross-entropy input gradients of the live samples, zero rows for
+    aborted ones. One tape covers every live sample; only if it goes
+    non-finite does each live sample get its own, and those that fail
+    alone are flagged in `aborted`."""
+    def tape(idx):
         g = ag.Graph()
-        xv = g.var(xi[None])
-        loss = ag.cross_entropy_mean(model.graph_logits(xv, model.bind(g)), np.array([yi]))
-        return ag.grad(loss, [xv])[0][0]
-
-    try:
-        g = ag.Graph()
-        xv = g.var(x)
-        loss = ag.cross_entropy_mean(model.graph_logits(xv, model.bind(g)), y)
+        xv = g.var(x[idx])
+        loss = ag.cross_entropy_mean(model.graph_logits(xv, model.bind(g)), y[idx])
         return ag.grad(loss, [xv])[0]
+
+    live = np.flatnonzero(~aborted)
+    grads = np.zeros_like(x)
+    try:
+        if live.size == len(x):
+            return tape(slice(None))  # all live: the batch itself, no copies
+        if live.size:
+            grads[live] = tape(live)
     except ag.NonFiniteError:
-        grads = np.zeros_like(x)
-        for i in range(len(x)):
-            if aborted[i]:
-                continue
+        for i in live:
             try:
-                grads[i] = one(x[i], int(y[i]))
+                grads[i] = tape([i])[0]
             except ag.NonFiniteError:
                 aborted[i] = True
-        return grads
+    return grads
 
 
 def pgd(model: Model, x: np.ndarray, y: np.ndarray, eps: float = PGD_EPS,

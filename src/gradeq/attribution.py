@@ -49,31 +49,28 @@ def _wrap(values: np.ndarray, method: str, targets) -> list[AttributionMap]:
     return [AttributionMap(v, method, int(t)) for v, t in zip(values, targets)]
 
 
-def input_gradients(model: Model, x: np.ndarray, y: np.ndarray,
-                    score: str = "logit") -> np.ndarray:
-    """d(class score)/d(input) for each sample, [N, C, H, W]."""
+def input_gradients(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d(class logit)/d(input) for each sample, [N, C, H, W]."""
     graph = ag.Graph()
     xv = graph.var(np.asarray(x, dtype=np.float64))
     logits = model.graph_logits(xv, model.bind(graph))
-    rows = ag.class_score_rows(logits, np.asarray(y), score)
+    rows = ag.picked_rows(logits, np.asarray(y))
     (gx,) = ag.grad(ag.sum_all(rows), [xv])
     return gx
 
 
-def saliency(model: Model, x: np.ndarray, y: np.ndarray,
-             score: str = "logit") -> list[AttributionMap]:
-    return _wrap(input_gradients(model, x, y, score), "saliency", y)
+def saliency(model: Model, x: np.ndarray, y: np.ndarray) -> list[AttributionMap]:
+    return _wrap(input_gradients(model, x, y), "saliency", y)
 
 
-def input_x_gradient(model: Model, x: np.ndarray, y: np.ndarray,
-                     score: str = "logit") -> list[AttributionMap]:
-    values = np.asarray(x, dtype=np.float64) * input_gradients(model, x, y, score)
+def input_x_gradient(model: Model, x: np.ndarray, y: np.ndarray) -> list[AttributionMap]:
+    values = np.asarray(x, dtype=np.float64) * input_gradients(model, x, y)
     return _wrap(values, "input_x_gradient", y)
 
 
 def integrated_gradients(model: Model, x: np.ndarray, y: np.ndarray,
-                         baseline: np.ndarray | None = None, steps: int = 32,
-                         score: str = "logit") -> list[AttributionMap]:
+                         baseline: np.ndarray | None = None,
+                         steps: int = 32) -> list[AttributionMap]:
     """Midpoint-rule path integral of input gradients from baseline to x."""
     if steps < 8:
         raise ValueError(f"need at least 8 integration steps, got {steps}")
@@ -84,15 +81,14 @@ def integrated_gradients(model: Model, x: np.ndarray, y: np.ndarray,
     acc = np.zeros_like(x)
     for t in range(steps):
         alpha = (t + 0.5) / steps
-        acc += input_gradients(model, base + alpha * (x - base), y, score)
+        acc += input_gradients(model, base + alpha * (x - base), y)
     values = (x - base) * (acc / steps)
     return _wrap(values, "integrated_gradients", y)
 
 
 def smoothgrad(model: Model, x: np.ndarray, y: np.ndarray,
                sigma: float = DEFAULT_SG_SIGMA, samples: int = DEFAULT_SG_SAMPLES,
-               rng: np.random.Generator | None = None,
-               score: str = "logit") -> list[AttributionMap]:
+               rng: np.random.Generator | None = None) -> list[AttributionMap]:
     """Mean saliency over Gaussian-perturbed copies of the input."""
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -101,10 +97,10 @@ def smoothgrad(model: Model, x: np.ndarray, y: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     if sigma <= 0.0:
         # degenerate smoothing: bitwise equal to plain saliency
-        return _wrap(input_gradients(model, x, y, score), "smoothgrad", y)
+        return _wrap(input_gradients(model, x, y), "smoothgrad", y)
     acc = np.zeros_like(x)
     for _ in range(samples):
-        acc += input_gradients(model, x + rng.normal(0.0, sigma, size=x.shape), y, score)
+        acc += input_gradients(model, x + rng.normal(0.0, sigma, size=x.shape), y)
     return _wrap(acc / samples, "smoothgrad", y)
 
 

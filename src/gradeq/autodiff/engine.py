@@ -12,7 +12,8 @@ tape. In the second mode the returned gradients are graph values, so
 differentiating through them again is just another `grad` call. Every
 vector-Jacobian rule is written against a namespace argument that is bound
 to raw kernels or to graph emission, which keeps the two modes from
-drifting apart.
+drifting apart. Both namespaces are generated from `_OPS`, the one list
+of op names; model forwards are written against them too.
 
 ReLU backward multiplies by a constant activation mask, so its second
 derivative is identically zero; use softplus where curvature matters.
@@ -371,25 +372,12 @@ _OPS: dict[str, tuple] = {
 }
 
 
+def _raw_maxpool2(x: np.ndarray) -> np.ndarray:
+    return kernels.maxpool2(x, kernels.pool_mask(x))
+
+
 class _RawNS:
-    matmul = staticmethod(kernels.matmul)
-    conv2d = staticmethod(kernels.conv2d)
-    permute = staticmethod(kernels.permute)
-    flip_hw = staticmethod(kernels.flip_hw)
-    reshape = staticmethod(kernels.reshape)
-    add = staticmethod(kernels.add)
-    mul = staticmethod(kernels.mul)
-    scale = staticmethod(kernels.scale)
-    relu = staticmethod(kernels.relu)
-    softplus = staticmethod(kernels.softplus)
-    exp = staticmethod(kernels.exp)
-    log = staticmethod(kernels.log)
-    rsqrt = staticmethod(kernels.rsqrt)
-    reciprocal = staticmethod(kernels.reciprocal)
-    sum_axes = staticmethod(kernels.sum_axes)
-    broadcast = staticmethod(kernels.broadcast)
-    unpool2 = staticmethod(kernels.unpool2)
-    pool_gather = staticmethod(kernels.pool_gather)
+    """Every op of `_OPS` on plain arrays, through its kernel."""
 
     @staticmethod
     def const(arr):
@@ -397,30 +385,20 @@ class _RawNS:
 
 
 class _GraphNS:
-    matmul = staticmethod(matmul)
-    conv2d = staticmethod(conv2d)
-    permute = staticmethod(permute)
-    flip_hw = staticmethod(flip_hw)
-    reshape = staticmethod(reshape)
-    add = staticmethod(add)
-    mul = staticmethod(mul)
-    scale = staticmethod(scale)
-    relu = staticmethod(relu)
-    softplus = staticmethod(softplus)
-    exp = staticmethod(exp)
-    log = staticmethod(log)
-    rsqrt = staticmethod(rsqrt)
-    reciprocal = staticmethod(reciprocal)
-    sum_axes = staticmethod(sum_axes)
-    broadcast = staticmethod(broadcast)
-    unpool2 = staticmethod(unpool2)
-    pool_gather = staticmethod(pool_gather)
+    """Every op of `_OPS` emitted onto one graph."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
 
     def const(self, arr):
         return self.graph.const(arr)
+
+
+for _name in _OPS:
+    setattr(_RawNS, _name, staticmethod(
+        _raw_maxpool2 if _name == "maxpool2" else getattr(kernels, _name)))
+    setattr(_GraphNS, _name, staticmethod(globals()[_name]))
+del _name
 
 
 def grad(out: Var, wrts: Sequence[Var], seed: np.ndarray | None = None,

@@ -1,6 +1,8 @@
 """Composite building blocks on top of the primitive op set.
 
-Everything here takes and returns graph Vars; plain arrays enter only as
+`affine`, `conv_bias` and `flatten` take an op namespace first, like the
+VJP rules, so a model forward runs on raw arrays or on a tape alike.
+Everything else takes and returns graph Vars; plain arrays enter only as
 constants (one-hot labels, row maxima, frozen reference gradients).
 """
 
@@ -14,23 +16,23 @@ from .engine import Var
 COSINE_NORM_FLOOR = 1e-12
 
 
-def affine(x: Var, w: Var, b: Var) -> Var:
+def affine(ns, x, w, b):
     """x @ w + b for x [B, D], w [D, K], b [K]."""
-    y = ag.matmul(x, w)
-    bias = ag.broadcast(ag.reshape(b, (1, b.shape[0])), y.shape)
-    return ag.add(y, bias)
+    y = ns.matmul(x, w)
+    bias = ns.broadcast(ns.reshape(b, (1, b.shape[0])), y.shape)
+    return ns.add(y, bias)
 
 
-def conv_bias(x: Var, k: Var, b: Var, pad: int) -> Var:
+def conv_bias(ns, x, k, b, pad: int):
     """Stride-1 padded convolution plus per-channel bias."""
-    y = ag.conv2d(x, k, pad)
-    bias = ag.broadcast(ag.reshape(b, (1, b.shape[0], 1, 1)), y.shape)
-    return ag.add(y, bias)
+    y = ns.conv2d(x, k, pad)
+    bias = ns.broadcast(ns.reshape(b, (1, b.shape[0], 1, 1)), y.shape)
+    return ns.add(y, bias)
 
 
-def flatten(x: Var) -> Var:
+def flatten(ns, x):
     n = x.shape[0]
-    return ag.reshape(x, (n, int(np.prod(x.shape[1:], dtype=np.int64))))
+    return ns.reshape(x, (n, int(np.prod(x.shape[1:], dtype=np.int64))))
 
 
 def sum_all(x: Var) -> Var:
@@ -78,17 +80,6 @@ def cross_entropy_mean(logits: Var, labels: np.ndarray) -> Var:
     """Mean softmax cross entropy over the batch, scalar."""
     rows = ag.add(logsumexp_rows(logits), ag.scale(picked_rows(logits, labels), -1.0))
     return ag.scale(sum_all(rows), 1.0 / logits.shape[0])
-
-
-def class_score_rows(logits: Var, labels: np.ndarray, kind: str = "logit") -> Var:
-    """Per-row score of the labeled class: raw logit or softmax probability."""
-    if kind == "logit":
-        return picked_rows(logits, labels)
-    if kind == "prob":
-        return ag.exp(
-            ag.add(picked_rows(logits, labels), ag.scale(logsumexp_rows(logits), -1.0))
-        )
-    raise ValueError(f"unknown score kind {kind!r}")
 
 
 def cosine_rows(u: Var, ref: np.ndarray) -> tuple[Var, np.ndarray]:

@@ -135,11 +135,3 @@ def pool_gather(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
     win = g.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
     flat = win.reshape(n, c, h // 2, w // 2, 4)
     return np.sum(flat * mask, axis=-1)
-
-
-def ones(shape: tuple[int, ...]) -> np.ndarray:
-    return np.ones(shape, dtype=np.float64)
-
-
-def zeros(shape: tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float64)

@@ -24,27 +24,21 @@ class ImageBatch:
     std: float
 
     def __post_init__(self):
-        assert self.pixels.ndim == 4, f"expected [N,C,H,W], got {self.pixels.shape}"
-        assert len(self.labels) == len(self.pixels)
-        assert self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0
-        assert self.labels.min() >= 0 and self.labels.max() < self.classes
+        if self.pixels.ndim != 4:
+            raise ValueError(f"expected [N,C,H,W], got {self.pixels.shape}")
+        if len(self.labels) != len(self.pixels):
+            raise ValueError(f"{len(self.labels)} labels for {len(self.pixels)} images")
+        if not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):
+            raise ValueError("pixels must lie in [0, 1]")
+        if not (self.labels.min() >= 0 and self.labels.max() < self.classes):
+            raise ValueError(f"labels out of range for {self.classes} classes")
 
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def image_shape(self) -> tuple[int, int, int]:
-        return self.pixels.shape[1:]
-
     def subset(self, idx) -> "ImageBatch":
         """Row selection; inherits this batch's statistics."""
         return replace(self, pixels=self.pixels[idx], labels=self.labels[idx])
-
-    def normalized(self) -> np.ndarray:
-        return (self.pixels - self.mean) / self.std
-
-    def denormalize(self, z: np.ndarray) -> np.ndarray:
-        return z * self.std + self.mean
 
 
 def _with_stats(pixels, labels, classes) -> ImageBatch:

@@ -68,7 +68,8 @@ class GiniReport:
     method: str
 
     def __post_init__(self):
-        assert 0.0 <= self.global_gini <= (self.n - 1) / self.n + 1e-12
+        if not 0.0 <= self.global_gini <= (self.n - 1) / self.n + 1e-12:
+            raise ValueError(f"global gini {self.global_gini} outside [0, (n-1)/n]")
 
     def as_row(self) -> dict:
         return {"global_gini": self.global_gini, "regional_gini": self.regional_gini,
@@ -126,9 +127,6 @@ class ReduceTrace:
 
     def ginis(self) -> list[Fraction]:
         return [gini_exact(w) for w in self.states()]
-
-    def as_floats(self) -> np.ndarray:
-        return np.array([[float(v) for v in w] for w in self.states()])
 
 
 def monotonic_reduce(weights, recipient: int, donor: int, delta) -> ReduceTrace:
@@ -274,7 +272,7 @@ def lagrange_optimum_check(k: int, total: float, trials: int,
 
     For L1 mass C the sum of squares lives in [C^2/k, C^2]: the lower end
     at the equal split, the upper at full concentration. Samples are
-    uniform on the simplex (normalized exponentials), and the two
+    uniform on the simplex (exponentials over their sum), and the two
     equality cases are probed explicitly.
     """
     if k < 1:

@@ -1,12 +1,11 @@
-"""Small classifiers with two independent forward routes.
+"""Small classifiers, each with one forward run on raw arrays or on the tape.
 
-Each model exposes `logits`, a plain-numpy forward used for evaluation,
-and `graph_logits`, which builds the same function on an autodiff tape
-for training and attribution. The two routes share parameters but not
-code: the plain convolution is shift-and-add over kernel offsets while
-the tape uses windowed contraction, and plain pooling is a direct max
-while the tape records argmax masks. Agreement between them is a
-standing cross-check, not an accident of shared implementation.
+Each model writes its forward once, as `_forward(ns, x, p)` against an op
+namespace of the autodiff engine, the way the engine's VJP rules are
+written. `logits` runs it on raw float64 arrays for evaluation;
+`graph_logits` runs it on an autodiff tape for training and attribution,
+so the two routes agree bit for bit. The independent cross-check (a
+shift-and-add convolution and a direct 2x2 max) lives in the tests.
 
 Parameters are stored float32 and promoted to float64 inside either
 route; training quantizes back to float32 after every update so a saved
@@ -22,45 +21,40 @@ import struct
 import numpy as np
 
 from . import autodiff as ag
+from .autodiff.engine import _GraphNS, _RawNS
+from .autodiff.functional import affine, conv_bias, flatten
 from .seeding import seed_stream
 
-
-def _softplus(x):
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-_PLAIN_ACT = {"relu": lambda x: np.maximum(x, 0.0), "softplus": _softplus}
-_GRAPH_ACT = {"relu": ag.relu, "softplus": ag.softplus}
+# elementwise namespace ops a hidden layer may apply, called by name
+_ACTIVATIONS = ("relu", "softplus")
 
 
-def _conv_plain(x, k, pad):
-    """Shift-and-add convolution, deliberately unlike the tape kernel."""
-    n, c, h, w = x.shape
-    o, _, kh, kw = k.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = h + 2 * pad - kh + 1
-    wo = w + 2 * pad - kw + 1
-    out = np.zeros((n, o, ho, wo))
-    for u in range(kh):
-        for v in range(kw):
-            out += np.einsum("nchw,oc->nohw", x[:, :, u : u + ho, v : v + wo], k[:, :, u, v])
-    return out
+def _check_activation(activation: str) -> None:
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
 
 
-def _pool_plain(x):
-    n, c, h, w = x.shape
-    return x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+class _OneForward:
+    """`logits` and `graph_logits` from the subclass's `_forward(ns, x, p)`."""
+
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        p = {k: v.astype(np.float64) for k, v in self.params.items()}
+        return self._forward(_RawNS, np.asarray(x, dtype=np.float64), p)
+
+    def bind(self, graph: ag.Graph) -> dict[str, ag.Var]:
+        return {name: graph.var(arr, name) for name, arr in self.params.items()}
+
+    def graph_logits(self, xv: ag.Var, pv: dict[str, ag.Var]) -> ag.Var:
+        return self._forward(_GraphNS(xv.graph), xv, pv)
 
 
-class MLP:
+class MLP(_OneForward):
     """Fully connected classifier over flattened inputs."""
 
     kind = "mlp"
 
     def __init__(self, in_shape, hidden, classes, activation="relu", seed=0):
-        if activation not in _PLAIN_ACT:
-            raise ValueError(f"unknown activation {activation!r}")
+        _check_activation(activation)
         self.in_shape = tuple(int(s) for s in in_shape)
         self.hidden = [int(h) for h in hidden]
         self.classes = int(classes)
@@ -82,38 +76,24 @@ class MLP:
             "activation": self.activation,
         }
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        act = _PLAIN_ACT[self.activation]
-        h = np.asarray(x, dtype=np.float64).reshape(x.shape[0], -1)
+    def _forward(self, ns, x, p):
+        act = getattr(ns, self.activation)
+        h = flatten(ns, x) if len(x.shape) > 2 else x
         n_layers = len(self.hidden) + 1
         for i in range(n_layers):
-            h = h @ self.params[f"w{i}"].astype(np.float64) + self.params[f"b{i}"].astype(np.float64)
-            if i < n_layers - 1:
-                h = act(h)
-        return h
-
-    def bind(self, graph: ag.Graph) -> dict[str, ag.Var]:
-        return {name: graph.var(arr, name) for name, arr in self.params.items()}
-
-    def graph_logits(self, x: ag.Var, pv: dict[str, ag.Var]) -> ag.Var:
-        act = _GRAPH_ACT[self.activation]
-        h = ag.flatten(x) if len(x.shape) > 2 else x
-        n_layers = len(self.hidden) + 1
-        for i in range(n_layers):
-            h = ag.affine(h, pv[f"w{i}"], pv[f"b{i}"])
+            h = affine(ns, h, p[f"w{i}"], p[f"b{i}"])
             if i < n_layers - 1:
                 h = act(h)
         return h
 
 
-class CNN:
+class CNN(_OneForward):
     """Two padded 3x3 conv blocks with 2x2 pooling, then a linear head."""
 
     kind = "cnn"
 
     def __init__(self, in_shape, channels, classes, activation="relu", seed=0):
-        if activation not in _PLAIN_ACT:
-            raise ValueError(f"unknown activation {activation!r}")
+        _check_activation(activation)
         c, h, w = in_shape
         if h % 4 or w % 4:
             raise ValueError(f"two pooling stages need dims divisible by 4, got {h}x{w}")
@@ -146,27 +126,14 @@ class CNN:
             "activation": self.activation,
         }
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        act = _PLAIN_ACT[self.activation]
-        h = np.asarray(x, dtype=np.float64)
-        p = {k: v.astype(np.float64) for k, v in self.params.items()}
-        h = act(_conv_plain(h, p["k1"], 1) + p["cb1"][None, :, None, None])
-        h = _pool_plain(h)
-        h = act(_conv_plain(h, p["k2"], 1) + p["cb2"][None, :, None, None])
-        h = _pool_plain(h)
-        return h.reshape(h.shape[0], -1) @ p["w"] + p["b"]
-
-    def bind(self, graph: ag.Graph) -> dict[str, ag.Var]:
-        return {name: graph.var(arr, name) for name, arr in self.params.items()}
-
-    def graph_logits(self, x: ag.Var, pv: dict[str, ag.Var]) -> ag.Var:
-        act = _GRAPH_ACT[self.activation]
-        h = ag.maxpool2(act(ag.conv_bias(x, pv["k1"], pv["cb1"], 1)))
-        h = ag.maxpool2(act(ag.conv_bias(h, pv["k2"], pv["cb2"], 1)))
-        return ag.affine(ag.flatten(h), pv["w"], pv["b"])
+    def _forward(self, ns, x, p):
+        act = getattr(ns, self.activation)
+        h = ns.maxpool2(act(conv_bias(ns, x, p["k1"], p["cb1"], 1)))
+        h = ns.maxpool2(act(conv_bias(ns, h, p["k2"], p["cb2"], 1)))
+        return affine(ns, flatten(ns, h), p["w"], p["b"])
 
 
-class LinearScore:
+class LinearScore(_OneForward):
     """One linear score wrapped as two-class logits [0, s].
 
     Class 1 wins exactly when the score is positive, and the class-1
@@ -209,22 +176,10 @@ class LinearScore:
     def config(self):
         return {"kind": self.kind, "in_shape": list(self.in_shape)}
 
-    def score(self, x: np.ndarray) -> np.ndarray:
-        flat = np.asarray(x, dtype=np.float64).reshape(x.shape[0], -1)
-        return flat @ self.params["w"].astype(np.float64) + self.params["b"].astype(np.float64)
-
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        s = self.score(x)
-        return np.concatenate([np.zeros_like(s), s], axis=1)
-
-    def bind(self, graph: ag.Graph) -> dict[str, ag.Var]:
-        return {name: graph.var(arr, name) for name, arr in self.params.items()}
-
-    def graph_logits(self, x: ag.Var, pv: dict[str, ag.Var]) -> ag.Var:
-        flat = ag.flatten(x) if len(x.shape) > 2 else x
-        s = ag.affine(flat, pv["w"], pv["b"])
-        lift = x.graph.const(np.array([[0.0, 1.0]]))
-        return ag.matmul(s, lift)
+    def _forward(self, ns, x, p):
+        flat = flatten(ns, x) if len(x.shape) > 2 else x
+        lift = ns.const(np.array([[0.0, 1.0]]))
+        return ns.matmul(affine(ns, flat, p["w"], p["b"]), lift)
 
 
 Model = MLP | CNN | LinearScore
@@ -309,28 +264,39 @@ def save_checkpoint(path, model: Model, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
+    """Model and `extra` of a checkpoint; any malformed file raises IntegrityError."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != _MAGIC:
         raise IntegrityError("bad magic; not a checkpoint file")
-    (version,) = struct.unpack("<I", raw[4:8])
+    if len(raw) < 16:
+        raise IntegrityError("truncated framing")
+    version, hlen = struct.unpack("<IQ", raw[4:16])
     if version != _VERSION:
         raise IntegrityError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<Q", raw[8:16])
     if 16 + hlen > len(raw):
         raise IntegrityError("truncated header")
-    header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
     payload = raw[16 + hlen :]
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+    try:
+        header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
+        digest, extra = header["payload_sha256"], header["extra"]
+        declared = [(rec["name"], tuple(rec["shape"])) for rec in header["params"]]
+        model = build_model(header["model"])
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise IntegrityError(f"malformed header: {exc!r}") from exc
+    if hashlib.sha256(payload).hexdigest() != digest:
         raise IntegrityError("payload digest mismatch")
-    model = build_model(header["model"])
-    offset = 0
-    for rec in header["params"]:
-        shape = tuple(rec["shape"])
-        count = int(np.prod(shape, dtype=np.int64))
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        model.params[rec["name"]] = arr.reshape(shape).astype(np.float32)
-        offset += count * 4
-    if offset != len(payload):
+    if not isinstance(extra, dict):
+        raise IntegrityError("header extra is not an object")
+    if model.config() != header["model"]:
+        raise IntegrityError("model config is not one this version writes")
+    if declared != [(n, arr.shape) for n, arr in model.params.items()]:
+        raise IntegrityError("declared params do not match the model config")
+    if 4 * sum(arr.size for arr in model.params.values()) != len(payload):
         raise IntegrityError("payload length does not match declared shapes")
-    return model, header["extra"]
+    offset = 0
+    for name, arr in model.params.items():
+        flat = np.frombuffer(payload, dtype="<f4", count=arr.size, offset=offset)
+        model.params[name] = flat.reshape(arr.shape).astype(np.float32)
+        offset += arr.size * 4
+    return model, extra

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ag
+from .autodiff.engine import _GraphNS
 from .attacks import PGD_EPS, PGD_ITERS, PGD_STEP, pgd
 from .attribution import input_gradients
 from .data import ImageBatch, cutout, train_val_split
@@ -103,9 +104,9 @@ def igd_loss(student: Model, teacher: Model | None, x: np.ndarray,
             raise ValueError("gradient alignment needs a teacher model")
         ref = input_gradients(teacher, x, y).reshape(len(y), -1)
         xv = g.var(np.asarray(x, dtype=np.float64))
-        score = ag.class_score_rows(student.graph_logits(xv, pv), y)
+        score = ag.picked_rows(student.graph_logits(xv, pv), y)
         (gx,) = ag.grad(ag.sum_all(score), [xv], create_graph=True)
-        cos, flags = ag.cosine_rows(ag.flatten(gx), ref)
+        cos, flags = ag.cosine_rows(ag.flatten(_GraphNS(g), gx), ref)
         cmean = ag.mean_all(cos)
         total = ag.add(ce, ag.scale(cmean, -lam))
         cos_val = float(cmean.value)

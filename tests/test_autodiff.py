@@ -114,7 +114,7 @@ class TestFirstOrder:
         x0 = rng.normal(size=(4, 5))
 
         def build(g, x):
-            z = ag.affine(x, g.var(w), g.var(b))
+            z = ag.affine(engine._GraphNS(g), x, g.var(w), g.var(b))
             return ag.cross_entropy_mean(z, labels)
 
         check_grad(build, x0)
@@ -280,8 +280,9 @@ class TestDeterminism:
         g = ag.Graph()
         x = g.var(rng.normal(size=(2, 1, 8, 8)))
         k = g.var(rng.normal(size=(3, 1, 3, 3)) * 0.5)
-        y = ag.maxpool2(ag.softplus(ag.conv_bias(x, k, g.var(rng.normal(size=(3,))), 1)))
-        z = ag.affine(ag.flatten(y), g.var(rng.normal(size=(48, 4)) * 0.3),
+        ns = engine._GraphNS(g)
+        y = ag.maxpool2(ag.softplus(ag.conv_bias(ns, x, k, g.var(rng.normal(size=(3,))), 1)))
+        z = ag.affine(ns, ag.flatten(ns, y), g.var(rng.normal(size=(48, 4)) * 0.3),
                       g.var(np.zeros(4)))
         loss = ag.cross_entropy_mean(z, np.array([1, 3]))
         return g, x, loss

@@ -25,6 +25,7 @@ from gradeq import theory as th
 from gradeq.attacks import (AttackSpec, apply_spec, build_topk_mask, corrupt,
                             error_rate, ina1, ina2, ioa, pgd, rn)
 from gradeq.attribution import attribute, input_gradients
+from gradeq.autodiff.engine import _GraphNS
 from gradeq.data import synth_blobs
 from gradeq.models import CNN, MLP, linearize, predict
 from gradeq.seeding import seed_stream
@@ -131,7 +132,7 @@ class _LogSumModel:
         return {}
 
     def graph_logits(self, xv, params):
-        s = ag.log(ag.sum_axes(ag.flatten(xv), (1,)))  # [N,1]
+        s = ag.log(ag.sum_axes(ag.flatten(_GraphNS(xv.graph), xv), (1,)))  # [N,1]
         return ag.matmul(s, xv.graph.const(np.array([[0.0, 1.0]])))
 
     def logits(self, x):
@@ -140,7 +141,7 @@ class _LogSumModel:
         return np.concatenate([np.zeros_like(s), s], axis=1)
 
 
-def test_nonfinite_pgd_sample_flagged_alone():
+def test_nonfinite_pgd_sample_flagged_alone(monkeypatch):
     # Sample 1 starts at 0.4 per pixel; eps 0.5 lets PGD clip it to 0 and
     # log(0) goes non-finite. The others keep sum(x) > 1, so class 1,
     # everywhere inside their ball.
@@ -149,8 +150,20 @@ def test_nonfinite_pgd_sample_flagged_alone():
     ys = np.ones(4, dtype=int)
     spec = AttackSpec(kind="pgd", eps=0.5, step=0.25, iters=8)
     rngs = [seed_stream(9, i) for i in range(4)]
-    res = pgd(model, xs, ys, spec.eps, spec.step, spec.iters, rngs)
+    tapes = []
+
+    class CountingGraph(ag.Graph):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(ag, "Graph", CountingGraph)
+        res = pgd(model, xs, ys, spec.eps, spec.step, spec.iters, rngs)
     assert res.aborted.tolist() == [False, True, False, False]
+    # one tape per iteration over the live samples, plus one per sample in
+    # the iteration where sample 1 fails; never a per-sample loop after it
+    assert len(tapes) <= spec.iters + len(xs)
     for i in range(4):
         alone = pgd(model, xs[i:i + 1], ys[i:i + 1], spec.eps, spec.step, spec.iters,
                     seed_stream(9, i))
@@ -236,13 +249,21 @@ def test_validation_survives_python_O():
     script = """
 import numpy as np
 from gradeq.attacks import Mask, ioa
+from gradeq.data import ImageBatch
+from gradeq.inequality import GiniReport
 from gradeq.models import CNN
 from gradeq.theory import MaskStats
+pix, lab = np.full((2, 1, 2, 2), 0.5), np.array([0, 1])
 bad = [lambda: Mask(np.zeros(5)),
        lambda: Mask(np.zeros((2, 2))),
        lambda: MaskStats(k=2, sum_sq=1.0, sum=3.0, sum_abs=3.0),
        lambda: MaskStats(k=2, sum_sq=5.0, sum=3.0, sum_abs=1.0),
-       lambda: ioa(CNN((1, 8, 8), [2, 2], 2), np.zeros((8, 8)), 0, 1, 1, 0.5)]
+       lambda: ioa(CNN((1, 8, 8), [2, 2], 2), np.zeros((8, 8)), 0, 1, 1, 0.5),
+       lambda: ImageBatch(pix * 10, lab, 2, 0.5, 0.1),  # pixel 5.0
+       lambda: ImageBatch(pix, np.array([0, 7]), 2, 0.5, 0.1),  # label 7 of 2
+       lambda: ImageBatch(pix[0], lab, 2, 0.5, 0.1),
+       lambda: ImageBatch(pix, lab[:1], 2, 0.5, 0.1),
+       lambda: GiniReport(1.5, 0.2, 4, 100, "saliency")]
 for make in bad:
     try:
         make()

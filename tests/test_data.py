@@ -142,11 +142,6 @@ class TestCutout:
 
 
 class TestBatchOps:
-    def test_normalize_round_trip(self):
-        batch = dt.synth_blobs(10, seed=6)
-        z = batch.normalized()
-        np.testing.assert_allclose(batch.denormalize(z), batch.pixels, atol=1e-6)
-
     def test_split_deterministic_and_disjoint(self):
         batch = dt.synth_blobs(40, seed=7)
         t1, v1 = dt.train_val_split(batch, 0.25, seed=9)

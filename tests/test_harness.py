@@ -449,7 +449,7 @@ def test_gini_report_row_and_bounds():
     row = rep.as_row()
     assert row == {"global_gini": 0.4, "regional_gini": 0.2, "region": 4,
                    "n": 100, "method": "saliency"}
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         GiniReport(1.5, 0.2, 4, 100, "saliency")
 
 

@@ -1,7 +1,12 @@
-"""Model forward routes, linearization, and checkpoint round trips."""
+"""Model forwards, linearization, and checkpoint round trips."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradeq import autodiff as ag
 from gradeq import models as md
@@ -12,24 +17,82 @@ def graph_forward(model, x):
     return model.graph_logits(g.var(x), model.bind(g)).value
 
 
+def conv_shift_add(x, k, pad):
+    """Convolution as a sum over kernel offsets, unlike the windowed kernel."""
+    n, c, h, w = x.shape
+    o, _, kh, kw = k.shape
+    x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho = h + 2 * pad - kh + 1
+    wo = w + 2 * pad - kw + 1
+    out = np.zeros((n, o, ho, wo))
+    for u in range(kh):
+        for v in range(kw):
+            out += np.einsum("nchw,oc->nohw", x[:, :, u : u + ho, v : v + wo], k[:, :, u, v])
+    return out
+
+
+def pool_direct(x):
+    """2x2 max pool as a direct max, without an argmax mask."""
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+
+
+def cnn_oracle(model, x):
+    """The CNN forward built from the shift-and-add convolution and direct max."""
+    act = {"relu": lambda v: np.maximum(v, 0.0),
+           "softplus": lambda v: np.logaddexp(0.0, v)}[model.activation]
+    p = {k: v.astype(np.float64) for k, v in model.params.items()}
+    h = pool_direct(act(conv_shift_add(x, p["k1"], 1) + p["cb1"][None, :, None, None]))
+    h = pool_direct(act(conv_shift_add(h, p["k2"], 1) + p["cb2"][None, :, None, None]))
+    return h.reshape(len(h), -1) @ p["w"] + p["b"]
+
+
 class TestForwardRoutes:
     def test_mlp_routes_agree(self):
         rng = np.random.default_rng(1)
-        m = md.MLP((6,), [8, 8], 3, "relu", seed=4)
-        x = rng.uniform(0, 1, size=(5, 6))
-        np.testing.assert_allclose(m.logits(x), graph_forward(m, x), rtol=1e-10)
+        x = rng.uniform(0, 1, size=(5, 1, 2, 3))
+        for activation in ("relu", "softplus"):
+            m = md.MLP((1, 2, 3), [8, 8], 3, activation, seed=4)
+            assert np.array_equal(m.logits(x), graph_forward(m, x))
 
     def test_cnn_routes_agree(self):
         rng = np.random.default_rng(2)
-        m = md.CNN((3, 8, 8), [4, 6], 5, "softplus", seed=9)
         x = rng.uniform(0, 1, size=(3, 3, 8, 8))
-        np.testing.assert_allclose(m.logits(x), graph_forward(m, x), rtol=1e-9)
+        for activation in ("relu", "softplus"):
+            m = md.CNN((3, 8, 8), [4, 6], 5, activation, seed=9)
+            assert np.array_equal(m.logits(x), graph_forward(m, x))
 
     def test_linear_routes_agree(self):
         rng = np.random.default_rng(3)
         m = md.LinearScore((7,), seed=1)
         x = rng.uniform(0, 1, size=(4, 7))
-        np.testing.assert_allclose(m.logits(x), graph_forward(m, x), rtol=1e-12)
+        assert np.array_equal(m.logits(x), graph_forward(m, x))
+
+    @pytest.mark.parametrize("activation", ["relu", "softplus"])
+    def test_cnn_matches_shift_add_oracle(self, activation):
+        rng = np.random.default_rng(6)
+        m = md.CNN((3, 12, 8), [5, 7], 4, activation, seed=3)
+        x = rng.uniform(0, 1, size=(6, 3, 12, 8))
+        want = cnn_oracle(m, x)
+        np.testing.assert_allclose(m.logits(x), want, rtol=1e-12, atol=1e-13)
+        assert np.array_equal(np.argmax(m.logits(x), axis=1), np.argmax(want, axis=1))
+
+    def test_mlp_and_linear_match_matmul_oracle(self):
+        rng = np.random.default_rng(7)
+        m = md.MLP((6,), [5], 3, "relu", seed=2)
+        x = rng.uniform(0, 1, size=(4, 6))
+        p = {k: v.astype(np.float64) for k, v in m.params.items()}
+        want = np.maximum(x @ p["w0"] + p["b0"], 0.0) @ p["w1"] + p["b1"]
+        assert np.array_equal(m.logits(x), want)
+        lin = md.LinearScore.from_arrays(rng.normal(size=6), -0.25)
+        s = x @ lin.w - 0.25
+        assert np.array_equal(lin.logits(x), np.stack([np.zeros_like(s), s], axis=1))
+
+    def test_unknown_activation_rejected(self):
+        for make in (lambda: md.MLP((4,), [3], 2, "tanh"),
+                     lambda: md.CNN((1, 8, 8), [2, 2], 2, "matmul")):
+            with pytest.raises(ValueError, match="activation"):
+                make()
 
     def test_init_deterministic_per_seed(self):
         a = md.MLP((4,), [5], 2, seed=7)
@@ -152,3 +215,87 @@ class TestCheckpoints:
                   md.LinearScore((5,), 1)):
             again = md.build_model(m.config())
             assert again.config() == m.config()
+
+
+def frame(header, payload=b""):
+    """Checkpoint bytes around a raw header blob, framed like save_checkpoint."""
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return b"IGDC" + struct.pack("<IQ", 1, len(blob)) + blob + payload
+
+
+def split_checkpoint(raw):
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    return json.loads(raw[16 : 16 + hlen]), raw[16 + hlen :]
+
+
+def saved_bytes(tmp_path, model, extra=None):
+    path = tmp_path / "m.ckpt"
+    md.save_checkpoint(path, model, extra)
+    return path.read_bytes()
+
+
+_SAMPLE = md.MLP((1, 2, 2), [3], 2, "softplus", seed=5)
+
+
+class TestMalformedCheckpoints:
+    def load_bytes(self, tmp_path, raw):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(raw)
+        return md.load_checkpoint(path)
+
+    def test_every_truncation_raises_integrity_error(self, tmp_path):
+        for model in (_SAMPLE, md.CNN((1, 4, 4), [2, 2], 2, seed=1), md.LinearScore((3,))):
+            raw = saved_bytes(tmp_path, model, {"epoch": 3})
+            for n in range(len(raw)):
+                with pytest.raises(md.IntegrityError):
+                    self.load_bytes(tmp_path, raw[:n])
+
+    def test_header_not_utf8_or_not_json(self, tmp_path):
+        for blob in (b"\xff\xfe{}", b"{not json", b"[1, 2]", b"null"):
+            with pytest.raises(md.IntegrityError):
+                self.load_bytes(tmp_path, frame(blob))
+
+    def test_missing_keys(self, tmp_path):
+        header, payload = split_checkpoint(saved_bytes(tmp_path, _SAMPLE))
+        for key in header:
+            broken = {k: v for k, v in header.items() if k != key}
+            with pytest.raises(md.IntegrityError):
+                self.load_bytes(tmp_path, frame(broken, payload))
+        for key in header["model"]:
+            broken = dict(header, model={k: v for k, v in header["model"].items() if k != key})
+            with pytest.raises(md.IntegrityError):
+                self.load_bytes(tmp_path, frame(broken, payload))
+
+    def test_unknown_model_config(self, tmp_path):
+        header, payload = split_checkpoint(saved_bytes(tmp_path, _SAMPLE))
+        for model in ({"kind": "rnn"}, dict(header["model"], activation="tanh"),
+                      dict(header["model"], hidden="3"), [1, 2],
+                      dict(header["model"], dropout=0.5)):
+            with pytest.raises(md.IntegrityError):
+                self.load_bytes(tmp_path, frame(dict(header, model=model), payload))
+
+    def test_params_must_match_the_model(self, tmp_path):
+        header, payload = split_checkpoint(saved_bytes(tmp_path, _SAMPLE))
+        recs = header["params"]
+        for params in (recs[::-1], recs[:-1], [dict(recs[0], name="w9")] + recs[1:],
+                       [dict(recs[0], shape=[2, 6])] + recs[1:], "w0", [1, 2, 3, 4]):
+            with pytest.raises(md.IntegrityError):
+                self.load_bytes(tmp_path, frame(dict(header, params=params), payload))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_single_byte_flip_never_escapes(self, tmp_path_factory, data):
+        raw = saved_bytes(tmp_path_factory.mktemp("flip"), _SAMPLE, {"epoch": 3, "tag": "ok"})
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        pos = data.draw(st.integers(0, 16 + hlen - 1), label="pos")
+        flipped = bytearray(raw)
+        flipped[pos] ^= data.draw(st.integers(1, 255), label="xor")
+        try:
+            model, _ = self.load_bytes(tmp_path_factory.mktemp("flip"), bytes(flipped))
+        except md.IntegrityError:
+            return
+        # a flip that still loads (inside extra, or whitespace) keeps the model
+        assert model.config() == _SAMPLE.config()
+        for k in _SAMPLE.params:
+            assert np.array_equal(model.params[k], _SAMPLE.params[k])
+
