@@ -3,12 +3,15 @@
 and everything lands in one output directory as CSV, SVG and checkpoints.
 
 Reruns are idempotent per (config digest, seed): finished checkpoints are
-reused, every downstream number is a pure function of config and seed, and
-the emitted files are byte-identical across runs. The only timestamped
-output is log.txt, which is deliberately excluded from the bundle manifest.
+reused (one that fails its integrity check is retrained), every downstream
+number is a pure function of config and seed, and the emitted files are
+byte-identical across runs. Each file is written whole or not at all, and
+charts are drawn from the rows this run computed, never from files on disk.
+The only timestamped output is log.txt, which is deliberately excluded from
+the bundle manifest.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 import hashlib
 import json
@@ -22,11 +25,12 @@ from . import attribution
 from .attacks import AttackSpec, CORRUPT_KINDS, corrupt, error_rate, pgd
 from .data import ImageBatch, load_cifar, synth_blobs, train_val_split
 from .inequality import GiniReport, block_sums, gini, gini_exact
-from .models import Model, build_model, load_checkpoint, predict, save_checkpoint
+from .models import (IntegrityError, Model, atomic_write, build_model,
+                     load_checkpoint, predict, save_checkpoint)
 from .seeding import seed_stream
 from .theory import sweep_mask_stats
 from .training import METHODS as TRAIN_METHODS
-from .training import TrainConfig, accuracy, train
+from .training import EpochRow, TrainConfig, accuracy, train
 
 
 class ConfigError(ValueError):
@@ -67,17 +71,17 @@ def _check_keys(d: dict, required: set, optional: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 _MODEL_KEYS = {
     "mlp": ({"kind", "in_shape", "hidden", "classes"}, {"activation"}),
     "cnn": ({"kind", "in_shape", "channels", "classes"}, {"activation"}),
     "linear": ({"kind", "in_shape"}, set()),
 }
 
-_TRAIN_OPTIONAL = {
-    "lam", "epochs", "batch_size", "lr", "momentum", "weight_decay",
-    "plateau_factor", "plateau_patience", "pgd_eps", "pgd_step", "pgd_iters",
-    "cutout_hole", "val_fraction", "teacher",
-}
+_TRAIN_OPTIONAL = {f.name for f in fields(TrainConfig)} - {"method", "model", "seed"}
 
 _ATTACK_KEYS = {
     "pgd": (set(), {"eps", "step", "iters"}),
@@ -167,6 +171,16 @@ def _validate(cfg: dict) -> None:
         for kind in cfg["corrupt"].get("kinds", []):
             if kind not in SEVERITY:
                 raise ConfigError(f"corrupt: unknown kind {kind!r}")
+        sevs = cfg["corrupt"].get("severities", [])
+        if not isinstance(sevs, list) or not all(_is_int(v) and 1 <= v <= 5 for v in sevs):
+            raise ConfigError(f"corrupt: severities must be integers in 1..5, got {sevs!r}")
+    # an absent limit passes; a present one must keep at least one sample
+    limits = {"eval_limit": cfg.get("eval_limit", 1)}
+    limits |= {f"{s}.limit": cfg[s].get("limit", 1) for s in ("gini", "theory", "corrupt")
+               if s in cfg}
+    for where, v in limits.items():
+        if not (_is_int(v) and v > 0):
+            raise ConfigError(f"{where} must be a positive integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -245,16 +259,13 @@ def confidence_stats(model: Model, pixels: np.ndarray, labels: np.ndarray) -> tu
     return float(conf.mean()), int(ok.sum())
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def csv_text(header: list[str], rows: list[list]) -> str:
     """Deterministic CSV: floats via repr (shortest round-trip), no quoting
     needed because no field ever contains a comma."""
-    def fmt(v):
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
     lines = [",".join(header)]
-    lines += [",".join(fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
@@ -333,6 +344,8 @@ class RunState:
     models: dict = field(default_factory=dict)      # name -> Model
     model_meta: dict = field(default_factory=dict)  # name -> (method, lam)
     files: list = field(default_factory=list)       # manifest entries, relative
+    # (rel, title, xlabel, ylabel, {series: [(x, y)]}), rendered by the plots stage
+    charts: list = field(default_factory=list)
     log_lines: list = field(default_factory=list)
 
     def log(self, msg: str) -> None:
@@ -341,13 +354,7 @@ class RunState:
     def emit(self, rel: str, text: str) -> None:
         path = self.config.out / rel
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        self.files.append(rel)
-
-    def emit_csv(self, rel: str, header: list[str], rows: list[list]) -> None:
-        path = self.config.out / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_csv(path, header, rows)
+        atomic_write(path, text.encode("utf-8"))
         self.files.append(rel)
 
     def holdout_subset(self, limit) -> ImageBatch:
@@ -385,12 +392,9 @@ def _stage_data(state: RunState) -> None:
     else:
         batch = load_cifar(ds["path"], ds.get("variant", "cifar10"))
     frac = cfg.raw.get("eval_fraction", 0.2)
-    pool, holdout = train_val_split(batch, frac, cfg.seed)
-    limit = cfg.raw.get("eval_limit")
-    if limit is not None and limit < len(holdout.labels):
-        holdout = holdout.subset(np.arange(int(limit)))
-    state.data, state.holdout = pool, holdout
-    state.log(f"data: pool={len(pool.labels)} holdout={len(holdout.labels)}")
+    state.data, state.holdout = train_val_split(batch, frac, cfg.seed)
+    state.holdout = state.holdout_subset(cfg.raw.get("eval_limit"))
+    state.log(f"data: pool={len(state.data.labels)} holdout={len(state.holdout.labels)}")
 
 
 def _train_config(entry: dict, model_cfg: dict, seed: int, teacher_path) -> TrainConfig:
@@ -410,11 +414,17 @@ def _stage_train(state: RunState) -> None:
         ckpt = ckpt_dir / f"{cfg.tag(name)}.ckpt"
         method, lam = entry["method"], entry.get("lam", 0)
         state.model_meta[name] = (method, lam)
+        record_rel = f"records/{cfg.tag(name)}-train.csv"
         if ckpt.exists():
-            model, extra = load_checkpoint(ckpt)
-            state.models[name] = model
-            state.log(f"train: {name} cached ({extra.get('best_epoch')})")
-            continue
+            try:
+                state.models[name], extra = load_checkpoint(ckpt)
+            except IntegrityError as e:
+                state.log(f"train: {name} checkpoint unreadable ({e}), retraining")
+            else:
+                if (cfg.out / record_rel).exists():
+                    state.files.append(record_rel)
+                state.log(f"train: {name} cached ({extra.get('best_epoch')})")
+                continue
         teacher_path = None
         if method == "igd":
             teacher_path = ckpt_dir / f"{cfg.tag(entry['teacher'])}.ckpt"
@@ -428,18 +438,10 @@ def _stage_train(state: RunState) -> None:
         })
         rows = [[name, *r.as_dict().values(), cfg.seed, cfg.digest]
                 for r in record.rows]
-        header = ["name"] + (list(record.rows[0].as_dict()) if record.rows
-                             else ["epoch", "lr", "loss", "ce", "cos",
-                                   "degenerate_frac", "clean_acc", "adv_acc",
-                                   "saliency_gini"]) + ["seed", "config"]
-        state.emit_csv(f"records/{cfg.tag(name)}-train.csv", header, rows)
+        header = ["name", *(f.name for f in fields(EpochRow)), "seed", "config"]
+        state.emit(record_rel, csv_text(header, rows))
         state.log(f"train: {name} done, best_epoch={record.best_epoch} "
                   f"aborted={record.aborted}")
-    # cached runs still need their record files listed in the manifest
-    for entry in cfg.train_entries:
-        rel = f"records/{cfg.tag(entry['name'])}-train.csv"
-        if rel not in state.files and (cfg.out / rel).exists():
-            state.files.append(rel)
 
 
 def _fixture_tables(state: RunState) -> None:
@@ -495,16 +497,15 @@ def _stage_tables(state: RunState) -> None:
                         float(np.max(l1s)), len(l1s), cfg.seed, cfg.digest])
         conf, count = confidence_stats(model, px, lab)
         conf_rows.append([name, meth, float(lam), conf, count, cfg.seed, cfg.digest])
-    state.emit_csv("tables/gini.csv",
-                   ["name", "method", "lam", "clean_acc", "adv_acc",
-                    "global_gini", "regional_gini", "maps",
-                    "seed", "config"], gini_rows)
-    state.emit_csv("tables/l1.csv",
-                   ["name", "method", "lam", "mean_l1", "max_l1", "maps",
-                    "seed", "config"], l1_rows)
-    state.emit_csv("tables/confidence.csv",
-                   ["name", "method", "lam", "confidence", "correct",
-                    "seed", "config"], conf_rows)
+    state.emit("tables/gini.csv", csv_text(
+        ["name", "method", "lam", "clean_acc", "adv_acc", "global_gini",
+         "regional_gini", "maps", "seed", "config"], gini_rows))
+    state.emit("tables/l1.csv", csv_text(
+        ["name", "method", "lam", "mean_l1", "max_l1", "maps", "seed", "config"],
+        l1_rows))
+    state.emit("tables/confidence.csv", csv_text(
+        ["name", "method", "lam", "confidence", "correct", "seed", "config"],
+        conf_rows))
     state.log(f"tables: {len(gini_rows)} models on {len(lab)} holdout samples")
 
 
@@ -520,7 +521,7 @@ def _stage_attack(state: RunState) -> None:
     sub = state.holdout
     names = list(state.models)
     models = [state.models[n] for n in names]
-    rows = []
+    rows, by_kind = [], {}
     for entry in cfg.attack_entries:
         spec = _attack_spec(entry)
         rep = error_rate(models, spec, sub.pixels, sub.labels, cfg.seed)
@@ -535,9 +536,17 @@ def _stage_attack(state: RunState) -> None:
         for name, rate in zip(names, rep.rates):
             rows.append([entry["name"], spec.kind, spec.label(), param, name,
                          rate, rep.evaluated, cfg.seed, cfg.digest])
-    state.emit_csv("curves/error_rate.csv",
-                   ["attack", "kind", "label", "param", "model", "error_rate",
-                    "evaluated", "seed", "config"], rows)
+            by_kind.setdefault(spec.kind, {}).setdefault(name, []).append(
+                (float(param), rate))
+    state.emit("curves/error_rate.csv", csv_text(
+        ["attack", "kind", "label", "param", "model", "error_rate", "evaluated",
+         "seed", "config"], rows))
+    for kind, per_model in by_kind.items():
+        # a single attack size per model draws no curve
+        curves = {m: pts for m, pts in per_model.items() if len(pts) >= 2}
+        if curves:
+            state.charts.append((f"plots/error_rate_{kind}.svg", f"{kind} error rate",
+                                 "attack size", "error rate", curves))
     state.log(f"attack: {len(cfg.attack_entries)} specs x {len(names)} models, "
               f"joint pool {rep.evaluated}")
 
@@ -551,7 +560,7 @@ def _stage_theory(state: RunState) -> None:
     selections = tcfg.get("selections", ["attribution_ranked", "random"])
     draws = tcfg.get("draws", 16)
     sub = state.holdout_subset(tcfg.get("limit", 32))
-    rows = []
+    rows, curves = [], {}
     for name, model in state.models.items():
         for sel in selections:
             pts = sweep_mask_stats(model, sub.pixels, sub.labels, ks, sel,
@@ -561,9 +570,13 @@ def _stage_theory(state: RunState) -> None:
                 rows.append([name, sel, p.k, p.mean_sum_sq, p.stderr_sum_sq,
                              p.mean_sum2, p.stderr_sum2, p.count,
                              cfg.seed, cfg.digest])
-    state.emit_csv("curves/mask_stats.csv",
-                   ["model", "selection", "k", "mean_sum_sq", "stderr_sum_sq",
-                    "mean_sum2", "stderr_sum2", "count", "seed", "config"], rows)
+                curves.setdefault(f"{name}/{sel}", []).append((float(p.k), p.mean_sum_sq))
+    state.emit("curves/mask_stats.csv", csv_text(
+        ["model", "selection", "k", "mean_sum_sq", "stderr_sum_sq", "mean_sum2",
+         "stderr_sum2", "count", "seed", "config"], rows))
+    if curves:
+        state.charts.append(("plots/mask_stats.svg", "masked weight concentration",
+                             "k", "sum of squared weights", curves))
     state.log(f"theory: {len(rows)} sweep points")
 
 
@@ -577,10 +590,10 @@ def _stage_corrupt(state: RunState) -> None:
     sub = state.holdout_subset(ccfg.get("limit"))
     names = list(state.models)
     models = [state.models[n] for n in names]
-    rows = []
+    rows, curves = [], {}
     for kind in kinds:
         for sev in severities:
-            param = SEVERITY[kind][int(sev) - 1]
+            param = SEVERITY[kind][sev - 1]
             spec = AttackSpec(kind="corrupt", corrupt_kind=kind, param=param)
             rep = error_rate(models, spec, sub.pixels, sub.labels, cfg.seed)
             # mean squared distortion of the corruption itself, model-free
@@ -591,79 +604,25 @@ def _stage_corrupt(state: RunState) -> None:
                 mses.append(float(np.mean((xc - sub.pixels[i]) ** 2)))
             mse = float(np.mean(mses))
             for name, rate in zip(names, rep.rates):
-                rows.append([kind, int(sev), param, name, rate, rep.evaluated,
+                rows.append([kind, sev, param, name, rate, rep.evaluated,
                              mse, cfg.seed, cfg.digest])
-    state.emit_csv("curves/corrupt.csv",
-                   ["kind", "severity", "param", "model", "error_rate",
-                    "evaluated", "mse", "seed", "config"], rows)
+                curves.setdefault(f"{name}/{kind}", []).append((float(sev), rate))
+    state.emit("curves/corrupt.csv", csv_text(
+        ["kind", "severity", "param", "model", "error_rate", "evaluated", "mse",
+         "seed", "config"], rows))
+    if curves:
+        state.charts.append(("plots/corrupt.svg", "corruption error rate",
+                             "severity", "error rate", curves))
     state.log(f"corrupt: {len(rows)} rows")
 
 
-def _read_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    lines = path.read_text().splitlines()
-    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
-
-
 def _stage_plots(state: RunState) -> None:
-    cfg = state.config
-    out = cfg.out
-    err = out / "curves" / "error_rate.csv"
-    if err.exists():
-        header, rows = _read_rows(err)
-        c = {h: i for i, h in enumerate(header)}
-        by_kind: dict = {}
-        for r in rows:
-            try:
-                x = float(r[c["param"]])
-            except ValueError:
-                continue
-            by_kind.setdefault(r[c["kind"]], {}).setdefault(
-                r[c["model"]], []).append((x, float(r[c["error_rate"]])))
-        for kind, per_model in sorted(by_kind.items()):
-            series = []
-            for model, pts in sorted(per_model.items()):
-                pts.sort()
-                if len(pts) < 2:
-                    continue
-                series.append((model, [p[0] for p in pts], [p[1] for p in pts]))
-            if series:
-                state.emit(f"plots/error_rate_{kind}.svg",
-                           svg_line_chart(f"{kind} error rate", "attack size",
-                                          "error rate", series))
-    ms = out / "curves" / "mask_stats.csv"
-    if ms.exists():
-        header, rows = _read_rows(ms)
-        c = {h: i for i, h in enumerate(header)}
-        per: dict = {}
-        for r in rows:
-            key = f"{r[c['model']]}/{r[c['selection']]}"
-            per.setdefault(key, []).append((float(r[c["k"]]),
-                                            float(r[c["mean_sum_sq"]])))
+    for rel, title, xlabel, ylabel, curves in state.charts:
         series = []
-        for key, pts in sorted(per.items()):
-            pts.sort()
-            series.append((key, [p[0] for p in pts], [p[1] for p in pts]))
-        if series:
-            state.emit("plots/mask_stats.svg",
-                       svg_line_chart("masked weight concentration", "k",
-                                      "sum of squared weights", series))
-    co = out / "curves" / "corrupt.csv"
-    if co.exists():
-        header, rows = _read_rows(co)
-        c = {h: i for i, h in enumerate(header)}
-        per = {}
-        for r in rows:
-            key = f"{r[c['model']]}/{r[c['kind']]}"
-            per.setdefault(key, []).append((float(r[c["severity"]]),
-                                            float(r[c["error_rate"]])))
-        series = []
-        for key, pts in sorted(per.items()):
-            pts.sort()
-            series.append((key, [p[0] for p in pts], [p[1] for p in pts]))
-        if series:
-            state.emit("plots/corrupt.svg",
-                       svg_line_chart("corruption error rate", "severity",
-                                      "error rate", series))
+        for key, pts in sorted(curves.items()):
+            pts = sorted(pts)
+            series.append((key, [x for x, _ in pts], [y for _, y in pts]))
+        state.emit(rel, svg_line_chart(title, xlabel, ylabel, series))
     state.log("plots: done")
 
 
@@ -704,10 +663,10 @@ def run(config: ExperimentConfig, stages=STAGES) -> ReportBundle:
     manifest = {"config": config.digest, "seed": config.seed,
                 "files": bundle.files, "failed_stage": failed,
                 "stages": list(ordered)}
-    (config.out / "bundle.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write(config.out / "bundle.json",
+                 (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     # timestamps live here and only here; bundle.json stays byte-stable
-    (config.out / "log.txt").write_text("\n".join(state.log_lines) + "\n")
+    atomic_write(config.out / "log.txt", ("\n".join(state.log_lines) + "\n").encode())
     if failed is not None:
         raise StageError(failed, error)
     return bundle

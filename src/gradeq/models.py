@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -243,6 +245,20 @@ class IntegrityError(ValueError):
     """Checkpoint bytes do not match their recorded digest or framing."""
 
 
+def atomic_write(path, *chunks: bytes) -> None:
+    """Write `chunks` to a temp file in the same directory, then `os.replace`
+    it: a run cut off midway leaves the old file or the new one, never a torn
+    one. Chunks are written in turn, so a payload is never copied to join it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path, model: Model, extra: dict | None = None) -> None:
     names = list(model.params)
     payload = b"".join(
@@ -255,12 +271,7 @@ def save_checkpoint(path, model: Model, extra: dict | None = None) -> None:
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        f.write(payload)
+    atomic_write(path, _MAGIC, struct.pack("<IQ", _VERSION, len(blob)), blob, payload)
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:

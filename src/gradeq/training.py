@@ -17,7 +17,7 @@ to plain adversarial training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -128,9 +128,7 @@ class EpochRow:
     saliency_gini: float
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "epoch", "lr", "loss", "ce", "cos", "degenerate_frac",
-            "clean_acc", "adv_acc", "saliency_gini")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

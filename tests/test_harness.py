@@ -10,10 +10,10 @@ from gradeq import cli
 from gradeq.attacks import corrupt
 from gradeq.attribution import AttributionMap, save_attribution
 from gradeq.harness import (SEVERITY, ConfigError, StageError, confidence_stats,
-                            config_digest, load_config, run, svg_line_chart,
-                            write_csv)
+                            config_digest, csv_text, load_config, run,
+                            svg_line_chart)
 from gradeq.inequality import GiniReport, gini_exact
-from gradeq.models import load_checkpoint
+from gradeq.models import atomic_write, load_checkpoint
 from gradeq.seeding import seed_stream
 
 
@@ -145,6 +145,33 @@ def test_missing_file(tmp_path):
         load_config(tmp_path / "absent.json")
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("corrupt", "severities", [0]),
+    ("corrupt", "severities", [6]),
+    ("corrupt", "severities", [1, 2.0]),
+    ("corrupt", "severities", [True]),
+    ("corrupt", "severities", 3),
+    (None, "eval_limit", 0),
+    (None, "eval_limit", -4),
+    (None, "eval_limit", 2.5),
+    (None, "eval_limit", None),
+    (None, "eval_limit", "8"),
+    ("gini", "limit", 0),
+    ("theory", "limit", 0),
+    ("theory", "limit", 1.0),
+    ("corrupt", "limit", 0),
+    ("corrupt", "limit", False),
+])
+def test_bad_values_rejected_at_load(tmp_path, section, key, value):
+    """Refused at load: severity 0 would index severity 5's sigma under a
+    severity-0 label, and a zero limit would fail deep inside a stage on a
+    zero-size array."""
+    cfg = base_config(tmp_path / "o")
+    (cfg if section is None else cfg[section])[key] = value
+    with pytest.raises(ConfigError, match=key):
+        load_config(write_config(tmp_path / "c.json", cfg))
+
+
 def test_unknown_stage_rejected(tmp_path):
     cfg = load_config(write_config(tmp_path / "c.json",
                                    {"dataset": {"kind": "blobs", "n": 8}}))
@@ -239,20 +266,26 @@ def test_confidence_no_correct_samples():
 # writers
 
 
-def test_csv_roundtrips_floats(tmp_path):
-    p = tmp_path / "t.csv"
+def test_csv_roundtrips_floats():
     vals = [0.1, 1 / 3, 2.0 ** -52, float(np.float64(math.pi))]
-    write_csv(p, ["a", "b", "c", "d"], [vals])
-    line = p.read_text().splitlines()[1]
+    line = csv_text(["a", "b", "c", "d"], [vals]).splitlines()[1]
     assert [float(s) for s in line.split(",")] == vals
 
 
-def test_csv_is_deterministic(tmp_path):
+def test_csv_is_deterministic():
     rows = [["m", 0.25, 7], ["n", float("nan"), 8]]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(a, ["x", "y", "z"], rows)
-    write_csv(b, ["x", "y", "z"], rows)
-    assert a.read_bytes() == b.read_bytes()
+    text = csv_text(["x", "y", "z"], rows)
+    assert text == csv_text(["x", "y", "z"], rows)
+    assert text == "x,y,z\nm,0.25,7\nn,nan,8\n"
+
+
+def test_atomic_write_keeps_old_file_on_failure(tmp_path):
+    p = tmp_path / "f.bin"
+    atomic_write(p, b"old")
+    with pytest.raises(TypeError):
+        atomic_write(p, "not bytes")
+    assert p.read_bytes() == b"old"
+    assert [x.name for x in tmp_path.iterdir()] == ["f.bin"]
 
 
 def test_svg_chart_basics():
@@ -330,6 +363,38 @@ def test_rerun_is_bytewise_identical_without_retraining(pipeline):
     after = tree_digests(config.out)
     assert before == after
     assert all(p.stat().st_mtime_ns == t for p, t in stamps.items())
+
+
+def test_plots_come_from_this_runs_rows(tmp_path):
+    """A second config without attacks or theory, run into the same out,
+    must not draw charts from the first config's CSVs still on disk."""
+    cfg = base_config(tmp_path / "out", n=48, epochs=1)
+    cfg["train"] = cfg["train"][:1]
+    del cfg["corrupt"]
+    first = run(load_config(write_config(tmp_path / "a.json", cfg)))
+    assert {"plots/error_rate_ina1.svg", "plots/mask_stats.svg"} <= set(first.files)
+    del cfg["attacks"], cfg["theory"]
+    second = run(load_config(write_config(tmp_path / "b.json", cfg)))
+    assert (tmp_path / "out" / "curves" / "error_rate.csv").exists()
+    assert not [f for f in second.files if f.startswith("plots/")]
+    manifest = json.loads((tmp_path / "out" / "bundle.json").read_text())
+    assert manifest["files"] == second.files
+
+
+@pytest.mark.parametrize("victim", ["std", "igd2"])
+def test_truncated_checkpoint_is_retrained(tmp_path, capsys, victim):
+    cfg = base_config(tmp_path / "unused", n=48, epochs=1)
+    del cfg["attacks"], cfg["theory"], cfg["corrupt"]
+    p = write_config(tmp_path / "c.json", cfg)
+    clean, cut = tmp_path / "clean", tmp_path / "cut"
+    for out in (clean, cut):
+        assert cli.main(["evaluate", "--config", str(p), "--out", str(out)]) == 0
+    ckpt = cut / "checkpoints" / f"{load_config(p).tag(victim)}.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+    assert cli.main(["evaluate", "--config", str(p), "--out", str(cut)]) == 0
+    assert tree_digests(cut) == tree_digests(clean)
+    assert f"{victim} checkpoint unreadable" in (cut / "log.txt").read_text()
+    capsys.readouterr()
 
 
 def test_igd_student_differs_from_teacher(pipeline):
