@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ag
+from .attribution import METHODS as ATTRIBUTION_METHODS
 from .attribution import attribute
 from .models import Model, predict
 from .seeding import seed_stream
@@ -310,6 +311,10 @@ class AttackSpec:
             raise ValueError("pgd parameters must be nonnegative")
         if self.kind in ("ina1", "ina2", "rn") and self.k < 0:
             raise ValueError("k must be nonnegative")
+        if self.kind == "corrupt" and self.corrupt_kind not in CORRUPT_KINDS:
+            raise ValueError(f"unknown corrupt_kind {self.corrupt_kind!r}")
+        if self.method not in ATTRIBUTION_METHODS:
+            raise ValueError(f"unknown attribution method {self.method!r}")
 
     def label(self) -> str:
         if self.kind == "pgd":

@@ -40,10 +40,6 @@ class AttributionMap:
             return np.abs(self.values).sum(axis=0)
         return np.abs(self.values)
 
-    @property
-    def zero_norm(self) -> bool:
-        return float(np.linalg.norm(self.values)) < 1e-12
-
 
 def _wrap(values: np.ndarray, method: str, targets) -> list[AttributionMap]:
     return [AttributionMap(v, method, int(t)) for v, t in zip(values, targets)]

@@ -65,48 +65,12 @@ class Var:
     def item(self) -> float:
         return float(self.value)
 
-    def __add__(self, other):
-        return add(self, _coerce(self, other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, scale(_coerce(self, other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_coerce(self, other), scale(self, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Var):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            return mul(self, reciprocal(other))
-        return scale(self, 1.0 / float(other))
-
-
-def _coerce(ref: Var, other) -> Var:
-    if isinstance(other, Var):
-        return other
-    arr = np.full(ref.shape, float(other), dtype=np.float64)
-    return ref.graph.const(arr)
-
 
 class Graph:
     """Append-only tape of primitive ops with eagerly computed values."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
     def _append(self, node: _Node) -> Var:
         if not np.all(np.isfinite(node.value)):
@@ -453,34 +417,3 @@ def grad(out: Var, wrts: Sequence[Var], seed: np.ndarray | None = None,
         adj[w.idx] if w.idx in adj else ns.const(np.zeros_like(nodes[w.idx].value))
         for w in wrts
     ]
-
-
-def replay(graph: Graph, overrides: dict[Var, np.ndarray] | None = None) -> list[np.ndarray]:
-    """Re-execute the tape and return one value per node.
-
-    Leaves take their recorded payloads unless overridden; ops rerun with
-    their recorded static payloads (pooling masks included). With no
-    overrides the result is bitwise identical to the recorded values.
-    """
-    by_idx: dict[int, np.ndarray] = {}
-    if overrides:
-        for v, arr in overrides.items():
-            if v.graph is not graph:
-                raise GraphError("override target lives on a different graph")
-            if graph.nodes[v.idx].op not in ("var", "const"):
-                raise GraphError("only leaves can be overridden on replay")
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != graph.nodes[v.idx].value.shape:
-                raise GraphError("override shape mismatch")
-            by_idx[v.idx] = arr
-    values: list[np.ndarray] = []
-    for i, node in enumerate(graph.nodes):
-        if node.op in ("var", "const"):
-            values.append(by_idx.get(i, node.value))
-            continue
-        fw = _OPS[node.op][0]
-        v = fw(node.meta, *(values[j] for j in node.args))
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteError(f"replay of '{node.op}' produced non-finite values")
-        values.append(v)
-    return values

@@ -43,11 +43,6 @@ def mean_all(x: Var) -> Var:
     return ag.scale(sum_all(x), 1.0 / x.value.size)
 
 
-def row_dot(a: Var, b: Var) -> Var:
-    """Per-row inner products of two [B, D] values, shape [B, 1]."""
-    return ag.sum_axes(ag.mul(a, b), (1,))
-
-
 def onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= num_classes:

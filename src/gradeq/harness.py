@@ -22,13 +22,13 @@ import xml.sax.saxutils
 import numpy as np
 
 from . import attribution
-from .attacks import AttackSpec, CORRUPT_KINDS, corrupt, error_rate, pgd
+from .attacks import AttackSpec, corrupt, error_rate, pgd
 from .data import ImageBatch, load_cifar, synth_blobs, train_val_split
-from .inequality import GiniReport, block_sums, gini, gini_exact
+from .inequality import GiniReport, gini_exact, mean_gini, region_blocks
 from .models import (IntegrityError, Model, atomic_write, build_model,
                      load_checkpoint, predict, save_checkpoint)
 from .seeding import seed_stream
-from .theory import sweep_mask_stats
+from .theory import SELECTIONS, sweep_mask_stats
 from .training import METHODS as TRAIN_METHODS
 from .training import EpochRow, TrainConfig, accuracy, train
 
@@ -75,6 +75,24 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _positive_int(v) -> bool:
+    return _is_int(v) and v > 0
+
+
+def _list_of(v, ok) -> bool:
+    return isinstance(v, list) and all(ok(e) for e in v)
+
+
+def _built(where: str, make) -> None:
+    """Build a config entry's object now, so a bad value fails at load, not
+    after earlier entries have trained; its ValueError or TypeError becomes
+    a ConfigError."""
+    try:
+        make()
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
 _MODEL_KEYS = {
     "mlp": ({"kind", "in_shape", "hidden", "classes"}, {"activation"}),
     "cnn": ({"kind", "in_shape", "channels", "classes"}, {"activation"}),
@@ -82,6 +100,26 @@ _MODEL_KEYS = {
 }
 
 _TRAIN_OPTIONAL = {f.name for f in fields(TrainConfig)} - {"method", "model", "seed"}
+
+# (section, key): (test a present value must pass, what it must be)
+_SECTION_VALUES = {
+    ("gini", "region"): (_positive_int, "a positive integer"),
+    ("gini", "method"): (lambda v: v in tuple(attribution.METHODS),
+                         f"one of {list(attribution.METHODS)}"),
+    ("theory", "ks"): (lambda v: _list_of(v, lambda k: _is_int(k) and k >= 0),
+                       "a list of nonnegative integers"),
+    ("theory", "selections"): (lambda v: _list_of(v, lambda e: e in SELECTIONS),
+                               f"a list drawn from {list(SELECTIONS)}"),
+    ("theory", "draws"): (_positive_int, "a positive integer"),
+    ("corrupt", "kinds"): (lambda v: _list_of(v, lambda e: e in tuple(SEVERITY)),
+                           f"a list drawn from {list(SEVERITY)}"),
+    ("corrupt", "severities"): (lambda v: _list_of(v, lambda e: _is_int(e) and 1 <= e <= 5),
+                                "a list of integers in 1..5"),
+    # a limit must keep at least one sample
+    ("gini", "limit"): (_positive_int, "a positive integer"),
+    ("theory", "limit"): (_positive_int, "a positive integer"),
+    ("corrupt", "limit"): (_positive_int, "a positive integer"),
+}
 
 _ATTACK_KEYS = {
     "pgd": (set(), {"eps", "step", "iters"}),
@@ -129,6 +167,7 @@ def _validate_train_entry(entry: dict, i: int, names: set) -> None:
             raise ConfigError(f"{where}: igd needs 'teacher' naming an earlier entry")
     elif teacher is not None:
         raise ConfigError(f"{where}: teacher is only valid for method 'igd'")
+    _built(where, lambda: (build_model(model), _train_config(entry, model, 0, None)))
 
 
 def _validate_attack_entry(entry: dict, i: int, names: set) -> None:
@@ -142,8 +181,7 @@ def _validate_attack_entry(entry: dict, i: int, names: set) -> None:
     _check_keys(entry, req | {"name", "kind"}, opt, where)
     if entry["name"] in names:
         raise ConfigError(f"{where}: duplicate name {entry['name']!r}")
-    if kind == "corrupt" and entry["corrupt_kind"] not in CORRUPT_KINDS:
-        raise ConfigError(f"{where}: unknown corrupt_kind {entry['corrupt_kind']!r}")
+    _built(where, lambda: _attack_spec(entry))
 
 
 def _validate(cfg: dict) -> None:
@@ -162,25 +200,16 @@ def _validate(cfg: dict) -> None:
     for i, entry in enumerate(cfg.get("attacks", [])):
         _validate_attack_entry(entry, i, attack_names)
         attack_names.add(entry["name"])
-    if "gini" in cfg:
-        _check_keys(cfg["gini"], set(), {"region", "method", "limit"}, "gini")
-    if "theory" in cfg:
-        _check_keys(cfg["theory"], set(), {"ks", "selections", "draws", "limit"}, "theory")
-    if "corrupt" in cfg:
-        _check_keys(cfg["corrupt"], set(), {"kinds", "severities", "limit"}, "corrupt")
-        for kind in cfg["corrupt"].get("kinds", []):
-            if kind not in SEVERITY:
-                raise ConfigError(f"corrupt: unknown kind {kind!r}")
-        sevs = cfg["corrupt"].get("severities", [])
-        if not isinstance(sevs, list) or not all(_is_int(v) and 1 <= v <= 5 for v in sevs):
-            raise ConfigError(f"corrupt: severities must be integers in 1..5, got {sevs!r}")
-    # an absent limit passes; a present one must keep at least one sample
-    limits = {"eval_limit": cfg.get("eval_limit", 1)}
-    limits |= {f"{s}.limit": cfg[s].get("limit", 1) for s in ("gini", "theory", "corrupt")
-               if s in cfg}
-    for where, v in limits.items():
-        if not (_is_int(v) and v > 0):
-            raise ConfigError(f"{where} must be a positive integer, got {v!r}")
+    for section in ("gini", "theory", "corrupt"):
+        if section in cfg:
+            keys = {k for s, k in _SECTION_VALUES if s == section}
+            _check_keys(cfg[section], set(), keys, section)
+    # an absent value takes the stage default; a present one must be usable
+    for (section, key), (ok, what) in _SECTION_VALUES.items():
+        if key in cfg.get(section, {}) and not ok(cfg[section][key]):
+            raise ConfigError(f"{section}.{key} must be {what}, got {cfg[section][key]!r}")
+    if "eval_limit" in cfg and not _positive_int(cfg["eval_limit"]):
+        raise ConfigError(f"eval_limit must be a positive integer, got {cfg['eval_limit']!r}")
 
 
 @dataclass(frozen=True)
@@ -451,10 +480,7 @@ def _fixture_tables(state: RunState) -> None:
     region = gcfg.get("region", 4)
     reduced = amap.reduced
     g = gini_exact(reduced.reshape(-1))
-    if reduced.ndim == 2:
-        rg = gini_exact(block_sums(reduced, region).reshape(-1))
-    else:
-        rg = g
+    rg = gini_exact(region_blocks(reduced, region)) if reduced.ndim == 2 else g
     report = GiniReport(global_gini=float(g), regional_gini=float(rg),
                         region=region, n=int(reduced.size), method=amap.method)
     row = report.as_row() | {"seed": cfg.seed, "config": cfg.digest}
@@ -481,18 +507,10 @@ def _stage_tables(state: RunState) -> None:
         adv_x = pgd(model, px, lab, rng=seed_stream(cfg.seed, "tables-pgd", name)).x_adv
         adv = accuracy(model, adv_x, lab)
         maps = attribution.attribute(model, px, lab, method)
-        ginis, l1s = [], []
-        for m in maps:
-            l1s.append(float(np.abs(m.values).sum()))
-            if m.zero_norm:
-                continue
-            r = m.reduced
-            g = gini(r)
-            ginis.append((g, gini(block_sums(r, region)) if r.ndim == 2 else g))
-        gg = float(np.mean([a for a, _ in ginis])) if ginis else float("nan")
-        rg = float(np.mean([b for _, b in ginis])) if ginis else float("nan")
+        gg, rg, kept = mean_gini([m.reduced for m in maps], region)
+        l1s = [float(np.abs(m.values).sum()) for m in maps]
         gini_rows.append([name, meth, float(lam), clean, adv, gg, rg,
-                          len(ginis), cfg.seed, cfg.digest])
+                          kept, cfg.seed, cfg.digest])
         l1_rows.append([name, meth, float(lam), float(np.mean(l1s)),
                         float(np.max(l1s)), len(l1s), cfg.seed, cfg.digest])
         conf, count = confidence_stats(model, px, lab)

@@ -92,15 +92,43 @@ def block_sums(map2d: np.ndarray, region: int) -> np.ndarray:
     return np.add.reduceat(rows, np.arange(0, w, region), axis=1)
 
 
-def regional_gini(map2d: np.ndarray, region: int) -> float:
-    """Gini coefficient over clipped region x region block sums."""
+def region_blocks(map2d: np.ndarray, region: int) -> np.ndarray:
+    """Flat block sums for a regional Gini, float or exact; a region that
+    leaves a single block is refused here, for both."""
     blocks = block_sums(map2d, region)
     if blocks.size < 2:
         raise ValueError(
             f"region {region} leaves a single block on shape {np.shape(map2d)}; "
             "inequality over one region is meaningless"
         )
-    return gini(blocks.reshape(-1))
+    return blocks.reshape(-1)
+
+
+def regional_gini(map2d: np.ndarray, region: int) -> float:
+    """Gini coefficient over clipped region x region block sums."""
+    return gini(region_blocks(map2d, region))
+
+
+def mean_gini(reduced_maps, region: int | None = None) -> tuple[float, float, int]:
+    """Mean global and regional Gini over per-pixel attribution maps.
+
+    The one rule for turning maps into the statistic: a map with no mass
+    has no defined concentration and is skipped; a map with a NaN or
+    infinite entry raises ValueError. A map that is not 2-d has no blocks,
+    so its regional figure is its global one; with `region` None the
+    regional mean is nan. Returns (global, regional, maps kept), and
+    (nan, nan, 0) when every map is skipped.
+    """
+    gs, rs = [], []
+    for m in map(np.asarray, reduced_maps):
+        if not m.any():
+            continue
+        gs.append(gini(m))
+        if region is not None:
+            rs.append(regional_gini(m, region) if m.ndim == 2 else gs[-1])
+    nan = float("nan")
+    return (float(np.mean(gs)) if gs else nan, float(np.mean(rs)) if rs else nan,
+            len(gs))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,15 @@ def _check_activation(activation: str) -> None:
         raise ValueError(f"unknown activation {activation!r}")
 
 
+def _sizes(what: str, values) -> list[int]:
+    """`values` as ints, each a positive int; checked before any arithmetic."""
+    values = list(values)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
+               for v in values):
+        raise ValueError(f"{what} must be positive integers, got {values!r}")
+    return [int(v) for v in values]
+
+
 class _OneForward:
     """`logits` and `graph_logits` from the subclass's `_forward(ns, x, p)`."""
 
@@ -57,9 +66,9 @@ class MLP(_OneForward):
 
     def __init__(self, in_shape, hidden, classes, activation="relu", seed=0):
         _check_activation(activation)
-        self.in_shape = tuple(int(s) for s in in_shape)
-        self.hidden = [int(h) for h in hidden]
-        self.classes = int(classes)
+        self.in_shape = tuple(_sizes("in_shape", in_shape))
+        self.hidden = _sizes("hidden", hidden)
+        (self.classes,) = _sizes("classes", [classes])
         self.activation = activation
         self.params: dict[str, np.ndarray] = {}
         rng = seed_stream(seed, "init", self.kind)
@@ -96,14 +105,14 @@ class CNN(_OneForward):
 
     def __init__(self, in_shape, channels, classes, activation="relu", seed=0):
         _check_activation(activation)
-        c, h, w = in_shape
+        c, h, w = _sizes("in_shape", in_shape)
         if h % 4 or w % 4:
             raise ValueError(f"two pooling stages need dims divisible by 4, got {h}x{w}")
-        self.in_shape = (int(c), int(h), int(w))
-        self.channels = [int(ch) for ch in channels]
+        self.in_shape = (c, h, w)
+        self.channels = _sizes("channels", channels)
         if len(self.channels) != 2:
             raise ValueError("expected exactly two conv stages")
-        self.classes = int(classes)
+        (self.classes,) = _sizes("classes", [classes])
         self.activation = activation
         self.params = {}
         rng = seed_stream(seed, "init", self.kind)
@@ -146,7 +155,7 @@ class LinearScore(_OneForward):
     kind = "linear"
 
     def __init__(self, in_shape, seed=0):
-        self.in_shape = tuple(int(s) for s in in_shape)
+        self.in_shape = tuple(_sizes("in_shape", in_shape))
         self.classes = 2
         self.activation = "linear"
         d = int(np.prod(self.in_shape))

@@ -12,9 +12,8 @@ S2 = sum(w_{d_i}^2):
 
 Nonlinear models enter through their first-order surrogate at each
 input, so everything downstream of `linearize` is approximate for them.
-The sweeps build every surrogate's weights from one batched
-`input_gradients` call, the same gradients `linearize` takes one input
-at a time.
+The sweeps take every surrogate's weights from one batched `saliency`
+call, the same gradients `linearize` takes one input at a time.
 """
 
 from __future__ import annotations
@@ -24,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import Mask, topk_flags
-from .attribution import input_gradients
+from .attacks import topk_flags
+from .attribution import saliency
 from .models import Model, linearize  # noqa: F401  (re-exported: one input's surrogate)
 
 NOISE_KINDS = ("additive", "mult_additive", "occlusion")
+SELECTIONS = ("attribution_ranked", "random")
 
 
 @dataclass(frozen=True)
@@ -72,24 +72,21 @@ class MaskStats:
 
 
 def _flat_mask(mask, size: int) -> np.ndarray:
-    m = mask.m if isinstance(mask, Mask) else np.asarray(mask)
-    m = m.astype(bool).reshape(-1)
+    m = np.asarray(mask).astype(bool).reshape(-1)
     if m.size != size:
         raise ValueError(f"mask covers {m.size} coordinates, weights have {size}")
     return m
 
 
-def coordinate_mask(mask: Mask, channels: int) -> np.ndarray:
-    """Expand a pixel mask to the flat [C*H*W] coordinate layout."""
-    return np.broadcast_to(mask.m, (channels,) + mask.m.shape).reshape(-1)
+def _stats(sel: np.ndarray) -> MaskStats:
+    # fsum: correctly rounded, so the result is independent of term order
+    return MaskStats(sel.size, math.fsum((sel * sel).tolist()),
+                     math.fsum(sel.tolist()), math.fsum(np.abs(sel).tolist()))
 
 
 def mask_stats(w: np.ndarray, mask) -> MaskStats:
     w = np.asarray(w, dtype=np.float64).reshape(-1)
-    sel = w[_flat_mask(mask, w.size)]
-    # fsum: correctly rounded, so the result is independent of term order
-    return MaskStats(sel.size, math.fsum((sel * sel).tolist()),
-                     math.fsum(sel.tolist()), math.fsum(np.abs(sel).tolist()))
+    return _stats(w[_flat_mask(mask, w.size)])
 
 
 def predicted_deviation(model, mask, spec: NoiseSpec) -> float:
@@ -157,30 +154,27 @@ def sweep_mask_stats(model: Model, pixels: np.ndarray, labels: np.ndarray,
     """Average S2 and S1^2 over the dataset for each mask size.
 
     Each input contributes through its linearized score, whose weights
-    are the input gradient of its labeled logit. `random` draws
-    `draws` pixel subsets per input; `attribution_ranked` takes the top-k
-    pixels of the surrogate's channel-summed magnitude, the ranking the
-    inductive attacks use.
+    are its saliency map: the input gradient of its labeled logit.
+    `random` draws `draws` pixel subsets per input; `attribution_ranked`
+    takes the top-k pixels of the map's `reduced` view, the ranking the
+    inductive attacks use. A pixel selects its column of the [C, H*W]
+    weight view, every channel at once.
     """
-    if selection not in ("random", "attribution_ranked"):
+    if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}")
     if selection == "random" and draws < 1:
         raise ValueError("random selection needs draws >= 1")
-    pixels = np.asarray(pixels, dtype=np.float64)
     labels = np.asarray(labels)
-    per_image = pixels[0].ndim == 3
-    channels = pixels.shape[1] if per_image else 1
-    pix_n = int(np.prod(pixels.shape[-2:])) if per_image else pixels.shape[-1]
     if np.any((labels < 0) | (labels >= model.classes)):
         raise ValueError(f"labels out of range for {model.classes} classes")
-    grads = input_gradients(model, pixels, labels)
-    if not np.all(np.isfinite(grads)):
+    maps = saliency(model, pixels, labels)
+    if not all(np.isfinite(m.values).all() for m in maps):
         raise FloatingPointError("non-finite input gradient at linearization point")
     surrogates = []
-    for g in grads:
-        w = g.reshape(-1)
-        red = np.abs(g).sum(axis=0) if per_image else np.abs(w)
-        surrogates.append((w, red))
+    for m in maps:
+        red = m.reduced.reshape(-1)
+        surrogates.append((m.values.reshape(-1, red.size), red))  # [C, H*W]
+    pix_n = surrogates[0][1].size
 
     points = []
     for k in ks:
@@ -189,20 +183,11 @@ def sweep_mask_stats(model: Model, pixels: np.ndarray, labels: np.ndarray,
         ss, s2 = [], []
         for w, red in surrogates:
             if selection == "attribution_ranked":
-                masks = [topk_flags(red, k)]
+                picks = [topk_flags(red, k)]
             else:
-                masks = []
-                for _ in range(draws):
-                    m = np.zeros(pix_n, dtype=bool)
-                    m[rng.choice(pix_n, size=k, replace=False)] = True
-                    masks.append(m)
-            for m in masks:
-                if per_image:
-                    grid = m.reshape(pixels.shape[-2:])
-                    coords = coordinate_mask(Mask(grid), channels)
-                else:
-                    coords = m
-                st = mask_stats(w, coords)
+                picks = [rng.choice(pix_n, size=k, replace=False) for _ in range(draws)]
+            for cols in picks:
+                st = _stats(w[:, cols].reshape(-1))
                 ss.append(st.sum_sq)
                 s2.append(st.sum ** 2)
         m_ss, e_ss = _mean_stderr(np.array(ss))

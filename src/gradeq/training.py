@@ -24,9 +24,9 @@ import numpy as np
 from . import autodiff as ag
 from .autodiff.engine import _GraphNS
 from .attacks import PGD_EPS, PGD_ITERS, PGD_STEP, pgd
-from .attribution import input_gradients
+from .attribution import input_gradients, saliency
 from .data import ImageBatch, cutout, train_val_split
-from .inequality import gini
+from .inequality import gini, mean_gini  # noqa: F401  (gini: perfbench's tracer wraps this name)
 from .models import Model, build_model, load_checkpoint, predict
 from .seeding import seed_stream
 
@@ -154,19 +154,11 @@ def pgd_accuracy(model: Model, pixels: np.ndarray, labels: np.ndarray,
 
 def mean_saliency_gini(model: Model, pixels: np.ndarray, labels: np.ndarray,
                        cap: int = GINI_PROBE_CAP) -> float:
-    """Mean Gini of per-sample channel-summed |input gradient| maps.
-
-    A sample whose gradient vanishes everywhere has no defined
-    concentration and is skipped; all-skipped probes report nan.
-    """
-    x, y = pixels[:cap], np.asarray(labels)[:cap]
-    grads = input_gradients(model, x, y)
-    vals = []
-    for gi in grads:
-        red = np.abs(gi).sum(axis=0) if gi.ndim == 3 else np.abs(gi)
-        if red.sum() > 0:
-            vals.append(gini(red.reshape(-1)))
-    return float(np.mean(vals)) if vals else float("nan")
+    """Mean global Gini of the first `cap` saliency maps, by the rule of
+    `inequality.mean_gini`: nan when every map is zero, ValueError on a
+    non-finite map."""
+    maps = saliency(model, pixels[:cap], np.asarray(labels)[:cap])
+    return mean_gini([m.reduced for m in maps])[0]
 
 
 def _load_teacher(config: TrainConfig, teacher: Model | None) -> Model | None:

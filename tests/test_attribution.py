@@ -84,7 +84,7 @@ class TestProperties:
         for k in m.params:
             m.params[k] = np.zeros_like(m.params[k])
         amap = at.saliency(m, np.ones((1, 6)), np.array([0]))[0]
-        assert amap.zero_norm
+        assert amap.reduced.sum() == 0
         assert np.all(amap.values == 0.0)
 
     def test_cnn_saliency_matches_fd(self):

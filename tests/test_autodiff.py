@@ -287,20 +287,6 @@ class TestDeterminism:
         loss = ag.cross_entropy_mean(z, np.array([1, 3]))
         return g, x, loss
 
-    def test_replay_bit_identity(self):
-        g, x, loss = self._build(41)
-        values = ag.replay(g)
-        for node, v in zip(g.nodes, values):
-            assert np.array_equal(node.value, v)
-
-    def test_replay_after_backward_covers_adjoint_nodes(self):
-        g, x, loss = self._build(42)
-        ag.grad(loss, [x], create_graph=True)
-        values = ag.replay(g)
-        assert len(values) == len(g.nodes)
-        for node, v in zip(g.nodes, values):
-            assert np.array_equal(node.value, v)
-
     def test_repeated_backward_is_bitwise_identical(self):
         g, x, loss = self._build(43)
         (g1,) = ag.grad(loss, [x])

@@ -6,15 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradeq import cli
+from gradeq import cli, harness
 from gradeq.attacks import corrupt
 from gradeq.attribution import AttributionMap, save_attribution
 from gradeq.harness import (SEVERITY, ConfigError, StageError, confidence_stats,
                             config_digest, csv_text, load_config, run,
                             svg_line_chart)
 from gradeq.inequality import GiniReport, gini_exact
-from gradeq.models import atomic_write, load_checkpoint
+from gradeq.models import LinearScore, atomic_write, load_checkpoint
 from gradeq.seeding import seed_stream
+from gradeq.training import mean_saliency_gini
 
 
 def base_config(out, n=96, epochs=2):
@@ -161,13 +162,32 @@ def test_missing_file(tmp_path):
     ("theory", "limit", 1.0),
     ("corrupt", "limit", 0),
     ("corrupt", "limit", False),
+    ("gini", "region", 0),
+    ("gini", "region", 2.5),
+    ("gini", "method", "saliancy"),
+    ("theory", "ks", [-1]),
+    ("theory", "ks", [4.0]),
+    ("theory", "selections", ["rand"]),
+    ("theory", "draws", 0),
+    ("corrupt", "kinds", ["blur"]),
+    ("attacks.0", "k", -1),
+    ("attacks.0", "method", "salency"),
+    ("train.0.model", "hidden", [-3]),
+    ("train.0.model", "classes", 0),
+    ("train.0", "lam", 1),
+    ("train.1", "lam", -1),
 ])
 def test_bad_values_rejected_at_load(tmp_path, section, key, value):
-    """Refused at load: severity 0 would index severity 5's sigma under a
-    severity-0 label, and a zero limit would fail deep inside a stage on a
-    zero-size array."""
+    """Refused at load, before any model trains: severity 0 would index
+    severity 5's sigma under a severity-0 label, a zero limit would fail deep
+    inside a stage on a zero-size array, and a bad attack, model or training
+    value used to exit 3 only after the entries before it had trained.
+    `section` is a dotted path into the config; list indices are numbers."""
     cfg = base_config(tmp_path / "o")
-    (cfg if section is None else cfg[section])[key] = value
+    target = cfg
+    for part in section.split(".") if section else ():
+        target = target[int(part)] if part.isdigit() else target[part]
+    target[key] = value
     with pytest.raises(ConfigError, match=key):
         load_config(write_config(tmp_path / "c.json", cfg))
 
@@ -365,6 +385,59 @@ def test_rerun_is_bytewise_identical_without_retraining(pipeline):
     assert all(p.stat().st_mtime_ns == t for p, t in stamps.items())
 
 
+def gini_rows(out):
+    lines = (out / "tables" / "gini.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+
+
+def test_table_gini_is_the_training_probe(pipeline):
+    """tables/gini.csv and the per-epoch probe share one reducer, so on the
+    same samples they agree bit for bit."""
+    _, config, _ = pipeline
+    state = harness.RunState(config)
+    harness._stage_data(state)
+    harness._stage_train(state)
+    rows = gini_rows(config.out)
+    assert [r["name"] for r in rows] == list(state.models)
+    px, lab = state.holdout.pixels, state.holdout.labels
+    for r in rows:
+        model = state.models[r["name"]]
+        assert float(r["global_gini"]) == mean_saliency_gini(model, px, lab, cap=len(lab))
+        assert int(r["maps"]) == len(lab)
+
+
+def test_tables_and_probe_count_a_tiny_map_alike(tmp_path):
+    """A map of 1e-14 per pixel carries mass: the tables used to skip it
+    (L2 norm below 1e-12) while the training probe counted it."""
+    cfg = {"out": str(tmp_path / "o"), "gini": {"region": 2},
+           "dataset": {"kind": "blobs", "n": 16, "resolution": 8, "classes": 2}}
+    state = harness.RunState(load_config(write_config(tmp_path / "c.json", cfg)))
+    harness._stage_data(state)
+    state.holdout = state.holdout.subset(state.holdout.labels == 1)
+    state.models["tiny"] = LinearScore.from_arrays(np.full(64, 1e-14), 0.0, (1, 8, 8))
+    harness._stage_tables(state)
+    (row,) = gini_rows(state.config.out)
+    px, lab = state.holdout.pixels, state.holdout.labels
+    assert int(row["maps"]) == len(lab) > 0
+    assert float(row["global_gini"]) == mean_saliency_gini(state.models["tiny"], px, lab)
+    assert float(row["global_gini"]) == float(row["regional_gini"]) == 0.0
+
+
+def test_single_block_region_fails_the_tables_stage(tmp_path):
+    """region 16 on 16x16 data leaves one block: refused, never written as 0.0."""
+    cfg = base_config(tmp_path / "o", epochs=1)
+    cfg["dataset"]["resolution"] = 16
+    cfg["train"] = cfg["train"][:1]
+    cfg["train"][0]["model"]["in_shape"] = [1, 16, 16]
+    cfg["gini"] = {"region": 16}
+    config = load_config(write_config(tmp_path / "c.json", cfg))
+    with pytest.raises(StageError, match="single block") as info:
+        run(config, stages=("data", "train", "tables"))
+    assert info.value.stage == "tables"
+    assert not (config.out / "tables" / "gini.csv").exists()
+
+
 def test_plots_come_from_this_runs_rows(tmp_path):
     """A second config without attacks or theory, run into the same out,
     must not draw charts from the first config's CSVs still on disk."""
@@ -463,6 +536,17 @@ def test_gini_fixture_single_row(tmp_path):
     expect = gini_exact(np.abs(values).sum(axis=0).reshape(-1))
     assert abs(row["global_gini"] - expect) < 1e-12
     assert 0.0 <= row["regional_gini"] <= 1.0
+
+
+def test_gini_fixture_single_block_refused(tmp_path):
+    fpath = tmp_path / "map.f64"
+    save_attribution(AttributionMap(np.ones((1, 4, 4)), "saliency", 0), fpath)
+    cfg = {"out": str(tmp_path / "out"), "gini": {"region": 4},
+           "dataset": {"kind": "attribution_file", "path": str(fpath)}}
+    config = load_config(write_config(tmp_path / "c.json", cfg))
+    with pytest.raises(StageError, match="single block"):
+        run(config, stages=("data", "train", "tables"))
+    assert not (config.out / "tables" / "gini.json").exists()
 
 
 def test_fixture_config_rejects_training(tmp_path):

@@ -42,7 +42,10 @@ class TestGini:
             assert ineq.gini(phi) == pytest.approx(pairwise_gini(phi), abs=1e-9)
 
     @given(
-        st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=60),
+        # no entry so small that k * phi leaves the normal range: [5e-324]
+        # times 0.5 rounds to [0.0], whose Gini is undefined
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-290, 1e6)), min_size=1,
+                 max_size=60),
         st.floats(1e-6, 1e6),
     )
     @settings(max_examples=80, deadline=None)
@@ -111,6 +114,51 @@ class TestRegional:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             ineq.block_sums(np.ones((2, 2, 2)), 1)
+
+
+class TestMeanGini:
+    """`mean_gini` is the one rule turning attribution maps into the statistic."""
+
+    def test_zero_map_skipped(self):
+        m = np.arange(16.0).reshape(4, 4)
+        got = ineq.mean_gini([np.zeros((4, 4)), m], 2)
+        assert got == (ineq.gini(m), ineq.regional_gini(m, 2), 1)
+
+    def test_tiny_map_counted(self):
+        # 1e-14 per pixel has an L2 norm below 1e-12 but carries mass
+        assert ineq.mean_gini([np.full((1, 4, 4), 1e-14).sum(axis=0)], 2) == (0.0, 0.0, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_map_raises(self, bad):
+        m = np.ones((4, 4))
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ineq.mean_gini([np.ones((4, 4)), m], 2)
+
+    def test_all_skipped_is_nan(self):
+        g, r, kept = ineq.mean_gini([np.zeros((4, 4)), np.zeros((4, 4))], 2)
+        assert np.isnan(g) and np.isnan(r) and kept == 0
+
+    def test_flat_map_regional_is_global(self):
+        m = np.array([0.0, 1.0, 3.0, 0.5, 2.0])
+        assert ineq.mean_gini([m], 2) == (ineq.gini(m), ineq.gini(m), 1)
+
+    def test_no_region_leaves_regional_nan(self):
+        m = np.arange(16.0).reshape(4, 4)
+        g, r, kept = ineq.mean_gini([m, 2 * m])
+        assert g == ineq.gini(m) and np.isnan(r) and kept == 2
+
+    def test_single_block_region_raises(self):
+        with pytest.raises(ValueError, match="single block"):
+            ineq.mean_gini([np.ones((16, 16))], 16)
+
+    def test_means_in_map_order(self):
+        rng = np.random.default_rng(3)
+        maps = [rng.uniform(0, 1, size=(8, 8)) for _ in range(5)]
+        g, r, kept = ineq.mean_gini(maps, 4)
+        assert g == float(np.mean([ineq.gini(m) for m in maps]))
+        assert r == float(np.mean([ineq.regional_gini(m, 4) for m in maps]))
+        assert kept == 5
 
 
 class TestMonotonicReduce:

@@ -94,6 +94,24 @@ class TestForwardRoutes:
             with pytest.raises(ValueError, match="activation"):
                 make()
 
+    @pytest.mark.parametrize("config", [
+        {"kind": "mlp", "in_shape": [1, 4, 4], "hidden": [3], "classes": 0},
+        {"kind": "mlp", "in_shape": [1, 4, 4], "hidden": [0], "classes": 2},
+        {"kind": "mlp", "in_shape": [1, 4, 4], "hidden": [-3], "classes": 2},
+        {"kind": "mlp", "in_shape": [1, 0, 4], "hidden": [3], "classes": 2},
+        {"kind": "mlp", "in_shape": [4], "hidden": [3.0], "classes": 2},
+        {"kind": "cnn", "in_shape": [0, 8, 8], "channels": [2, 2], "classes": 2},
+        {"kind": "cnn", "in_shape": [1, 8, 8], "channels": [2, -2], "classes": 2},
+        {"kind": "cnn", "in_shape": [1, 8, 8], "channels": [2, 2], "classes": -1},
+        {"kind": "cnn", "in_shape": [1, -8, 8], "channels": [2, 2], "classes": 2},
+        {"kind": "linear", "in_shape": [0]},
+        {"kind": "linear", "in_shape": [True, 4]},
+    ])
+    def test_nonpositive_sizes_rejected(self, config):
+        # refused before any arithmetic: np.sqrt(2.0 / 0) raised ZeroDivisionError
+        with pytest.raises(ValueError, match="positive integers"):
+            md.build_model(config)
+
     def test_init_deterministic_per_seed(self):
         a = md.MLP((4,), [5], 2, seed=7)
         b = md.MLP((4,), [5], 2, seed=7)
@@ -270,7 +288,11 @@ class TestMalformedCheckpoints:
         header, payload = split_checkpoint(saved_bytes(tmp_path, _SAMPLE))
         for model in ({"kind": "rnn"}, dict(header["model"], activation="tanh"),
                       dict(header["model"], hidden="3"), [1, 2],
-                      dict(header["model"], dropout=0.5)):
+                      dict(header["model"], dropout=0.5),
+                      dict(header["model"], hidden=[0]), dict(header["model"], hidden=[-3]),
+                      dict(header["model"], classes=0), dict(header["model"], classes=-2),
+                      dict(header["model"], in_shape=[1, 0, 2]),
+                      dict(header["model"], in_shape=[1, 2, -2])):
             with pytest.raises(md.IntegrityError):
                 self.load_bytes(tmp_path, frame(dict(header, model=model), payload))
 

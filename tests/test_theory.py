@@ -8,8 +8,9 @@ import pytest
 
 from gradeq import inequality as ineq
 from gradeq import theory as th
-from gradeq.attacks import Mask, build_topk_mask
-from gradeq.models import CNN, LinearScore
+from gradeq.attacks import Mask, topk_flags
+from gradeq.attribution import input_gradients
+from gradeq.models import CNN, MLP, LinearScore
 from gradeq.seeding import seed_stream
 
 
@@ -49,13 +50,6 @@ class TestMaskStats:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             th.mask_stats(np.ones(4), np.ones(3, dtype=bool))
-
-    def test_pixel_mask_expansion(self):
-        m = Mask(np.array([[True, False], [False, True]]))
-        coords = th.coordinate_mask(m, 3)
-        assert coords.shape == (12,)
-        assert coords.sum() == 6  # both channels of both pixels
-        assert np.array_equal(coords.reshape(3, 2, 2)[1], m.m)
 
 
 class TestNoiseSpec:
@@ -130,7 +124,61 @@ class TestMonteCarlo:
         assert a == b
 
 
+def sweep_with_masks(model, pixels, labels, ks, selection, rng, draws):
+    """The sweep as first built: a bool mask per draw, wrapped in `Mask`,
+    expanded over channels to the flat coordinate layout, then scored by
+    `mask_stats` on the flattened input gradient."""
+    per_image = pixels[0].ndim == 3
+    channels = pixels.shape[1] if per_image else 1
+    pix_n = int(np.prod(pixels.shape[-2:])) if per_image else pixels.shape[-1]
+    grads = input_gradients(model, pixels, labels)
+    points = []
+    for k in ks:
+        ss, s2 = [], []
+        for g in grads:
+            w = g.reshape(-1)
+            red = np.abs(g).sum(axis=0) if per_image else np.abs(w)
+            if selection == "attribution_ranked":
+                masks = [topk_flags(red, k)]
+            else:
+                masks = []
+                for _ in range(draws):
+                    m = np.zeros(pix_n, dtype=bool)
+                    m[rng.choice(pix_n, size=k, replace=False)] = True
+                    masks.append(m)
+            for m in masks:
+                if per_image:
+                    grid = Mask(m.reshape(pixels.shape[-2:]))
+                    m = np.broadcast_to(grid.m, (channels,) + grid.m.shape).reshape(-1)
+                st = th.mask_stats(w, m)
+                ss.append(st.sum_sq)
+                s2.append(st.sum ** 2)
+        points.append(th.CurvePoint(k, selection, *th._mean_stderr(np.array(ss)),
+                                    *th._mean_stderr(np.array(s2)), len(ss)))
+    return points
+
+
 class TestSweep:
+    @pytest.mark.parametrize("kind", ["mlp1", "cnn3", "flat"])
+    @pytest.mark.parametrize("selection", ["attribution_ranked", "random"])
+    def test_matches_mask_oracle_exactly(self, kind, selection):
+        # the sums are correctly rounded, so selecting columns by index
+        # instead of by an expanded mask changes no bit of any point
+        shape, model = {
+            "mlp1": ((1, 8, 8), MLP((1, 8, 8), [6], 3, seed=40)),
+            "cnn3": ((3, 8, 8), CNN((3, 8, 8), [4, 4], 3, "softplus", seed=41)),
+            "flat": ((20,), MLP((20,), [6], 3, seed=42)),
+        }[kind]
+        x = seed_stream(43, kind).uniform(size=(5,) + shape)
+        y = np.array([0, 1, 2, 1, 0])
+        pix_n = int(np.prod(shape[-2:])) if len(shape) == 3 else shape[0]
+        ks = [0, 1, 7, pix_n]
+        got = th.sweep_mask_stats(model, x, y, ks, selection,
+                                  seed_stream(44, kind, selection), draws=3)
+        want = sweep_with_masks(model, x, y, ks, selection,
+                                seed_stream(44, kind, selection), draws=3)
+        assert got == want
+
     def test_full_mask_exact_zero_spread(self):
         w = seed_stream(5, "w").normal(size=24)
         model = LinearScore.from_arrays(w, 0.0)

@@ -5,6 +5,7 @@ adversarial training, and end-to-end learning on separable data."""
 import numpy as np
 import pytest
 
+from gradeq import attribution
 from gradeq import training as tr
 from gradeq.data import synth_blobs
 from gradeq.models import MLP, LinearScore, build_model
@@ -120,6 +121,32 @@ class TestIgdLoss:
         assert parts.degenerate.all()
         assert parts.cos_mean == 0.0
         assert parts.total == parts.ce  # -lam * 0, with the term masked out
+
+
+class TestSaliencyProbe:
+    def test_nan_map_raises(self, monkeypatch):
+        # a NaN map used to be skipped, leaving the mean of the others
+        real = attribution.input_gradients
+
+        def one_nan(model, x, y):
+            g = real(model, x, y)
+            g[1, 0, 0, 0] = np.nan
+            return g
+
+        model = MLP((1, 4, 4), [5], 2, seed=1)
+        x = seed_stream(2, "probe").uniform(size=(4, 1, 4, 4))
+        y = np.array([0, 1, 1, 0])
+        assert 0.0 < tr.mean_saliency_gini(model, x, y) < 1.0
+        monkeypatch.setattr(attribution, "input_gradients", one_nan)
+        with pytest.raises(ValueError, match="finite"):
+            tr.mean_saliency_gini(model, x, y)
+
+    def test_zero_maps_give_nan(self):
+        model = MLP((1, 4, 4), [5], 2, seed=1)
+        for k in model.params:
+            model.params[k] = np.zeros_like(model.params[k])
+        x = seed_stream(3, "probe").uniform(size=(3, 1, 4, 4))
+        assert np.isnan(tr.mean_saliency_gini(model, x, np.array([0, 1, 0])))
 
 
 def blob_config(method, **kw):
