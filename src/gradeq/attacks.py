@@ -6,11 +6,13 @@ Conventions: images are [C, H, W] in [0,1]; batches stack on a leading
 axis. Attribution-guided attacks take a Mask over pixels (all channels
 of a masked pixel are touched). Every stochastic op draws from a caller
 supplied Generator, so identical streams reproduce identical outputs
-bit for bit.
+bit for bit. Every attack runs on a whole batch; in PGD and IOA a
+sample whose tape goes non-finite is flagged alone (`_live_rows`).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -19,7 +21,7 @@ import numpy as np
 from . import autodiff as ag
 from .attribution import METHODS as ATTRIBUTION_METHODS
 from .attribution import attribute
-from .models import Model, predict
+from .models import Model, check_int_fields, predict
 from .seeding import seed_stream
 
 PGD_EPS = 8.0 / 255.0
@@ -39,13 +41,6 @@ class Mask:
         if self.m.ndim != 2 or self.m.dtype != bool:
             raise ValueError(f"mask must be a 2-d bool array, got "
                              f"{self.m.ndim}-d {self.m.dtype}")
-
-    @property
-    def k(self) -> int:
-        return int(self.m.sum())
-
-    def indices(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.nonzero(self.m)
 
 
 def topk_flags(values: np.ndarray, k: int) -> np.ndarray:
@@ -74,41 +69,33 @@ def build_topk_mask(reduced: np.ndarray, k: int) -> Mask:
 class PgdResult:
     x_adv: np.ndarray
     aborted: np.ndarray  # [N] bool; sample hit a non-finite gradient
-    iterates: tuple[np.ndarray, ...] = ()
 
 
-def _ce_input_grads(model: Model, x: np.ndarray, y: np.ndarray,
-                    aborted: np.ndarray) -> np.ndarray:
-    """Cross-entropy input gradients of the live samples, zero rows for
-    aborted ones. One tape covers every live sample; only if it goes
+def _live_rows(tape, live: np.ndarray, failed: np.ndarray, shape) -> np.ndarray:
+    """Rows `tape(idx)` of samples idx for the live samples, zero rows for
+    the rest. One tape covers every live sample; only if it goes
     non-finite does each live sample get its own, and those that fail
-    alone are flagged in `aborted`."""
-    def tape(idx):
-        g = ag.Graph()
-        xv = g.var(x[idx])
-        loss = ag.cross_entropy_mean(model.graph_logits(xv, model.bind(g)), y[idx])
-        return ag.grad(loss, [xv])[0]
-
-    live = np.flatnonzero(~aborted)
-    grads = np.zeros_like(x)
+    alone are flagged in `failed`. The one place an attack queries the
+    model sample by sample."""
+    out = np.zeros(shape)
     try:
-        if live.size == len(x):
+        if live.size == len(out):
             return tape(slice(None))  # all live: the batch itself, no copies
         if live.size:
-            grads[live] = tape(live)
+            out[live] = tape(live)
     except ag.NonFiniteError:
         for i in live:
             try:
-                grads[i] = tape([i])[0]
+                out[i] = tape([i])[0]
             except ag.NonFiniteError:
-                aborted[i] = True
-    return grads
+                failed[i] = True
+    return out
 
 
 def pgd(model: Model, x: np.ndarray, y: np.ndarray, eps: float = PGD_EPS,
         step: float = PGD_STEP, iters: int = PGD_ITERS,
         rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
-        random_start: bool = True, record: bool = False) -> PgdResult:
+        random_start: bool = True) -> PgdResult:
     """Projected sign-gradient ascent on cross entropy.
 
     Every iterate is projected to the l-inf eps-ball around x intersected
@@ -135,16 +122,19 @@ def pgd(model: Model, x: np.ndarray, y: np.ndarray, eps: float = PGD_EPS,
         cur = np.clip(x + start, 0.0, 1.0)
     else:
         cur = x.copy()
+
+    def tape(idx):  # cross-entropy input gradients of samples idx
+        gr = ag.Graph()
+        xv = gr.var(cur[idx])
+        loss = ag.cross_entropy_mean(model.graph_logits(xv, model.bind(gr)), y[idx])
+        return ag.grad(loss, [xv])[0]
+
     aborted = np.zeros(len(x), dtype=bool)
-    iterates = [cur.copy()] if record else []
     for _ in range(iters):
-        g = _ce_input_grads(model, cur, y, aborted)
-        g[aborted] = 0.0
+        g = _live_rows(tape, np.flatnonzero(~aborted), aborted, cur.shape)
         cur = cur + step * np.sign(g)
         cur = np.clip(x + np.clip(cur - x, -eps, eps), 0.0, 1.0)
-        if record:
-            iterates.append(cur.copy())
-    return PgdResult(cur, aborted, tuple(iterates))
+    return PgdResult(cur, aborted)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +145,7 @@ def ina1(x: np.ndarray, mask: Mask, rng: np.random.Generator) -> np.ndarray:
     """Additive standard-normal noise on masked pixels, clipped to [0,1]."""
     x = np.asarray(x, dtype=np.float64)
     out = x.copy()
-    ys, xs = mask.indices()
+    ys, xs = np.nonzero(mask.m)
     if len(ys):
         noise = rng.normal(size=(x.shape[0], len(ys)))  # one draw per channel
         out[:, ys, xs] = np.clip(out[:, ys, xs] + noise, 0.0, 1.0)
@@ -166,7 +156,7 @@ def ina2(x: np.ndarray, mask: Mask, rng: np.random.Generator) -> np.ndarray:
     """Masked pixels replaced by clipped standard-normal draws."""
     x = np.asarray(x, dtype=np.float64)
     out = x.copy()
-    ys, xs = mask.indices()
+    ys, xs = np.nonzero(mask.m)
     if len(ys):
         out[:, ys, xs] = np.clip(rng.normal(size=(x.shape[0], len(ys))), 0.0, 1.0)
     return out
@@ -211,42 +201,53 @@ class IoaOutcome:
     aborted: bool = False  # attribution went non-finite mid-loop
 
 
-def ioa(model: Model, x: np.ndarray, y: int, n_max: int, r_max: int,
-        color: float, method: str = "saliency") -> IoaOutcome:
-    """Paint pure-color squares over the currently most-attributed pixels.
+def ioa(model: Model, xs: np.ndarray, ys: np.ndarray, n_max: int, r_max: int,
+        color: float, method: str = "saliency") -> tuple[IoaOutcome, ...]:
+    """Paint pure-color squares over the currently most-attributed pixels;
+    one outcome per sample of the [N,C,H,W] batch.
 
     Outer loop grows the number of centers, inner loop the square radius;
-    each step re-attributes on the already painted image, paints, and
-    stops as soon as the prediction leaves class y.
+    each step re-attributes, paints and predicts the samples still running
+    as one batch. A sample stops once its prediction leaves its label, or
+    once its attribution goes non-finite (then it is flagged aborted).
     """
     if n_max < 1 or r_max < 1:
         raise ValueError("need n_max >= 1 and r_max >= 1")
     if not 0.0 <= color <= 1.0:
         raise ValueError(f"color must be in [0,1], got {color}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"occlusion needs a [C,H,W] image, got shape {x.shape}")
-    _, h, w = x.shape
-    cur = x.copy()
-    steps: list[IoaStep] = []
-    for n in range(1, n_max + 1):
-        for r in range(1, r_max + 1):
-            try:
-                red = attribute(model, cur[None], np.array([y]), method)[0].reduced
-            except ag.NonFiniteError:
-                return IoaOutcome(cur, False, tuple(steps), aborted=True)
-            order = np.argsort(-red.reshape(-1), kind="stable")[:n]
-            centers = [(int(i) // w, int(i) % w) for i in order]
-            areas = []
-            for cy, cx in centers:
-                y0, y1, x0, x1 = clipped_square(cy, cx, r, h, w)
-                cur[:, y0:y1, x0:x1] = color
-                areas.append((y1 - y0) * (x1 - x0))
-            pred = int(predict(model, cur[None])[0])
-            steps.append(IoaStep(n, r, tuple(centers), tuple(areas), pred))
-            if pred != y:
-                return IoaOutcome(cur, True, tuple(steps))
-    return IoaOutcome(cur, False, tuple(steps))
+    cur = np.array(xs, dtype=np.float64)
+    ys = np.asarray(ys)
+    if cur.ndim != 4 or ys.shape != cur.shape[:1]:
+        raise ValueError(f"occlusion needs a [N,C,H,W] batch and [N] labels, "
+                         f"got shapes {cur.shape} and {ys.shape}")
+
+    def tape(idx):
+        return np.stack([m.reduced for m in attribute(model, cur[idx], ys[idx], method)])
+
+    h, w = cur.shape[2:]
+    flipped = np.zeros(len(cur), dtype=bool)
+    aborted = np.zeros(len(cur), dtype=bool)
+    steps: list[list[IoaStep]] = [[] for _ in cur]
+    for n, r in itertools.product(range(1, n_max + 1), range(1, r_max + 1)):
+        running = np.flatnonzero(~(flipped | aborted))
+        red = _live_rows(tape, running, aborted, (len(cur), h, w))
+        live = np.flatnonzero(~(flipped | aborted))
+        if not live.size:
+            break
+        painted = []
+        for i in live:
+            order = np.argsort(-red[i].reshape(-1), kind="stable")[:n]
+            centers = tuple((int(j) // w, int(j) % w) for j in order)
+            boxes = [clipped_square(cy, cx, r, h, w) for cy, cx in centers]
+            for y0, y1, x0, x1 in boxes:
+                cur[i, :, y0:y1, x0:x1] = color
+            painted.append((centers, boxes))
+        for i, (centers, boxes), pred in zip(live, painted, predict(model, cur[live])):
+            areas = tuple((y1 - y0) * (x1 - x0) for y0, y1, x0, x1 in boxes)
+            steps[i].append(IoaStep(n, r, centers, areas, int(pred)))
+            flipped[i] = pred != ys[i]
+    return tuple(IoaOutcome(cur[i], bool(flipped[i]), tuple(steps[i]), bool(aborted[i]))
+                 for i in range(len(cur)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +306,7 @@ class AttackSpec:
     method: str = "saliency"
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.kind not in ("pgd", "ina1", "ina2", "ioa", "rn", "corrupt"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if self.kind == "pgd" and (self.eps < 0 or self.step < 0 or self.iters < 0):
@@ -329,11 +331,11 @@ class AttackSpec:
               rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """Perturbed copies of a batch; sample i draws only from rngs[i].
 
-        Model queries are batched: one PGD tape per iteration and one
-        attribution tape for the whole batch, so a sample's output equals
-        its batch-of-one output up to float rounding. Masks and noise stay
-        per sample. IOA re-attributes its own painted image at every step
-        and runs sample by sample.
+        Model queries are batched: one PGD tape per iteration, one
+        attribution tape for the whole batch, and one attribution tape and
+        one prediction per IOA step over the samples still running, so a
+        sample's output equals its batch-of-one output up to float
+        rounding. Masks, paint and noise stay per sample.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys)
@@ -348,8 +350,8 @@ class AttackSpec:
             outs = [noise(x, build_topk_mask(m.reduced, self.k), rng)
                     for x, m, rng in zip(xs, maps, rngs)]
         elif self.kind == "ioa":
-            outs = [ioa(model, x, int(y), self.n, self.r, self.color, self.method).x_adv
-                    for x, y in zip(xs, ys)]
+            outs = [o.x_adv for o in ioa(model, xs, ys, self.n, self.r, self.color,
+                                         self.method)]
         elif self.kind == "rn":
             outs = [rn(x, self.k, rng) for x, rng in zip(xs, rngs)]
         else:

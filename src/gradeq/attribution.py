@@ -115,22 +115,8 @@ def attribute(model: Model, x: np.ndarray, y: np.ndarray, method: str = "salienc
     return METHODS[method](model, x, y, **kwargs)
 
 
-def save_attribution(amap: AttributionMap, path) -> None:
-    """Raw little-endian float64 values plus a JSON sidecar."""
-    arr = np.ascontiguousarray(amap.values.astype("<f8"))
-    with open(path, "wb") as f:
-        f.write(arr.tobytes())
-    sidecar = {
-        "shape": list(amap.values.shape),
-        "dtype": "<f8",
-        "method": amap.method,
-        "target": amap.target,
-    }
-    with open(str(path) + ".json", "w") as f:
-        json.dump(sidecar, f, sort_keys=True)
-
-
 def load_attribution(path) -> AttributionMap:
+    """A map stored as raw values plus a JSON sidecar (shape, dtype, method, target)."""
     with open(str(path) + ".json") as f:
         sidecar = json.load(f)
     arr = np.fromfile(path, dtype=sidecar["dtype"]).reshape(sidecar["shape"])

@@ -2,7 +2,9 @@
 
     gradeq <command> --config FILE [--seed N] [--out DIR]
 
-Commands map to pipeline stages; `report` runs everything. Exit codes:
+Commands map to pipeline stages; `report` runs everything. A successful
+command deletes the tables, curves and plots the previous `bundle.json`
+listed and it did not write. Exit codes:
 0 success, 2 config problem, 3 a stage failed partway (partial outputs
 and the failing stage id are left in the output directory).
 """

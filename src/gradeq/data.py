@@ -72,18 +72,6 @@ def load_cifar(path, variant: str = "cifar10") -> ImageBatch:
     return _with_stats(pixels, labels, classes)
 
 
-def export_cifar10(batch: ImageBatch, path) -> None:
-    """Write a batch in the CIFAR-10 record layout (pixels quantized to bytes)."""
-    n, c, h, w = batch.pixels.shape
-    if (c, h, w) != (3, 32, 32):
-        raise ValueError(f"CIFAR-10 layout needs [N,3,32,32], got {batch.pixels.shape}")
-    quantized = np.round(batch.pixels * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
-        for label, img in zip(batch.labels, quantized):
-            f.write(bytes([int(label)]))
-            f.write(img.tobytes())
-
-
 def blob_centers(resolution: int, classes: int) -> np.ndarray:
     """Class-specific blob centers, evenly spaced on a centered circle."""
     angles = 2.0 * np.pi * np.arange(classes) / classes + np.pi / 4.0

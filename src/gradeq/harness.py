@@ -25,7 +25,7 @@ from . import attribution
 from .attacks import AttackSpec, corrupt, error_rate, pgd
 from .data import ImageBatch, load_cifar, synth_blobs, train_val_split
 from .inequality import GiniReport, gini_exact, mean_gini, region_blocks
-from .models import (IntegrityError, Model, atomic_write, build_model,
+from .models import (IntegrityError, Model, atomic_write, build_model, is_int,
                      load_checkpoint, predict, save_checkpoint)
 from .seeding import seed_stream
 from .theory import SELECTIONS, sweep_mask_stats
@@ -71,12 +71,8 @@ def _check_keys(d: dict, required: set, optional: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _positive_int(v) -> bool:
-    return _is_int(v) and v > 0
+    return is_int(v) and v > 0
 
 
 def _list_of(v, ok) -> bool:
@@ -106,14 +102,14 @@ _SECTION_VALUES = {
     ("gini", "region"): (_positive_int, "a positive integer"),
     ("gini", "method"): (lambda v: v in tuple(attribution.METHODS),
                          f"one of {list(attribution.METHODS)}"),
-    ("theory", "ks"): (lambda v: _list_of(v, lambda k: _is_int(k) and k >= 0),
+    ("theory", "ks"): (lambda v: _list_of(v, lambda k: is_int(k) and k >= 0),
                        "a list of nonnegative integers"),
     ("theory", "selections"): (lambda v: _list_of(v, lambda e: e in SELECTIONS),
                                f"a list drawn from {list(SELECTIONS)}"),
     ("theory", "draws"): (_positive_int, "a positive integer"),
     ("corrupt", "kinds"): (lambda v: _list_of(v, lambda e: e in tuple(SEVERITY)),
                            f"a list drawn from {list(SEVERITY)}"),
-    ("corrupt", "severities"): (lambda v: _list_of(v, lambda e: _is_int(e) and 1 <= e <= 5),
+    ("corrupt", "severities"): (lambda v: _list_of(v, lambda e: is_int(e) and 1 <= e <= 5),
                                 "a list of integers in 1..5"),
     # a limit must keep at least one sample
     ("gini", "limit"): (_positive_int, "a positive integer"),
@@ -655,16 +651,30 @@ _STAGE_FNS = {
 }
 
 
+def _listed_untagged(manifest: Path) -> set:
+    """The outputs without a config tag (tables/, curves/, plots/) that a
+    bundle manifest lists; none when it is absent or unreadable."""
+    try:
+        parts = [Path(f).parts for f in json.loads(manifest.read_text())["files"]]
+    except (OSError, ValueError, TypeError, KeyError):
+        return set()
+    return {"/".join(p) for p in parts
+            if len(p) == 2 and p[0] in ("tables", "curves", "plots") and p[1] != ".."}
+
+
 def run(config: ExperimentConfig, stages=STAGES) -> ReportBundle:
     """Execute the requested stages in pipeline order. On a stage failure
     the partial outputs stay on disk, the manifest records the stage id,
-    and a StageError carrying the same id is raised."""
+    and a StageError carrying the same id is raised. A successful run
+    deletes the untagged outputs the previous manifest listed and it did
+    not write; a file no manifest listed is never touched."""
     for s in stages:
         if s not in STAGES:
             raise ConfigError(f"unknown stage {s!r}")
     ordered = [s for s in STAGES if s in stages]
     state = RunState(config)
     config.out.mkdir(parents=True, exist_ok=True)
+    earlier = _listed_untagged(config.out / "bundle.json")
     failed = None
     error = None
     for stage in ordered:
@@ -678,6 +688,11 @@ def run(config: ExperimentConfig, stages=STAGES) -> ReportBundle:
     bundle = ReportBundle(digest=config.digest, seed=config.seed,
                           out=config.out, files=sorted(set(state.files)),
                           failed_stage=failed)
+    if failed is None:
+        for rel in sorted(earlier - set(bundle.files)):
+            if (config.out / rel).is_file():
+                (config.out / rel).unlink()
+                state.log(f"removed {rel}: an earlier run's output, not this run's")
     manifest = {"config": config.digest, "seed": config.seed,
                 "files": bundle.files, "failed_stage": failed,
                 "stages": list(ordered)}

@@ -14,6 +14,7 @@ checkpoint reproduces the run that wrote it bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -36,13 +37,24 @@ def _check_activation(activation: str) -> None:
         raise ValueError(f"unknown activation {activation!r}")
 
 
+def is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _sizes(what: str, values) -> list[int]:
     """`values` as ints, each a positive int; checked before any arithmetic."""
     values = list(values)
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
-               for v in values):
+    if not all(is_int(v) and v > 0 for v in values):
         raise ValueError(f"{what} must be positive integers, got {values!r}")
     return [int(v) for v in values]
+
+
+def check_int_fields(obj) -> None:
+    """Refuse a dataclass whose `int` field holds a non-integer or a bool."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("int", int) and not is_int(value):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 class _OneForward:
@@ -211,13 +223,6 @@ def build_model(config: dict, seed: int = 0) -> Model:
 
 def predict(model: Model, x: np.ndarray) -> np.ndarray:
     return np.argmax(model.logits(x), axis=1)
-
-
-def class_score(model: Model, x: np.ndarray, y: int) -> float:
-    """Logit of class y for a single input."""
-    if not 0 <= int(y) < model.classes:
-        raise ValueError(f"class {y} out of range for {model.classes} classes")
-    return float(model.logits(np.asarray(x)[None])[0, int(y)])
 
 
 def linearize(model: Model, x: np.ndarray, y: int) -> LinearScore:

@@ -56,9 +56,10 @@ def test_pgd_every_iterate_in_ball_and_box():
     rng = seed_stream(1, "pgd")
     x = rng.uniform(size=(5, 12))
     y = rng.integers(0, 3, size=5)
-    res = pgd(model, x, y, EPS, STEP, 10, rng=seed_stream(2, "start"), record=True)
-    assert len(res.iterates) == 11  # init plus ten steps
-    for it in res.iterates:
+    # iterate k is the output of k steps from the same random start
+    iterates = [pgd(model, x, y, EPS, STEP, k, rng=seed_stream(2, "start")).x_adv
+                for k in range(11)]
+    for it in iterates:
         assert np.all(np.abs(it - x) <= EPS + 1e-12)
         assert np.all(it >= 0.0) and np.all(it <= 1.0)
 
@@ -120,7 +121,7 @@ def test_topk_matches_sort_oracle():
         order = sorted(range(h * w), key=lambda i: (-vals.reshape(-1)[i], i))
         expect = np.zeros(h * w, dtype=bool)
         expect[order[:k]] = True
-        assert mask.k == k
+        assert mask.m.sum() == k
         assert np.array_equal(mask.m.reshape(-1), expect)
 
 
@@ -131,7 +132,7 @@ def test_topk_ties_row_major():
 
 
 def test_topk_bounds():
-    assert build_topk_mask(np.zeros((2, 2)), 0).k == 0
+    assert not build_topk_mask(np.zeros((2, 2)), 0).m.any()
     assert build_topk_mask(np.zeros((2, 2)), 4).m.all()
     with pytest.raises(ValueError):
         build_topk_mask(np.zeros((2, 2)), 5)
@@ -160,7 +161,7 @@ def test_ina1_matches_manual_stream():
     x = seed_stream(11, "x").uniform(size=(2, 4, 4))
     mask = grid_mask(4, 4, slice(1, 3))
     out = ina1(x, mask, seed_stream(12, "n"))
-    ys, xs = mask.indices()
+    ys, xs = np.nonzero(mask.m)
     noise = seed_stream(12, "n").normal(size=(2, len(ys)))
     expect = x.copy()
     expect[:, ys, xs] = np.clip(expect[:, ys, xs] + noise, 0.0, 1.0)
@@ -233,7 +234,7 @@ def test_ioa_trace_schedule_and_paint():
     model = CNN((1, 8, 8), [3, 4], 2, seed=20)
     x = seed_stream(21, "x").uniform(size=(1, 8, 8))
     y = int(predict(model, x[None])[0])
-    out = ioa(model, x, y, n_max=3, r_max=2, color=0.5)
+    (out,) = ioa(model, x[None], np.array([y]), n_max=3, r_max=2, color=0.5)
     # schedule is a prefix of (1,1),(1,2),(2,1),(2,2),(3,1),(3,2)
     full = [(n, r) for n in (1, 2, 3) for r in (1, 2)]
     assert [(s.n, s.r) for s in out.steps] == full[: len(out.steps)]
@@ -250,8 +251,8 @@ def test_ioa_deterministic():
     model = CNN((1, 8, 8), [3, 4], 2, seed=22)
     x = seed_stream(23, "x").uniform(size=(1, 8, 8))
     y = int(predict(model, x[None])[0])
-    a = ioa(model, x, y, 2, 2, 0.0)
-    b = ioa(model, x, y, 2, 2, 0.0)
+    (a,) = ioa(model, x[None], np.array([y]), 2, 2, 0.0)
+    (b,) = ioa(model, x[None], np.array([y]), 2, 2, 0.0)
     assert np.array_equal(a.x_adv, b.x_adv)
     assert a.steps == b.steps
 

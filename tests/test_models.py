@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gradeq import autodiff as ag
 from gradeq import models as md
+from support import class_score
 
 
 def graph_forward(model, x):
@@ -126,10 +127,12 @@ class TestForwardRoutes:
 
 
 class TestClassScore:
+    """The single-input score the finite-difference checks rest on."""
+
     def test_linear_dot_plus_bias(self):
         m = md.LinearScore.from_arrays([1.0, -1.0], 0.5)
-        assert md.class_score(m, np.array([2.0, 1.0]), 1) == pytest.approx(1.5)
-        assert md.class_score(m, np.array([2.0, 1.0]), 0) == 0.0
+        assert class_score(m, np.array([2.0, 1.0]), 1) == pytest.approx(1.5)
+        assert class_score(m, np.array([2.0, 1.0]), 0) == 0.0
 
     def test_zero_network_scores_zero(self):
         m = md.MLP((5,), [4], 3, seed=0)
@@ -137,7 +140,7 @@ class TestClassScore:
             m.params[k] = np.zeros_like(m.params[k])
         x = np.ones(5)
         for y in range(3):
-            assert md.class_score(m, x, y) == 0.0
+            assert class_score(m, x, y) == 0.0
 
     def test_matches_graph_route(self):
         rng = np.random.default_rng(4)
@@ -145,12 +148,12 @@ class TestClassScore:
         x = rng.uniform(0, 1, size=(1, 8, 8))
         want = graph_forward(m, x[None])[0]
         for y in range(4):
-            assert md.class_score(m, x, y) == pytest.approx(want[y], rel=1e-9)
+            assert class_score(m, x, y) == pytest.approx(want[y], rel=1e-9)
 
     def test_out_of_range_class(self):
         m = md.LinearScore((3,))
         with pytest.raises(ValueError):
-            md.class_score(m, np.zeros(3), 2)
+            class_score(m, np.zeros(3), 2)
 
 
 class TestLinearize:
@@ -174,12 +177,12 @@ class TestLinearize:
         y = 2
         lin = md.linearize(m, x, y)
         at_x = lin.w @ x.reshape(-1) + lin.b
-        assert at_x == pytest.approx(md.class_score(m, x, y), abs=1e-10)
+        assert at_x == pytest.approx(class_score(m, x, y), abs=1e-10)
         direction = rng.normal(size=x.shape)
         direction /= np.linalg.norm(direction)
         x2 = x + 0.01 * direction
         surrogate = lin.w @ x2.reshape(-1) + lin.b
-        actual = md.class_score(m, x2, y)
+        actual = class_score(m, x2, y)
         assert surrogate == pytest.approx(actual, rel=0.05)
 
 
