@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ag
 from .attribution import METHODS as ATTRIBUTION_METHODS
 from .attribution import attribute
-from .models import Model, check_int_fields, predict
+from .models import Model, check_field_types, check_kind, predict
 from .seeding import seed_stream
 
 PGD_EPS = 8.0 / 255.0
@@ -289,6 +289,17 @@ def corrupt(x: np.ndarray, kind: str, param: float,
 # Declarative specs and the error-rate protocol
 
 
+# kind: (required options, optional options); the others keep their defaults
+ATTACK_OPTIONS = {
+    "pgd": (set(), {"eps", "step", "iters"}),
+    "ina1": ({"k"}, {"method"}),
+    "ina2": ({"k"}, {"method"}),
+    "rn": ({"k"}, set()),
+    "ioa": (set(), {"n", "r", "color", "method"}),
+    "corrupt": ({"corrupt_kind", "param"}, set()),
+}
+
+
 @dataclass(frozen=True)
 class AttackSpec:
     """Parameters of one attack; `apply` runs it on a batch of samples."""
@@ -306,17 +317,26 @@ class AttackSpec:
     method: str = "saliency"
 
     def __post_init__(self):
-        check_int_fields(self)
-        if self.kind not in ("pgd", "ina1", "ina2", "ioa", "rn", "corrupt"):
+        check_field_types(self)
+        if self.kind not in ATTACK_OPTIONS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if self.kind == "pgd" and (self.eps < 0 or self.step < 0 or self.iters < 0):
             raise ValueError("pgd parameters must be nonnegative")
         if self.kind in ("ina1", "ina2", "rn") and self.k < 0:
             raise ValueError("k must be nonnegative")
+        if self.kind == "ioa" and not (self.n >= 1 and self.r >= 1 and 0 <= self.color <= 1):
+            raise ValueError(f"ioa needs n >= 1, r >= 1 and color in [0, 1], "
+                             f"got n={self.n}, r={self.r}, color={self.color!r}")
         if self.kind == "corrupt" and self.corrupt_kind not in CORRUPT_KINDS:
             raise ValueError(f"unknown corrupt_kind {self.corrupt_kind!r}")
         if self.method not in ATTRIBUTION_METHODS:
             raise ValueError(f"unknown attribution method {self.method!r}")
+
+    @classmethod
+    def parse(cls, entry: dict) -> AttackSpec:
+        """The spec of a config entry: its "kind" and the options that kind takes."""
+        check_kind(entry, ATTACK_OPTIONS)
+        return cls(**entry)
 
     def label(self) -> str:
         if self.kind == "pgd":
@@ -326,6 +346,12 @@ class AttackSpec:
         if self.kind == "ioa":
             return f"ioa(n={self.n},r={self.r})"
         return f"corrupt({self.corrupt_kind},{self.param:g})"
+
+    @property
+    def size(self) -> float:
+        """The attack's size, a curve's x value: eps, k, n or the corruption param."""
+        return {"pgd": self.eps, "ioa": float(self.n),
+                "corrupt": self.param}.get(self.kind, float(self.k))
 
     def apply(self, model: Model, xs: np.ndarray, ys: np.ndarray,
               rngs: Sequence[np.random.Generator]) -> np.ndarray:

@@ -85,7 +85,9 @@ def integrated_gradients(model: Model, x: np.ndarray, y: np.ndarray,
 def smoothgrad(model: Model, x: np.ndarray, y: np.ndarray,
                sigma: float = DEFAULT_SG_SIGMA, samples: int = DEFAULT_SG_SAMPLES,
                rng: np.random.Generator | None = None) -> list[AttributionMap]:
-    """Mean saliency over Gaussian-perturbed copies of the input."""
+    """Mean saliency over Gaussian-perturbed copies of the input. Each noise
+    draw has one image's shape and is added to every image of the batch, so
+    a map does not depend on which images share its batch."""
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     if rng is None:
@@ -96,7 +98,7 @@ def smoothgrad(model: Model, x: np.ndarray, y: np.ndarray,
         return _wrap(input_gradients(model, x, y), "smoothgrad", y)
     acc = np.zeros_like(x)
     for _ in range(samples):
-        acc += input_gradients(model, x + rng.normal(0.0, sigma, size=x.shape), y)
+        acc += input_gradients(model, x + rng.normal(0.0, sigma, size=x.shape[1:]), y)
     return _wrap(acc / samples, "smoothgrad", y)
 
 

@@ -4,7 +4,7 @@
 
 Commands map to pipeline stages; `report` runs everything. A successful
 command deletes the tables, curves and plots the previous `bundle.json`
-listed and it did not write. Exit codes:
+listed, as written or as stale, and it did not write. Exit codes:
 0 success, 2 config problem, 3 a stage failed partway (partial outputs
 and the failing stage id are left in the output directory).
 """

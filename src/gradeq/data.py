@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .models import is_int
 from .seeding import seed_stream
 
 
@@ -80,6 +81,19 @@ def blob_centers(resolution: int, classes: int) -> np.ndarray:
     return np.stack([mid + radius * np.sin(angles), mid + radius * np.cos(angles)], axis=1)
 
 
+_BLOB_INTS = {"n": 1, "resolution": 8, "classes": 2, "channels": 1, "seed": None}
+
+
+def check_blob_args(args: dict) -> None:
+    """Refuse an integer argument of `synth_blobs` in `args` that is not an
+    integer (a bool is not) or is below its least value."""
+    for name, least in _BLOB_INTS.items():
+        v = args.get(name)
+        if name in args and not (is_int(v) and (least is None or v >= least)):
+            need = "an integer" if least is None else f"an integer >= {least}"
+            raise ValueError(f"{name} must be {need}, got {v!r}")
+
+
 def synth_blobs(n: int, resolution: int = 32, classes: int = 4, seed: int = 0,
                 channels: int = 1, background: float = 0.2, amplitude: float = 0.5,
                 spread: float = 4.0, noise: float = 0.15, jitter: float = 2.0) -> ImageBatch:
@@ -90,10 +104,8 @@ def synth_blobs(n: int, resolution: int = 32, classes: int = 4, seed: int = 0,
     [0,1]. Classes are balanced round-robin and the whole batch is a pure
     function of the seed.
     """
-    if resolution < 8:
-        raise ValueError(f"resolution must be at least 8, got {resolution}")
-    if classes < 2:
-        raise ValueError(f"need at least 2 classes, got {classes}")
+    check_blob_args({"n": n, "resolution": resolution, "classes": classes,
+                     "channels": channels, "seed": seed})
     rng = seed_stream(seed, "blobs", resolution, classes)
     labels = np.arange(n, dtype=np.int64) % classes
     centers = blob_centers(resolution, classes)

@@ -11,8 +11,10 @@ The only timestamped output is log.txt, which is deliberately excluded from
 the bundle manifest.
 """
 
-from dataclasses import dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 import hashlib
 import json
 import math
@@ -23,13 +25,12 @@ import numpy as np
 
 from . import attribution
 from .attacks import AttackSpec, corrupt, error_rate, pgd
-from .data import ImageBatch, load_cifar, synth_blobs, train_val_split
+from .data import ImageBatch, check_blob_args, load_cifar, synth_blobs, train_val_split
 from .inequality import GiniReport, gini_exact, mean_gini, region_blocks
-from .models import (IntegrityError, Model, atomic_write, build_model, is_int,
-                     load_checkpoint, predict, save_checkpoint)
+from .models import (IntegrityError, Model, atomic_write, build_model, check_keys,
+                     check_kind, is_int, load_checkpoint, save_checkpoint)
 from .seeding import seed_stream
 from .theory import SELECTIONS, sweep_mask_stats
-from .training import METHODS as TRAIN_METHODS
 from .training import EpochRow, TrainConfig, accuracy, train
 
 
@@ -57,18 +58,15 @@ STAGES = ("data", "train", "tables", "attack", "theory", "corrupt", "plots")
 
 
 # --------------------------------------------------------------------------
-# config schema
+# config: parsed once, at load, into the objects the stages run
 
-def _check_keys(d: dict, required: set, optional: set, where: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
-    keys = set(d)
-    missing = required - keys
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-    unknown = keys - required - optional
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+@contextmanager
+def _at(where: str):
+    """Re-raise a ValueError or TypeError from parsing `where` as a ConfigError."""
+    try:
+        yield
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def _positive_int(v) -> bool:
@@ -79,157 +77,129 @@ def _list_of(v, ok) -> bool:
     return isinstance(v, list) and all(ok(e) for e in v)
 
 
-def _built(where: str, make) -> None:
-    """Build a config entry's object now, so a bad value fails at load, not
-    after earlier entries have trained; its ValueError or TypeError becomes
-    a ConfigError."""
-    try:
-        make()
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{where}: {e}") from e
+# section: {key: (default, test a given value must pass, what it must be)};
+# section None is the top level. A limit must keep at least one sample.
+_VALUES = {
+    None: {
+        "seed": (0, is_int, "an integer"),
+        "out": ("out", lambda v: isinstance(v, str), "a path string"),
+        "eval_fraction": (0.2, lambda v: type(v) in (int, float) and 0 < v < 1,
+                          "a number in (0, 1)"),
+        "eval_limit": (None, _positive_int, "a positive integer"),
+        "train": ([], lambda v: isinstance(v, list), "a list of entries"),
+        "attacks": ([], lambda v: isinstance(v, list), "a list of entries"),
+    },
+    "gini": {
+        "region": (4, _positive_int, "a positive integer"),
+        "method": ("saliency", lambda v: v in tuple(attribution.METHODS),
+                   f"one of {list(attribution.METHODS)}"),
+        "limit": (None, _positive_int, "a positive integer"),
+    },
+    "theory": {
+        "ks": ([1, 4, 16], lambda v: _list_of(v, lambda k: is_int(k) and k >= 0),
+               "a list of nonnegative integers"),
+        "selections": (list(SELECTIONS), lambda v: _list_of(v, lambda e: e in SELECTIONS),
+                       f"a list drawn from {list(SELECTIONS)}"),
+        "draws": (16, _positive_int, "a positive integer"),
+        "limit": (32, _positive_int, "a positive integer"),
+    },
+    "corrupt": {
+        "kinds": (list(SEVERITY), lambda v: _list_of(v, lambda e: e in tuple(SEVERITY)),
+                  f"a list drawn from {list(SEVERITY)}"),
+        "severities": ([1, 2, 3, 4, 5], lambda v: _list_of(v, lambda e: is_int(e) and 1 <= e <= 5),
+                       "a list of integers in 1..5"),
+        "limit": (None, _positive_int, "a positive integer"),
+    },
+}
 
-
-_MODEL_KEYS = {
-    "mlp": ({"kind", "in_shape", "hidden", "classes"}, {"activation"}),
-    "cnn": ({"kind", "in_shape", "channels", "classes"}, {"activation"}),
-    "linear": ({"kind", "in_shape"}, set()),
+_DATASET_KEYS = {
+    "blobs": ({"n"}, {"resolution", "classes", "seed", "channels", "background",
+                      "amplitude", "spread", "noise", "jitter"}),
+    "cifar": ({"path"}, {"variant"}),
+    "attribution_file": ({"path"}, set()),
 }
 
 _TRAIN_OPTIONAL = {f.name for f in fields(TrainConfig)} - {"method", "model", "seed"}
 
-# (section, key): (test a present value must pass, what it must be)
-_SECTION_VALUES = {
-    ("gini", "region"): (_positive_int, "a positive integer"),
-    ("gini", "method"): (lambda v: v in tuple(attribution.METHODS),
-                         f"one of {list(attribution.METHODS)}"),
-    ("theory", "ks"): (lambda v: _list_of(v, lambda k: is_int(k) and k >= 0),
-                       "a list of nonnegative integers"),
-    ("theory", "selections"): (lambda v: _list_of(v, lambda e: e in SELECTIONS),
-                               f"a list drawn from {list(SELECTIONS)}"),
-    ("theory", "draws"): (_positive_int, "a positive integer"),
-    ("corrupt", "kinds"): (lambda v: _list_of(v, lambda e: e in tuple(SEVERITY)),
-                           f"a list drawn from {list(SEVERITY)}"),
-    ("corrupt", "severities"): (lambda v: _list_of(v, lambda e: is_int(e) and 1 <= e <= 5),
-                                "a list of integers in 1..5"),
-    # a limit must keep at least one sample
-    ("gini", "limit"): (_positive_int, "a positive integer"),
-    ("theory", "limit"): (_positive_int, "a positive integer"),
-    ("corrupt", "limit"): (_positive_int, "a positive integer"),
-}
 
-_ATTACK_KEYS = {
-    "pgd": (set(), {"eps", "step", "iters"}),
-    "ina1": ({"k"}, {"method"}),
-    "ina2": ({"k"}, {"method"}),
-    "rn": ({"k"}, set()),
-    "ioa": (set(), {"n", "r", "color", "method"}),
-    "corrupt": ({"corrupt_kind", "param"}, set()),
-}
+def _section(given: dict, section: str | None) -> SimpleNamespace:
+    """A section's values (None: the top level's), each checked or defaulted."""
+    if section is not None:
+        with _at(section):
+            check_keys(given, set(), set(_VALUES[section]))
+    values = {}
+    for key, (default, ok, what) in _VALUES[section].items():
+        if key in given and not ok(given[key]):
+            name = key if section is None else f"{section}.{key}"
+            raise ConfigError(f"{name} must be {what}, got {given[key]!r}")
+        values[key] = given.get(key, default)
+    return SimpleNamespace(**values)
 
 
-def _validate_dataset(d: dict) -> None:
-    kind = d.get("kind")
-    if kind == "blobs":
-        _check_keys(d, {"kind", "n"},
-                    {"resolution", "classes", "seed", "channels", "background",
-                     "amplitude", "spread", "noise", "jitter"}, "dataset")
-    elif kind == "cifar":
-        _check_keys(d, {"kind", "path"}, {"variant"}, "dataset")
-    elif kind == "attribution_file":
-        _check_keys(d, {"kind", "path"}, set(), "dataset")
-    else:
-        raise ConfigError(f"dataset: unknown kind {kind!r}")
+def _dataset(d: dict, seed: int) -> dict:
+    if check_kind(d, _DATASET_KEYS) != "blobs":
+        return d
+    check_blob_args(d)
+    return {"seed": seed} | d  # blobs without a seed of their own take the run's
 
 
-def _validate_train_entry(entry: dict, i: int, names: set) -> None:
-    where = f"train[{i}]"
-    _check_keys(entry, {"name", "method", "model"}, _TRAIN_OPTIONAL, where)
-    name = entry["name"]
-    if not isinstance(name, str) or not name or "/" in name:
-        raise ConfigError(f"{where}: name must be a non-empty string without '/'")
-    if name in names:
-        raise ConfigError(f"{where}: duplicate name {name!r}")
-    if entry["method"] not in TRAIN_METHODS:
-        raise ConfigError(f"{where}: unknown method {entry['method']!r}")
-    model = entry["model"]
-    kind = model.get("kind") if isinstance(model, dict) else None
-    if kind not in _MODEL_KEYS:
-        raise ConfigError(f"{where}.model: unknown kind {kind!r}")
-    req, opt = _MODEL_KEYS[kind]
-    _check_keys(model, req, opt, f"{where}.model")
+def _named(entries: list, section: str, parse) -> tuple:
+    """(name, parse(entry without its name, the names before it)) per entry of
+    a list section. A name is a file name part and a CSV cell."""
+    parsed = []
+    for i, entry in enumerate(entries):
+        with _at(f"{section}[{i}]"):
+            name = entry.get("name") if isinstance(entry, dict) else None
+            if not isinstance(name, str) or not name or "/" in name or "," in name:
+                raise ValueError("needs a 'name': a non-empty string without '/' or ','")
+            names = [n for n, _ in parsed]
+            if name in names:
+                raise ValueError(f"duplicate name {name!r}")
+            parsed.append((name, parse({k: v for k, v in entry.items() if k != "name"},
+                                       names)))
+    return tuple(parsed)
+
+
+def _train_entry(entry: dict, earlier: list, config: "ExperimentConfig") -> TrainConfig:
+    """An igd entry's `teacher` names an earlier entry; it becomes its checkpoint."""
+    check_keys(entry, {"method", "model"}, _TRAIN_OPTIONAL)
     teacher = entry.get("teacher")
     if entry["method"] == "igd":
-        if not isinstance(teacher, str) or teacher not in names:
-            raise ConfigError(f"{where}: igd needs 'teacher' naming an earlier entry")
+        if not isinstance(teacher, str) or teacher not in earlier:
+            raise ValueError("igd needs 'teacher' naming an earlier entry")
     elif teacher is not None:
-        raise ConfigError(f"{where}: teacher is only valid for method 'igd'")
-    _built(where, lambda: (build_model(model), _train_config(entry, model, 0, None)))
-
-
-def _validate_attack_entry(entry: dict, i: int, names: set) -> None:
-    where = f"attacks[{i}]"
-    if not isinstance(entry, dict) or "kind" not in entry or "name" not in entry:
-        raise ConfigError(f"{where}: needs 'name' and 'kind'")
-    kind = entry["kind"]
-    if kind not in _ATTACK_KEYS:
-        raise ConfigError(f"{where}: unknown kind {kind!r}")
-    req, opt = _ATTACK_KEYS[kind]
-    _check_keys(entry, req | {"name", "kind"}, opt, where)
-    if entry["name"] in names:
-        raise ConfigError(f"{where}: duplicate name {entry['name']!r}")
-    _built(where, lambda: _attack_spec(entry))
-
-
-def _validate(cfg: dict) -> None:
-    _check_keys(cfg, {"dataset"},
-                {"seed", "out", "eval_fraction", "eval_limit",
-                 "train", "attacks", "gini", "theory", "corrupt"}, "config")
-    _validate_dataset(cfg["dataset"])
-    fixture = cfg["dataset"]["kind"] == "attribution_file"
-    names: set = set()
-    for i, entry in enumerate(cfg.get("train", [])):
-        if fixture:
-            raise ConfigError("train: attribution_file datasets have nothing to train on")
-        _validate_train_entry(entry, i, names)
-        names.add(entry["name"])
-    attack_names: set = set()
-    for i, entry in enumerate(cfg.get("attacks", [])):
-        _validate_attack_entry(entry, i, attack_names)
-        attack_names.add(entry["name"])
-    for section in ("gini", "theory", "corrupt"):
-        if section in cfg:
-            keys = {k for s, k in _SECTION_VALUES if s == section}
-            _check_keys(cfg[section], set(), keys, section)
-    # an absent value takes the stage default; a present one must be usable
-    for (section, key), (ok, what) in _SECTION_VALUES.items():
-        if key in cfg.get(section, {}) and not ok(cfg[section][key]):
-            raise ConfigError(f"{section}.{key} must be {what}, got {cfg[section][key]!r}")
-    if "eval_limit" in cfg and not _positive_int(cfg["eval_limit"]):
-        raise ConfigError(f"eval_limit must be a positive integer, got {cfg['eval_limit']!r}")
+        raise ValueError("teacher is only valid for method 'igd'")
+    with _at("model"):
+        build_model(entry["model"])
+    # lam stays as written, 0 when absent: checkpoints record it so
+    return TrainConfig(**entry | {
+        "lam": entry.get("lam", 0), "seed": config.seed,
+        "teacher": config.checkpoint(teacher) if teacher else None})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    raw: dict  # validated config body, seed/out stripped
+    """A config file parsed into what the stages run: every value is checked
+    and every default filled in at load."""
+
     seed: int
     out: Path
     digest: str  # sha256 of the canonical body; seed and out do not contribute
-
-    @property
-    def dataset(self) -> dict:
-        return self.raw["dataset"]
-
-    @property
-    def train_entries(self) -> list:
-        return self.raw.get("train", [])
-
-    @property
-    def attack_entries(self) -> list:
-        return self.raw.get("attacks", [])
+    dataset: dict  # the dataset entry; blobs without a seed take the run's
+    eval_fraction: float
+    eval_limit: int | None
+    gini: SimpleNamespace  # region, method, limit
+    theory: SimpleNamespace | None  # ks, selections, draws, limit; None: no sweep
+    corrupt: SimpleNamespace | None  # kinds, severities, limit; None: no ladder
+    attacks: tuple = ()  # (name, AttackSpec) per entry, in file order
+    train: tuple = ()  # (name, TrainConfig) per entry, in file order
 
     def tag(self, name: str) -> str:
         """Filename stem tying an artifact to this config and seed."""
         return f"{name}-{self.digest[:12]}-s{self.seed}"
+
+    def checkpoint(self, name: str) -> Path:
+        return self.out / "checkpoints" / f"{self.tag(name)}.ckpt"
 
 
 def config_digest(body: dict) -> str:
@@ -238,28 +208,36 @@ def config_digest(body: dict) -> str:
 
 
 def load_config(path, seed: int | None = None, out=None) -> ExperimentConfig:
-    """Parse and validate a config file. seed/out arguments override the
-    file; neither participates in the digest, so the same experiment body
-    run at two seeds shares one identity."""
+    """Parse a config file into the objects the stages run; every bad key or
+    value raises ConfigError here, before any stage starts. seed/out
+    arguments override the file; neither participates in the digest, so the
+    same experiment body run at two seeds shares one identity."""
     try:
-        text = Path(path).read_text()
+        cfg = json.loads(Path(path).read_text())
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
-    try:
-        cfg = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    _validate(cfg)
-    file_seed = cfg.get("seed", 0)
-    if not isinstance(file_seed, int):
-        raise ConfigError("seed must be an integer")
-    use_seed = int(seed) if seed is not None else file_seed
-    use_out = Path(out) if out is not None else Path(cfg.get("out", "out"))
+    with _at("config"):
+        check_keys(cfg, {"dataset"}, set(_VALUES[None]) | {s for s in _VALUES if s})
+    top = _section(cfg, None)
+    use_seed = int(seed) if seed is not None else top.seed
+    with _at("dataset"):
+        dataset = _dataset(cfg["dataset"], use_seed)
+    if top.train and dataset["kind"] == "attribution_file":
+        raise ConfigError("train: attribution_file datasets have nothing to train on")
     body = {k: v for k, v in cfg.items() if k not in ("seed", "out")}
-    return ExperimentConfig(raw=body, seed=use_seed, out=use_out,
-                            digest=config_digest(body))
+    config = ExperimentConfig(
+        seed=use_seed, out=Path(out if out is not None else top.out),
+        digest=config_digest(body), dataset=dataset,
+        eval_fraction=top.eval_fraction, eval_limit=top.eval_limit,
+        gini=_section(cfg.get("gini", {}), "gini"),
+        theory=_section(cfg["theory"], "theory") if "theory" in cfg else None,
+        corrupt=_section(cfg["corrupt"], "corrupt") if "corrupt" in cfg else None,
+        attacks=_named(top.attacks, "attacks", lambda entry, _: AttackSpec.parse(entry)))
+    # the teachers' checkpoint paths need the digest, seed and out above
+    return replace(config, train=_named(
+        top.train, "train", lambda entry, earlier: _train_entry(entry, earlier, config)))
 
 
 # --------------------------------------------------------------------------
@@ -367,7 +345,6 @@ class RunState:
     data: ImageBatch | None = None       # training pool
     holdout: ImageBatch | None = None    # evaluation split, untouched by training
     models: dict = field(default_factory=dict)      # name -> Model
-    model_meta: dict = field(default_factory=dict)  # name -> (method, lam)
     files: list = field(default_factory=list)       # manifest entries, relative
     # (rel, title, xlabel, ylabel, {series: [(x, y)]}), rendered by the plots stage
     charts: list = field(default_factory=list)
@@ -384,9 +361,7 @@ class RunState:
 
     def holdout_subset(self, limit) -> ImageBatch:
         b = self.holdout
-        if limit is not None and limit < len(b.labels):
-            b = b.subset(np.arange(int(limit)))
-        return b
+        return b if limit is None or limit >= len(b) else b.subset(np.arange(limit))
 
 
 @dataclass(frozen=True)
@@ -407,38 +382,20 @@ class ReportBundle:
 
 def _stage_data(state: RunState) -> None:
     cfg = state.config
-    ds = cfg.dataset
-    if ds["kind"] == "attribution_file":
+    kind = cfg.dataset["kind"]
+    if kind == "attribution_file":
         return  # handled by the tables stage directly
-    if ds["kind"] == "blobs":
-        kw = {k: v for k, v in ds.items() if k != "kind"}
-        kw.setdefault("seed", cfg.seed)
-        batch = synth_blobs(**kw)
-    else:
-        batch = load_cifar(ds["path"], ds.get("variant", "cifar10"))
-    frac = cfg.raw.get("eval_fraction", 0.2)
-    state.data, state.holdout = train_val_split(batch, frac, cfg.seed)
-    state.holdout = state.holdout_subset(cfg.raw.get("eval_limit"))
+    args = {k: v for k, v in cfg.dataset.items() if k != "kind"}
+    batch = synth_blobs(**args) if kind == "blobs" else load_cifar(**args)
+    state.data, state.holdout = train_val_split(batch, cfg.eval_fraction, cfg.seed)
+    state.holdout = state.holdout_subset(cfg.eval_limit)
     state.log(f"data: pool={len(state.data.labels)} holdout={len(state.holdout.labels)}")
-
-
-def _train_config(entry: dict, model_cfg: dict, seed: int, teacher_path) -> TrainConfig:
-    kw = {k: entry[k] for k in _TRAIN_OPTIONAL & set(entry) if k != "teacher"}
-    return TrainConfig(method=entry["method"], model=model_cfg, seed=seed,
-                       teacher=teacher_path, **kw)
 
 
 def _stage_train(state: RunState) -> None:
     cfg = state.config
-    if not cfg.train_entries:
-        return
-    ckpt_dir = cfg.out / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    for entry in cfg.train_entries:
-        name = entry["name"]
-        ckpt = ckpt_dir / f"{cfg.tag(name)}.ckpt"
-        method, lam = entry["method"], entry.get("lam", 0)
-        state.model_meta[name] = (method, lam)
+    for name, tcfg in cfg.train:
+        ckpt = cfg.checkpoint(name)
         record_rel = f"records/{cfg.tag(name)}-train.csv"
         if ckpt.exists():
             try:
@@ -450,14 +407,11 @@ def _stage_train(state: RunState) -> None:
                     state.files.append(record_rel)
                 state.log(f"train: {name} cached ({extra.get('best_epoch')})")
                 continue
-        teacher_path = None
-        if method == "igd":
-            teacher_path = ckpt_dir / f"{cfg.tag(entry['teacher'])}.ckpt"
-        tcfg = _train_config(entry, entry["model"], cfg.seed, teacher_path)
         model, record = train(tcfg, state.data)
         state.models[name] = model
+        ckpt.parent.mkdir(parents=True, exist_ok=True)
         save_checkpoint(ckpt, model, {
-            "model": entry["model"], "method": method, "lam": lam,
+            "model": tcfg.model, "method": tcfg.method, "lam": tcfg.lam,
             "best_epoch": record.best_epoch, "seed": cfg.seed,
             "config": cfg.digest, "aborted": record.aborted,
         })
@@ -472,13 +426,11 @@ def _stage_train(state: RunState) -> None:
 def _fixture_tables(state: RunState) -> None:
     cfg = state.config
     amap = attribution.load_attribution(cfg.dataset["path"])
-    gcfg = cfg.raw.get("gini", {})
-    region = gcfg.get("region", 4)
     reduced = amap.reduced
     g = gini_exact(reduced.reshape(-1))
-    rg = gini_exact(region_blocks(reduced, region)) if reduced.ndim == 2 else g
+    rg = gini_exact(region_blocks(reduced, cfg.gini.region)) if reduced.ndim == 2 else g
     report = GiniReport(global_gini=float(g), regional_gini=float(rg),
-                        region=region, n=int(reduced.size), method=amap.method)
+                        region=cfg.gini.region, n=int(reduced.size), method=amap.method)
     row = report.as_row() | {"seed": cfg.seed, "config": cfg.digest}
     state.emit("tables/gini.json", json.dumps(row, sort_keys=True) + "\n")
     state.log(f"tables: fixture gini={g}")
@@ -491,19 +443,18 @@ def _stage_tables(state: RunState) -> None:
         return
     if not state.models:
         return
-    gcfg = cfg.raw.get("gini", {})
-    region = gcfg.get("region", 4)
-    method = gcfg.get("method", "saliency")
-    sub = state.holdout_subset(gcfg.get("limit"))
+    sub = state.holdout_subset(cfg.gini.limit)
     px, lab = sub.pixels, sub.labels
+    trained = dict(cfg.train)
     gini_rows, l1_rows, conf_rows = [], [], []
     for name, model in state.models.items():
-        meth, lam = state.model_meta.get(name, ("?", 0))
+        tcfg = trained.get(name)
+        meth, lam = (tcfg.method, tcfg.lam) if tcfg else ("?", 0)
         clean = accuracy(model, px, lab)
         adv_x = pgd(model, px, lab, rng=seed_stream(cfg.seed, "tables-pgd", name)).x_adv
         adv = accuracy(model, adv_x, lab)
-        maps = attribution.attribute(model, px, lab, method)
-        gg, rg, kept = mean_gini([m.reduced for m in maps], region)
+        maps = attribution.attribute(model, px, lab, cfg.gini.method)
+        gg, rg, kept = mean_gini([m.reduced for m in maps], cfg.gini.region)
         l1s = [float(np.abs(m.values).sum()) for m in maps]
         gini_rows.append([name, meth, float(lam), clean, adv, gg, rg,
                           kept, cfg.seed, cfg.digest])
@@ -523,35 +474,21 @@ def _stage_tables(state: RunState) -> None:
     state.log(f"tables: {len(gini_rows)} models on {len(lab)} holdout samples")
 
 
-def _attack_spec(entry: dict) -> AttackSpec:
-    kw = {k: v for k, v in entry.items() if k != "name"}
-    return AttackSpec(**kw)
-
-
 def _stage_attack(state: RunState) -> None:
     cfg = state.config
-    if not cfg.attack_entries or not state.models:
+    if not cfg.attacks or not state.models:
         return
     sub = state.holdout
     names = list(state.models)
     models = [state.models[n] for n in names]
     rows, by_kind = [], {}
-    for entry in cfg.attack_entries:
-        spec = _attack_spec(entry)
+    for attack, spec in cfg.attacks:
         rep = error_rate(models, spec, sub.pixels, sub.labels, cfg.seed)
-        if spec.kind in ("ina1", "ina2", "rn"):
-            param = float(spec.k)
-        elif spec.kind == "pgd":
-            param = spec.eps
-        elif spec.kind == "ioa":
-            param = float(spec.n)
-        else:
-            param = spec.param
         for name, rate in zip(names, rep.rates):
-            rows.append([entry["name"], spec.kind, spec.label(), param, name,
+            rows.append([attack, spec.kind, spec.label(), spec.size, name,
                          rate, rep.evaluated, cfg.seed, cfg.digest])
             by_kind.setdefault(spec.kind, {}).setdefault(name, []).append(
-                (float(param), rate))
+                (float(spec.size), rate))
     state.emit("curves/error_rate.csv", csv_text(
         ["attack", "kind", "label", "param", "model", "error_rate", "evaluated",
          "seed", "config"], rows))
@@ -561,25 +498,22 @@ def _stage_attack(state: RunState) -> None:
         if curves:
             state.charts.append((f"plots/error_rate_{kind}.svg", f"{kind} error rate",
                                  "attack size", "error rate", curves))
-    state.log(f"attack: {len(cfg.attack_entries)} specs x {len(names)} models, "
+    state.log(f"attack: {len(cfg.attacks)} specs x {len(names)} models, "
               f"joint pool {rep.evaluated}")
 
 
 def _stage_theory(state: RunState) -> None:
     cfg = state.config
-    tcfg = cfg.raw.get("theory")
-    if tcfg is None or not state.models:
+    theory = cfg.theory
+    if theory is None or not state.models:
         return
-    ks = tcfg.get("ks", [1, 4, 16])
-    selections = tcfg.get("selections", ["attribution_ranked", "random"])
-    draws = tcfg.get("draws", 16)
-    sub = state.holdout_subset(tcfg.get("limit", 32))
+    sub = state.holdout_subset(theory.limit)
     rows, curves = [], {}
     for name, model in state.models.items():
-        for sel in selections:
-            pts = sweep_mask_stats(model, sub.pixels, sub.labels, ks, sel,
+        for sel in theory.selections:
+            pts = sweep_mask_stats(model, sub.pixels, sub.labels, theory.ks, sel,
                                    seed_stream(cfg.seed, "theory", name, sel),
-                                   draws=draws)
+                                   draws=theory.draws)
             for p in pts:
                 rows.append([name, sel, p.k, p.mean_sum_sq, p.stderr_sum_sq,
                              p.mean_sum2, p.stderr_sum2, p.count,
@@ -596,17 +530,14 @@ def _stage_theory(state: RunState) -> None:
 
 def _stage_corrupt(state: RunState) -> None:
     cfg = state.config
-    ccfg = cfg.raw.get("corrupt")
-    if ccfg is None or not state.models:
+    if cfg.corrupt is None or not state.models:
         return
-    kinds = ccfg.get("kinds", list(SEVERITY))
-    severities = ccfg.get("severities", [1, 2, 3, 4, 5])
-    sub = state.holdout_subset(ccfg.get("limit"))
+    sub = state.holdout_subset(cfg.corrupt.limit)
     names = list(state.models)
     models = [state.models[n] for n in names]
     rows, curves = [], {}
-    for kind in kinds:
-        for sev in severities:
+    for kind in cfg.corrupt.kinds:
+        for sev in cfg.corrupt.severities:
             param = SEVERITY[kind][sev - 1]
             spec = AttackSpec(kind="corrupt", corrupt_kind=kind, param=param)
             rep = error_rate(models, spec, sub.pixels, sub.labels, cfg.seed)
@@ -653,9 +584,11 @@ _STAGE_FNS = {
 
 def _listed_untagged(manifest: Path) -> set:
     """The outputs without a config tag (tables/, curves/, plots/) that a
-    bundle manifest lists; none when it is absent or unreadable."""
+    bundle manifest lists as written or as stale; none when it is absent or
+    unreadable."""
     try:
-        parts = [Path(f).parts for f in json.loads(manifest.read_text())["files"]]
+        listed = json.loads(manifest.read_text())
+        parts = [Path(f).parts for f in listed["files"] + listed.get("stale", [])]
     except (OSError, ValueError, TypeError, KeyError):
         return set()
     return {"/".join(p) for p in parts
@@ -667,7 +600,8 @@ def run(config: ExperimentConfig, stages=STAGES) -> ReportBundle:
     the partial outputs stay on disk, the manifest records the stage id,
     and a StageError carrying the same id is raised. A successful run
     deletes the untagged outputs the previous manifest listed and it did
-    not write; a file no manifest listed is never touched."""
+    not write; a failed run lists them as `stale` instead, so they stay due.
+    A file no manifest listed is never touched."""
     for s in stages:
         if s not in STAGES:
             raise ConfigError(f"unknown stage {s!r}")
@@ -688,14 +622,17 @@ def run(config: ExperimentConfig, stages=STAGES) -> ReportBundle:
     bundle = ReportBundle(digest=config.digest, seed=config.seed,
                           out=config.out, files=sorted(set(state.files)),
                           failed_stage=failed)
+    stale = sorted(earlier - set(bundle.files))
     if failed is None:
-        for rel in sorted(earlier - set(bundle.files)):
+        for rel in stale:
             if (config.out / rel).is_file():
                 (config.out / rel).unlink()
                 state.log(f"removed {rel}: an earlier run's output, not this run's")
     manifest = {"config": config.digest, "seed": config.seed,
                 "files": bundle.files, "failed_stage": failed,
                 "stages": list(ordered)}
+    if failed is not None:
+        manifest["stale"] = stale  # for the next successful run to delete
     atomic_write(config.out / "bundle.json",
                  (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     # timestamps live here and only here; bundle.json stays byte-stable

@@ -49,12 +49,35 @@ def _sizes(what: str, values) -> list[int]:
     return [int(v) for v in values]
 
 
-def check_int_fields(obj) -> None:
-    """Refuse a dataclass whose `int` field holds a non-integer or a bool."""
+def check_keys(d, required: set, optional: set) -> None:
+    """Refuse a config object with a required key missing or an unknown key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected an object, got {type(d).__name__}")
+    for what, keys in (("missing", required - set(d)), ("unknown", set(d) - required - optional)):
+        if keys:
+            raise ValueError(f"{what} keys {sorted(keys)}")
+
+
+def check_kind(d, kinds: dict) -> str:
+    """The "kind" of config object `d`, refusing an unknown kind and a missing
+    or unknown key; `kinds` maps each kind to its (required, optional) keys."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if kind not in kinds:
+        raise ValueError(f"unknown kind {kind!r}")
+    check_keys(d, kinds[kind][0] | {"kind"}, kinds[kind][1])
+    return kind
+
+
+def check_field_types(obj) -> None:
+    """Refuse a dataclass whose `int` field holds a non-integer or a bool, or
+    whose `float` field holds anything but a finite int or float."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if f.type in ("int", int) and not is_int(value):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        finite = is_int(value) or isinstance(value, float) and np.isfinite(value)
+        if f.type in ("float", float) and not finite:
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
 
 class _OneForward:
@@ -208,17 +231,18 @@ class LinearScore(_OneForward):
 Model = MLP | CNN | LinearScore
 
 
+# kind: (required keys, optional keys); each key but kind is an argument of its class
+_MODEL_KEYS = {
+    "mlp": ({"in_shape", "hidden", "classes"}, {"activation"}),
+    "cnn": ({"in_shape", "channels", "classes"}, {"activation"}),
+    "linear": ({"in_shape"}, set()),
+}
+
+
 def build_model(config: dict, seed: int = 0) -> Model:
-    kind = config.get("kind")
-    if kind == "mlp":
-        return MLP(config["in_shape"], config["hidden"], config["classes"],
-                   config.get("activation", "relu"), seed)
-    if kind == "cnn":
-        return CNN(config["in_shape"], config["channels"], config["classes"],
-                   config.get("activation", "relu"), seed)
-    if kind == "linear":
-        return LinearScore(config["in_shape"], seed)
-    raise ValueError(f"unknown model kind {kind!r}")
+    """The model a config object describes; a missing or unknown key is refused."""
+    cls = {c.kind: c for c in (MLP, CNN, LinearScore)}[check_kind(config, _MODEL_KEYS)]
+    return cls(**{k: v for k, v in config.items() if k != "kind"}, seed=seed)
 
 
 def predict(model: Model, x: np.ndarray) -> np.ndarray:

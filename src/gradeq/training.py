@@ -27,7 +27,7 @@ from .attacks import PGD_EPS, PGD_ITERS, PGD_STEP, pgd
 from .attribution import input_gradients, saliency
 from .data import ImageBatch, cutout, train_val_split
 from .inequality import gini, mean_gini  # noqa: F401  (gini: perfbench's tracer wraps this name)
-from .models import Model, build_model, check_int_fields, load_checkpoint, predict
+from .models import Model, build_model, check_field_types, load_checkpoint, predict
 from .seeding import seed_stream
 
 METHODS = ("standard", "pgdat", "pgdat_cutout", "igd")
@@ -55,7 +55,7 @@ class TrainConfig:
     teacher: str | None = None  # checkpoint path, aligned method only
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown training method {self.method!r}")
         if self.lam < 0:
@@ -181,8 +181,6 @@ def train(config: TrainConfig, data: ImageBatch,
     A non-finite loss aborts and returns the record so far.
     """
     teacher = _load_teacher(config, teacher)
-    if config.method == "igd" and teacher is None:
-        raise ValueError("igd training needs a teacher")
     student = build_model(config.model, seed=config.seed)
     tr, val = train_val_split(data, config.val_fraction, config.seed)
 

@@ -384,3 +384,25 @@ def test_attack_spec_validation():
         AttackSpec(kind="pgd", eps=-1.0)
     with pytest.raises(ValueError):
         AttackSpec(kind="ina1", k=-2)
+    for bad in ({"n": 0}, {"r": 0}, {"n": -1}, {"color": 1.5}, {"color": -0.5}):
+        with pytest.raises(ValueError):
+            AttackSpec(kind="ioa", **bad)
+
+
+def test_attack_spec_parse():
+    assert AttackSpec.parse({"kind": "ina2", "k": 3, "method": "smoothgrad"}) == \
+        AttackSpec(kind="ina2", k=3, method="smoothgrad")
+    for entry, match in (({"kind": "ina1"}, r"missing keys \['k'\]"),
+                         ({"kind": "rn", "k": 2, "method": "saliency"}, "unknown keys"),
+                         ({"kind": "pgd", "k": 2}, r"unknown keys \['k'\]"),
+                         ({"kind": "warp"}, "unknown kind"),
+                         ({"k": 2}, "unknown kind")):
+        with pytest.raises(ValueError, match=match):
+            AttackSpec.parse(entry)
+
+
+def test_attack_size_is_the_curve_x():
+    assert AttackSpec(kind="pgd", eps=0.25).size == 0.25
+    assert AttackSpec(kind="rn", k=7).size == 7.0
+    assert AttackSpec(kind="ioa", n=3).size == 3.0
+    assert AttackSpec(kind="corrupt", corrupt_kind="shot", param=12.0).size == 12.0

@@ -40,6 +40,8 @@ SPECS = (
     AttackSpec(kind="rn", k=12),
     AttackSpec(kind="corrupt", corrupt_kind="impulse", param=0.3),
     AttackSpec(kind="ioa", n=2, r=1),
+    AttackSpec(kind="ina1", k=12, method="smoothgrad"),
+    AttackSpec(kind="ioa", n=2, r=1, method="smoothgrad"),
 )
 
 
@@ -322,9 +324,9 @@ def test_validation_survives_python_O():
     script = """
 import numpy as np
 from gradeq.attacks import AttackSpec, Mask, ioa
-from gradeq.data import ImageBatch
+from gradeq.data import ImageBatch, synth_blobs
 from gradeq.inequality import GiniReport
-from gradeq.models import CNN
+from gradeq.models import CNN, build_model
 from gradeq.theory import MaskStats
 from gradeq.training import TrainConfig
 pix, lab = np.full((2, 1, 2, 2), 0.5), np.array([0, 1])
@@ -336,7 +338,11 @@ bad = [lambda: Mask(np.zeros(5)),
        lambda: ioa(CNN((1, 8, 8), [2, 2], 2), np.zeros((2, 1, 8, 8)), lab[:1], 1, 1, 0.5),
        lambda: AttackSpec(kind="ina1", k=1.5),
        lambda: AttackSpec(kind="ioa", n=True),
+       lambda: AttackSpec(kind="ioa", n=0),
+       lambda: build_model({"kind": "linear"}),
+       lambda: synth_blobs(4.5),
        lambda: TrainConfig(method="standard", model={}, epochs=1.5),
+       lambda: TrainConfig(method="standard", model={}, lr="0.1"),
        lambda: ImageBatch(pix * 10, lab, 2, 0.5, 0.1),  # pixel 5.0
        lambda: ImageBatch(pix, np.array([0, 7]), 2, 0.5, 0.1),  # label 7 of 2
        lambda: ImageBatch(pix[0], lab, 2, 0.5, 0.1),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,26 @@ def test_missing_file(tmp_path):
     ("attacks.0", "k", 1.5),
     ("attacks.1", "k", True),
     ("attacks.2", "iters", 2.5),
+    (None, "seed", True),
+    (None, "eval_fraction", 1.5),
+    (None, "eval_fraction", 0),
+    (None, "eval_fraction", "0.2"),
+    ("dataset", "n", 40.5),
+    ("dataset", "n", 0),
+    ("dataset", "resolution", "8"),
+    ("dataset", "resolution", 4),
+    ("dataset", "classes", 0),
+    ("dataset", "channels", 2.0),
+    ("dataset", "seed", 1.5),
+    ("dataset", "seed", True),
+    ("attacks.0", "name", "noise,2"),
+    ("attacks.1", "name", 5),
+    ("train.1", "name", "igd,2"),
+    ("train.1", "lr", "0.05"),
+    ("train.0", "momentum", True),
+    ("train.0", "weight_decay", float("nan")),
+    ("attacks.2", "eps", "0.03"),
+    ("attacks.2", "step", float("inf")),
 ])
 def test_bad_values_rejected_at_load(tmp_path, section, key, value):
     """Refused at load, before any model trains: severity 0 would index
@@ -197,6 +218,26 @@ def test_bad_values_rejected_at_load(tmp_path, section, key, value):
     target[key] = value
     with pytest.raises(ConfigError, match=key):
         load_config(write_config(tmp_path / "c.json", cfg))
+
+
+@pytest.mark.parametrize("key, value", [("n", 0), ("r", 0), ("r", -2),
+                                        ("color", 1.5), ("color", -0.1)])
+def test_bad_ioa_rejected_at_load(tmp_path, key, value):
+    """An occlusion attack that cannot run is refused before any model trains."""
+    cfg = base_config(tmp_path / "o")
+    cfg["attacks"].append({"name": "occlude", "kind": "ioa", key: value})
+    with pytest.raises(ConfigError, match=r"attacks\[3\].*" + key):
+        load_config(write_config(tmp_path / "c.json", cfg))
+
+
+def test_readme_quick_start_loads(tmp_path):
+    """The quick-start config in README.md is one this version accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"cat > exp.json <<'EOF'\n(.*?)\nEOF\n", readme, re.S).group(1)
+    config = load_config(write_config(tmp_path / "exp.json", json.loads(text)))
+    assert [name for name, _ in config.train] == ["std", "pgdat", "igd2"]
+    assert [spec.label() for _, spec in config.attacks] == [
+        "ina1(k=16)", "ina1(k=64)", f"pgd(eps={8 / 255:.4g})"]
 
 
 def test_unknown_stage_rejected(tmp_path):
@@ -466,6 +507,31 @@ def test_plots_come_from_this_runs_rows(tmp_path):
     assert not [f for f in second.files if f.startswith("plots/")]
     manifest = json.loads((tmp_path / "out" / "bundle.json").read_text())
     assert manifest["files"] == second.files
+
+
+def test_failed_run_keeps_earlier_outputs_due(tmp_path):
+    """A failed run between two successful ones does not lose what the
+    first one listed: config A writes an attack curve, config B fails in
+    the tables stage, B fixed then succeeds and deletes A's curve."""
+    out = tmp_path / "out"
+    cfg = base_config(out, n=48, epochs=1)
+    cfg["train"] = cfg["train"][:1]
+    del cfg["theory"], cfg["corrupt"]
+    run(load_config(write_config(tmp_path / "a.json", cfg)))
+    assert (out / "curves" / "error_rate.csv").exists()
+    del cfg["attacks"]
+    cfg["gini"] = {"region": 8}  # one block on 8x8 images
+    with pytest.raises(StageError, match="single block"):
+        run(load_config(write_config(tmp_path / "b.json", cfg)))
+    assert json.loads((out / "bundle.json").read_text())["stale"] == [
+        "curves/error_rate.csv", "plots/error_rate_ina1.svg", "tables/confidence.csv",
+        "tables/gini.csv", "tables/l1.csv"]
+    cfg["gini"] = {"region": 4}
+    fixed = run(load_config(write_config(tmp_path / "b.json", cfg)))
+    assert not (out / "curves" / "error_rate.csv").exists()
+    assert not (out / "plots" / "error_rate_ina1.svg").exists()
+    manifest = json.loads((out / "bundle.json").read_text())
+    assert "stale" not in manifest and manifest["files"] == fixed.files
 
 
 @pytest.mark.parametrize("victim", ["std", "igd2"])

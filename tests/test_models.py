@@ -113,6 +113,20 @@ class TestForwardRoutes:
         with pytest.raises(ValueError, match="positive integers"):
             md.build_model(config)
 
+    @pytest.mark.parametrize("config, match", [
+        ({"kind": "mlp", "in_shape": [4], "hidden": [3]}, r"missing keys \['classes'\]"),
+        ({"kind": "cnn", "in_shape": [1, 8, 8], "classes": 2}, "missing keys"),
+        ({"kind": "mlp", "in_shape": [4], "hidden": [3], "classes": 2, "dropout": 0.5},
+         r"unknown keys \['dropout'\]"),
+        ({"kind": "linear", "in_shape": [4], "hidden": [3]}, "unknown keys"),
+        ({"kind": "linear", "in_shape": [4], "seed": 3}, "unknown keys"),
+        ({"kind": "rnn", "in_shape": [4]}, "unknown kind 'rnn'"),
+        ([1, 2], "unknown kind None"),
+    ])
+    def test_build_model_checks_keys(self, config, match):
+        with pytest.raises(ValueError, match=match):
+            md.build_model(config)
+
     def test_init_deterministic_per_seed(self):
         a = md.MLP((4,), [5], 2, seed=7)
         b = md.MLP((4,), [5], 2, seed=7)
@@ -292,6 +306,7 @@ class TestMalformedCheckpoints:
         for model in ({"kind": "rnn"}, dict(header["model"], activation="tanh"),
                       dict(header["model"], hidden="3"), [1, 2],
                       dict(header["model"], dropout=0.5),
+                      {k: v for k, v in header["model"].items() if k != "classes"},
                       dict(header["model"], hidden=[0]), dict(header["model"], hidden=[-3]),
                       dict(header["model"], classes=0), dict(header["model"], classes=-2),
                       dict(header["model"], in_shape=[1, 0, 2]),
