@@ -401,8 +401,7 @@ class ErrorRateReport:
 
 
 def error_rate(models: list[Model], spec: AttackSpec, pixels: np.ndarray,
-               labels: np.ndarray, seed: int,
-               indices: np.ndarray | None = None) -> ErrorRateReport:
+               labels: np.ndarray, seed: int) -> ErrorRateReport:
     """Attack error rates over the jointly-correct subset.
 
     Only samples every model classifies correctly when clean count; each
@@ -414,8 +413,6 @@ def error_rate(models: list[Model], spec: AttackSpec, pixels: np.ndarray,
     if not models:
         raise ValueError("need at least one model")
     labels = np.asarray(labels)
-    if indices is None:
-        indices = np.arange(len(labels))
     correct = np.stack([predict(m, pixels) == labels for m in models])
     joint = np.nonzero(correct.all(axis=0))[0]
     if len(joint) == 0:
@@ -423,8 +420,7 @@ def error_rate(models: list[Model], spec: AttackSpec, pixels: np.ndarray,
     xs, ys = np.asarray(pixels)[joint], labels[joint]
     wrong = np.zeros((len(models), len(joint)), dtype=bool)
     for mi, model in enumerate(models):
-        rngs = [seed_stream(seed, "attack", spec.label(), int(indices[si]))
-                for si in joint]
+        rngs = [seed_stream(seed, "attack", spec.label(), int(si)) for si in joint]
         wrong[mi] = predict(model, spec.apply(model, xs, ys, rngs)) != ys
     rates = tuple(float(w.mean()) for w in wrong)
-    return ErrorRateReport(rates, len(joint), indices[joint], wrong)
+    return ErrorRateReport(rates, len(joint), joint, wrong)

@@ -110,11 +110,11 @@ METHODS = {
 }
 
 
-def attribute(model: Model, x: np.ndarray, y: np.ndarray, method: str = "saliency",
-              **kwargs) -> list[AttributionMap]:
+def attribute(model: Model, x: np.ndarray, y: np.ndarray,
+              method: str = "saliency") -> list[AttributionMap]:
     if method not in METHODS:
         raise ValueError(f"unknown attribution method {method!r}")
-    return METHODS[method](model, x, y, **kwargs)
+    return METHODS[method](model, x, y)
 
 
 def load_attribution(path) -> AttributionMap:

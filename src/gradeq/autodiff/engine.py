@@ -6,14 +6,18 @@ and the eagerly computed float64 value. Node arguments always have smaller
 ids than the node itself, so the tape is topologically sorted by
 construction and a backward sweep is a single reverse pass.
 
-`grad` runs that sweep either on raw arrays (fast path) or, with
-`create_graph=True`, by emitting the adjoint computation onto the same
-tape. In the second mode the returned gradients are graph values, so
-differentiating through them again is just another `grad` call. Every
-vector-Jacobian rule is written against a namespace argument that is bound
-to raw kernels or to graph emission, which keeps the two modes from
-drifting apart. Both namespaces are generated from `_OPS`, the one list
-of op names; model forwards are written against them too.
+There are two op namespaces with the same names. The `kernels` module
+runs each op on raw arrays; a `Graph` emits each op onto its tape
+(`graph.matmul(a, b)`), its emitters set from `_OPS`, the one list of op
+names. Every vector-Jacobian rule and every model forward is written
+against a namespace argument, so the raw and the recording routes cannot
+drift apart.
+
+`grad` runs the backward sweep either on raw arrays through `kernels`
+(fast path) or, with `create_graph=True`, by emitting the adjoint
+computation onto the same tape. In the second mode the returned gradients
+are graph values, so differentiating through them again is just another
+`grad` call.
 
 ReLU backward multiplies by a constant activation mask, so its second
 derivative is identically zero; use softplus where curvature matters.
@@ -78,10 +82,10 @@ class Graph:
         self.nodes.append(node)
         return Var(self, len(self.nodes) - 1)
 
-    def var(self, value: np.ndarray, name: str | None = None) -> Var:
+    def var(self, value: np.ndarray) -> Var:
         """Differentiable leaf."""
         arr = np.asarray(value, dtype=np.float64)
-        return self._append(_Node("var", (), name, arr))
+        return self._append(_Node("var", (), None, arr))
 
     def const(self, value: np.ndarray) -> Var:
         """Non-differentiable leaf; gradients never flow into it."""
@@ -93,14 +97,15 @@ class Graph:
             if a.graph is not self:
                 raise GraphError(f"op '{op}' mixes values from different graphs")
         vals = tuple(self.nodes[a.idx].value for a in args)
-        fw = _OPS[op][0]
-        value = fw(meta, *vals)
+        kernel = getattr(kernels, op)
+        value = kernel(*vals) if meta is None else kernel(*vals, meta)
         return self._append(_Node(op, tuple(a.idx for a in args), meta, value))
 
 
 # ---------------------------------------------------------------------------
-# Primitive emitters. Shape and argument validation happens here, once,
-# so both the forward builders and the VJP rules can rely on it.
+# Primitive emitters, also set on Graph as its ops. Shape and argument
+# validation happens here, once, so both the model forwards and the VJP
+# rules can rely on it.
 
 
 def matmul(a: Var, b: Var) -> Var:
@@ -187,9 +192,11 @@ def broadcast(x: Var, shape: tuple[int, ...]) -> Var:
     return x.graph.apply("broadcast", (x,), tuple(int(s) for s in shape))
 
 
-def maxpool2(x: Var) -> Var:
-    """2x2 max pool; the argmax mask is frozen into the tape at build time."""
-    mask = kernels.pool_mask(x.value)
+def maxpool2(x: Var, mask: np.ndarray | None = None) -> Var:
+    """2x2 max pool through `mask`, by default the argmax mask of x's value;
+    either way the mask is frozen into the tape at build time."""
+    if mask is None:
+        mask = kernels.pool_mask(x.value)
     return x.graph.apply("maxpool2", (x,), mask)
 
 
@@ -197,13 +204,9 @@ def unpool2(x: Var, mask: np.ndarray) -> Var:
     return x.graph.apply("unpool2", (x,), mask)
 
 
-def pool_gather(x: Var, mask: np.ndarray) -> Var:
-    return x.graph.apply("pool_gather", (x,), mask)
-
-
 # ---------------------------------------------------------------------------
-# VJP rules. Each receives the namespace `ns` (raw kernels or graph
-# emission), the upstream adjoint `g`, ns-domain handles of the inputs and
+# VJP rules. Each receives the namespace `ns` (the `kernels` module or the
+# Graph), the upstream adjoint `g`, ns-domain handles of the inputs and
 # output, the recorded input arrays `vals`, and the static payload. They
 # return one contribution per input; None marks a blocked path.
 
@@ -300,99 +303,38 @@ def _vjp_maxpool2(ns, g, xs, vals, out, meta):
 
 
 def _vjp_unpool2(ns, g, xs, vals, out, meta):
-    return (ns.pool_gather(g, meta),)
+    return (ns.maxpool2(g, meta),)
 
 
-def _vjp_pool_gather(ns, g, xs, vals, out, meta):
-    return (ns.unpool2(g, meta),)
-
-
-def _fw_sum_axes(meta, x):
-    if not meta:
-        return x.copy()
-    return kernels.sum_axes(x, meta)
-
-
-_OPS: dict[str, tuple] = {
-    "matmul": (lambda m, a, b: kernels.matmul(a, b), _vjp_matmul),
-    "conv2d": (lambda m, x, k: kernels.conv2d(x, k, m), _vjp_conv2d),
-    "permute": (lambda m, x: kernels.permute(x, m), _vjp_permute),
-    "flip_hw": (lambda m, x: kernels.flip_hw(x), _vjp_flip_hw),
-    "reshape": (lambda m, x: kernels.reshape(x, m), _vjp_reshape),
-    "add": (lambda m, a, b: kernels.add(a, b), _vjp_add),
-    "mul": (lambda m, a, b: kernels.mul(a, b), _vjp_mul),
-    "scale": (lambda m, x: kernels.scale(x, m), _vjp_scale),
-    "relu": (lambda m, x: kernels.relu(x), _vjp_relu),
-    "softplus": (lambda m, x: kernels.softplus(x), _vjp_softplus),
-    "exp": (lambda m, x: kernels.exp(x), _vjp_exp),
-    "log": (lambda m, x: kernels.log(x), _vjp_log),
-    "rsqrt": (lambda m, x: kernels.rsqrt(x), _vjp_rsqrt),
-    "reciprocal": (lambda m, x: kernels.reciprocal(x), _vjp_reciprocal),
-    "sum_axes": (_fw_sum_axes, _vjp_sum_axes),
-    "broadcast": (lambda m, x: kernels.broadcast(x, m), _vjp_broadcast),
-    "maxpool2": (lambda m, x: kernels.maxpool2(x, m), _vjp_maxpool2),
-    "unpool2": (lambda m, x: kernels.unpool2(x, m), _vjp_unpool2),
-    "pool_gather": (lambda m, x: kernels.pool_gather(x, m), _vjp_pool_gather),
-}
-
-
-def _raw_maxpool2(x: np.ndarray) -> np.ndarray:
-    return kernels.maxpool2(x, kernels.pool_mask(x))
-
-
-class _RawNS:
-    """Every op of `_OPS` on plain arrays, through its kernel."""
-
-    @staticmethod
-    def const(arr):
-        return arr
-
-
-class _GraphNS:
-    """Every op of `_OPS` emitted onto one graph."""
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-
-    def const(self, arr):
-        return self.graph.const(arr)
-
+# the one list of op names: each maps to its VJP rule `_vjp_<op>`; the
+# forward is `kernels.<op>` and the tape emitter `<op>` above
+_OPS = {op: globals()[f"_vjp_{op}"] for op in (
+    "matmul", "conv2d", "permute", "flip_hw", "reshape", "add", "mul", "scale",
+    "relu", "softplus", "exp", "log", "rsqrt", "reciprocal", "sum_axes",
+    "broadcast", "maxpool2", "unpool2")}
 
 for _name in _OPS:
-    setattr(_RawNS, _name, staticmethod(
-        _raw_maxpool2 if _name == "maxpool2" else getattr(kernels, _name)))
-    setattr(_GraphNS, _name, staticmethod(globals()[_name]))
+    setattr(Graph, _name, staticmethod(globals()[_name]))
 del _name
 
 
-def grad(out: Var, wrts: Sequence[Var], seed: np.ndarray | None = None,
-         create_graph: bool = False) -> list:
+def grad(out: Var, wrts: Sequence[Var], *, create_graph: bool = False) -> list:
     """Gradients of `out` with respect to each entry of `wrts`.
 
     With `create_graph=False` the sweep runs on raw arrays and returns
     ndarrays. With `create_graph=True` the adjoint computation is emitted
     onto the tape and Vars come back, ready for another `grad` call.
-    Adjoints accumulate in strict reverse node order, so repeated calls on
-    the same tape are bitwise reproducible.
-
-    The seed defaults to ones of the output's shape; pass an explicit one
-    to backpropagate a different weighting.
+    The sweep starts from ones of the output's shape. Adjoints accumulate
+    in strict reverse node order, so repeated calls on the same tape are
+    bitwise reproducible.
     """
     graph = out.graph
     nodes = graph.nodes
     for w in wrts:
         if w.graph is not graph:
             raise GraphError("grad target lives on a different graph")
-    ns = _GraphNS(graph) if create_graph else _RawNS()
-    if seed is None:
-        seed = np.ones_like(nodes[out.idx].value)
-    else:
-        seed = np.asarray(seed, dtype=np.float64)
-        if seed.shape != nodes[out.idx].value.shape:
-            raise GraphError(
-                f"seed shape {seed.shape} does not match output {nodes[out.idx].value.shape}"
-            )
-    adj: dict[int, Any] = {out.idx: ns.const(seed)}
+    ns = graph if create_graph else kernels
+    adj: dict[int, Any] = {out.idx: ns.const(np.ones_like(nodes[out.idx].value))}
     for i in range(out.idx, -1, -1):
         if i not in adj:
             continue
@@ -400,14 +342,13 @@ def grad(out: Var, wrts: Sequence[Var], seed: np.ndarray | None = None,
         if node.op in ("var", "const"):
             continue
         g = adj[i]
-        vjp = _OPS[node.op][1]
+        vjp = _OPS[node.op]
+        vals = tuple(nodes[j].value for j in node.args)
         if create_graph:
             xs = tuple(Var(graph, j) for j in node.args)
             out_h = Var(graph, i)
         else:
-            xs = tuple(nodes[j].value for j in node.args)
-            out_h = node.value
-        vals = tuple(nodes[j].value for j in node.args)
+            xs, out_h = vals, node.value
         contribs = vjp(ns, g, xs, vals, out_h, node.meta)
         for j, c in zip(node.args, contribs):
             if c is None or nodes[j].op == "const":

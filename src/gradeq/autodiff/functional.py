@@ -1,7 +1,8 @@
 """Composite building blocks on top of the primitive op set.
 
 `affine`, `conv_bias` and `flatten` take an op namespace first, like the
-VJP rules, so a model forward runs on raw arrays or on a tape alike.
+VJP rules: the `kernels` module to run on raw arrays, or a `Graph` to
+emit onto its tape. So a model forward runs on either alike.
 Everything else takes and returns graph Vars; plain arrays enter only as
 constants (one-hot labels, row maxima, frozen reference gradients).
 """

@@ -1,16 +1,22 @@
-"""Raw numpy kernels for the dense-tensor op set.
+"""Raw numpy kernels for the dense-tensor op set: the raw-array op namespace.
 
-These are plain array functions with no graph bookkeeping. The graph engine
-uses them for forward evaluation, and the fast (non-recording) backward pass
-runs the same vector-Jacobian rules directly on arrays through this module.
-All arithmetic is float64; single-precision storage is a concern of model
-checkpoints, not of the engine.
+These are plain array functions with no graph bookkeeping, one per op of
+the engine's `_OPS`, plus `const` (the identity) and `pool_mask`. The graph
+engine calls them for forward evaluation, the fast (non-recording) backward
+pass runs the vector-Jacobian rules with this module as their namespace,
+and a model forward run on this module evaluates on plain arrays. Each is
+looked up here at call time. All arithmetic is float64; single-precision
+storage is a concern of model checkpoints, not of the engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+
+def const(x: np.ndarray) -> np.ndarray:
+    return x
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,6 +95,8 @@ def reciprocal(x: np.ndarray) -> np.ndarray:
 
 
 def sum_axes(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    if not axes:
+        return x.copy()  # np.sum over no axes would turn -0.0 into 0.0
     return np.sum(x, axis=axes, keepdims=True)
 
 
@@ -114,7 +122,11 @@ def pool_mask(x: np.ndarray) -> np.ndarray:
     return mask  # [n, c, h/2, w/2, 4]
 
 
-def maxpool2(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def maxpool2(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Select each 2x2 window's entry through `mask`, by default x's own
+    argmax mask; with a given mask this is the adjoint of unpool2."""
+    if mask is None:
+        mask = pool_mask(x)
     n, c, h, w = x.shape
     win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
     flat = win.reshape(n, c, h // 2, w // 2, 4)
@@ -127,11 +139,3 @@ def unpool2(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
     flat = g[..., None] * mask
     win = flat.reshape(n, c, hh, ww, 2, 2).transpose(0, 1, 2, 4, 3, 5)
     return np.ascontiguousarray(win.reshape(n, c, hh * 2, ww * 2))
-
-
-def pool_gather(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Select entries of a full-size map through the argmax mask (adjoint of unpool2)."""
-    n, c, h, w = g.shape
-    win = g.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = win.reshape(n, c, h // 2, w // 2, 4)
-    return np.sum(flat * mask, axis=-1)

@@ -47,19 +47,20 @@ def _with_stats(pixels, labels, classes) -> ImageBatch:
                       float(pixels.mean()), float(pixels.std()))
 
 
-_CIFAR_VARIANTS = {
+CIFAR_VARIANTS = {
     "cifar10": (1, 10),  # label bytes per record, class count
     "cifar100": (2, 100),  # coarse byte then fine byte; fine is the label
 }
+IMAGE_SIDE = 32  # side of a CIFAR image, and of a blob image by default
 
 
 def load_cifar(path, variant: str = "cifar10") -> ImageBatch:
     """Parse the CIFAR binary layout: label byte(s), then 3072 pixel bytes
     as full R, G, B planes of a row-major 32x32 image, scaled by 1/255."""
-    if variant not in _CIFAR_VARIANTS:
+    if variant not in CIFAR_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    label_bytes, classes = _CIFAR_VARIANTS[variant]
-    record = label_bytes + 3072
+    label_bytes, classes = CIFAR_VARIANTS[variant]
+    record = label_bytes + 3 * IMAGE_SIDE**2
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size == 0 or raw.size % record:
         raise ValueError(
@@ -69,7 +70,7 @@ def load_cifar(path, variant: str = "cifar10") -> ImageBatch:
     labels = rows[:, label_bytes - 1].astype(np.int64)  # fine label for cifar100
     if labels.max() >= classes:
         raise ValueError(f"label {labels.max()} out of range for {classes} classes")
-    pixels = rows[:, label_bytes:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
+    pixels = rows[:, label_bytes:].reshape(-1, 3, IMAGE_SIDE, IMAGE_SIDE).astype(np.float64) / 255.0
     return _with_stats(pixels, labels, classes)
 
 
@@ -82,19 +83,30 @@ def blob_centers(resolution: int, classes: int) -> np.ndarray:
 
 
 _BLOB_INTS = {"n": 1, "resolution": 8, "classes": 2, "channels": 1, "seed": None}
+# float argument: (test beyond finiteness, what it must be)
+_BLOB_FLOATS = {"background": (None, "a finite number"),
+                "amplitude": (None, "a finite number"),
+                "spread": (lambda v: v > 0, "a finite number > 0"),
+                "noise": (lambda v: v >= 0, "a finite number >= 0"),
+                "jitter": (None, "a finite number")}
 
 
 def check_blob_args(args: dict) -> None:
-    """Refuse an integer argument of `synth_blobs` in `args` that is not an
-    integer (a bool is not) or is below its least value."""
+    """Refuse an argument of `synth_blobs` in `args` of the wrong type (a
+    bool is neither an integer nor a number) or out of its range."""
     for name, least in _BLOB_INTS.items():
         v = args.get(name)
         if name in args and not (is_int(v) and (least is None or v >= least)):
             need = "an integer" if least is None else f"an integer >= {least}"
             raise ValueError(f"{name} must be {need}, got {v!r}")
+    for name, (ok, need) in _BLOB_FLOATS.items():
+        v = args.get(name)
+        finite = is_int(v) or isinstance(v, float) and np.isfinite(v)
+        if name in args and not (finite and (ok is None or ok(v))):
+            raise ValueError(f"{name} must be {need}, got {v!r}")
 
 
-def synth_blobs(n: int, resolution: int = 32, classes: int = 4, seed: int = 0,
+def synth_blobs(n: int, resolution: int = IMAGE_SIDE, classes: int = 4, seed: int = 0,
                 channels: int = 1, background: float = 0.2, amplitude: float = 0.5,
                 spread: float = 4.0, noise: float = 0.15, jitter: float = 2.0) -> ImageBatch:
     """Class-conditional Gaussian bumps over a noisy background.
@@ -105,7 +117,9 @@ def synth_blobs(n: int, resolution: int = 32, classes: int = 4, seed: int = 0,
     function of the seed.
     """
     check_blob_args({"n": n, "resolution": resolution, "classes": classes,
-                     "channels": channels, "seed": seed})
+                     "channels": channels, "seed": seed, "background": background,
+                     "amplitude": amplitude, "spread": spread, "noise": noise,
+                     "jitter": jitter})
     rng = seed_stream(seed, "blobs", resolution, classes)
     labels = np.arange(n, dtype=np.int64) % classes
     centers = blob_centers(resolution, classes)

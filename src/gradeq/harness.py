@@ -25,7 +25,8 @@ import numpy as np
 
 from . import attribution
 from .attacks import AttackSpec, corrupt, error_rate, pgd
-from .data import ImageBatch, check_blob_args, load_cifar, synth_blobs, train_val_split
+from .data import (CIFAR_VARIANTS, IMAGE_SIDE, ImageBatch, check_blob_args, load_cifar,
+                   synth_blobs, train_val_split)
 from .inequality import GiniReport, gini_exact, mean_gini, region_blocks
 from .models import (IntegrityError, Model, atomic_write, build_model, check_keys,
                      check_kind, is_int, load_checkpoint, save_checkpoint)
@@ -137,10 +138,27 @@ def _section(given: dict, section: str | None) -> SimpleNamespace:
 
 
 def _dataset(d: dict, seed: int) -> dict:
-    if check_kind(d, _DATASET_KEYS) != "blobs":
+    kind = check_kind(d, _DATASET_KEYS)
+    if kind == "cifar" and "variant" in d and d["variant"] not in CIFAR_VARIANTS:
+        raise ValueError(f"variant must be one of {list(CIFAR_VARIANTS)}, got {d['variant']!r}")
+    if kind != "blobs":
         return d
     check_blob_args(d)
     return {"seed": seed} | d  # blobs without a seed of their own take the run's
+
+
+def _check_ks(config: "ExperimentConfig") -> None:
+    """Refuse an attack `k` or a `theory.ks` entry above the image's pixel
+    count; an attribution file's count is known only to the file."""
+    kind = config.dataset["kind"]
+    if kind == "attribution_file":
+        return
+    pixels = (config.dataset.get("resolution", IMAGE_SIDE) if kind == "blobs" else IMAGE_SIDE) ** 2
+    ks = [(f"attacks[{i}]: k", spec.k) for i, (_, spec) in enumerate(config.attacks)]
+    ks += [("theory.ks entry", k) for k in config.theory.ks] if config.theory else []
+    for what, k in ks:
+        if k > pixels:
+            raise ConfigError(f"{what} must be at most the image's {pixels} pixels, got {k}")
 
 
 def _named(entries: list, section: str, parse) -> tuple:
@@ -235,6 +253,7 @@ def load_config(path, seed: int | None = None, out=None) -> ExperimentConfig:
         theory=_section(cfg["theory"], "theory") if "theory" in cfg else None,
         corrupt=_section(cfg["corrupt"], "corrupt") if "corrupt" in cfg else None,
         attacks=_named(top.attacks, "attacks", lambda entry, _: AttackSpec.parse(entry)))
+    _check_ks(config)
     # the teachers' checkpoint paths need the digest, seed and out above
     return replace(config, train=_named(
         top.train, "train", lambda entry, earlier: _train_entry(entry, earlier, config)))

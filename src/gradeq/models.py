@@ -2,9 +2,10 @@
 
 Each model writes its forward once, as `_forward(ns, x, p)` against an op
 namespace of the autodiff engine, the way the engine's VJP rules are
-written. `logits` runs it on raw float64 arrays for evaluation;
-`graph_logits` runs it on an autodiff tape for training and attribution,
-so the two routes agree bit for bit. The independent cross-check (a
+written. `logits` runs it with the `kernels` module on raw float64 arrays
+for evaluation; `graph_logits` runs it with the input's `Graph`, which
+emits every op onto the tape, for training and attribution, so the two
+routes agree bit for bit. The independent cross-check (a
 shift-and-add convolution and a direct 2x2 max) lives in the tests.
 
 Parameters are stored float32 and promoted to float64 inside either
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ag
-from .autodiff.engine import _GraphNS, _RawNS
+from .autodiff import kernels
 from .autodiff.functional import affine, conv_bias, flatten
 from .seeding import seed_stream
 
@@ -85,13 +86,13 @@ class _OneForward:
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         p = {k: v.astype(np.float64) for k, v in self.params.items()}
-        return self._forward(_RawNS, np.asarray(x, dtype=np.float64), p)
+        return self._forward(kernels, np.asarray(x, dtype=np.float64), p)
 
     def bind(self, graph: ag.Graph) -> dict[str, ag.Var]:
-        return {name: graph.var(arr, name) for name, arr in self.params.items()}
+        return {name: graph.var(arr) for name, arr in self.params.items()}
 
     def graph_logits(self, xv: ag.Var, pv: dict[str, ag.Var]) -> ag.Var:
-        return self._forward(_GraphNS(xv.graph), xv, pv)
+        return self._forward(xv.graph, xv, pv)
 
 
 class MLP(_OneForward):

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ag
-from .autodiff.engine import _GraphNS
 from .attacks import PGD_EPS, PGD_ITERS, PGD_STEP, pgd
 from .attribution import input_gradients, saliency
 from .data import ImageBatch, cutout, train_val_split
@@ -107,7 +106,7 @@ def igd_loss(student: Model, teacher: Model | None, x: np.ndarray,
         xv = g.var(np.asarray(x, dtype=np.float64))
         score = ag.picked_rows(student.graph_logits(xv, pv), y)
         (gx,) = ag.grad(ag.sum_all(score), [xv], create_graph=True)
-        cos, flags = ag.cosine_rows(ag.flatten(_GraphNS(g), gx), ref)
+        cos, flags = ag.cosine_rows(ag.flatten(g, gx), ref)
         cmean = ag.mean_all(cos)
         total = ag.add(ce, ag.scale(cmean, -lam))
         cos_val = float(cmean.value)
@@ -178,7 +177,7 @@ def train(config: TrainConfig, data: ImageBatch,
     The held-out validation split drives both the plateau scheduler and
     the returned parameters: the best epoch by clean accuracy for
     standard training, by PGD-eval accuracy for the adversarial methods.
-    A non-finite loss aborts and returns the record so far.
+    A non-finite loss or parameter aborts and returns the record so far.
     """
     teacher = _load_teacher(config, teacher)
     student = build_model(config.model, seed=config.seed)
@@ -216,17 +215,16 @@ def train(config: TrainConfig, data: ImageBatch,
             except ag.NonFiniteError:
                 aborted = True
                 break
-            if not np.isfinite(parts.total):
-                aborted = True
-                break
-            # a diverging run overflows here and is caught as a non-finite
-            # loss on the next batch, so the cast may warn spuriously
+            # a diverging run overflows here; a non-finite parameter aborts it
             with np.errstate(over="ignore"):
                 for name, p in student.params.items():
                     g = parts.grads[name] + config.weight_decay * p.astype(np.float64)
                     velocity[name] = config.momentum * velocity[name] + g
                     updated = p.astype(np.float64) - lr * velocity[name]
                     student.params[name] = updated.astype(p.dtype)
+            if not all(np.isfinite(p).all() for p in student.params.values()):
+                aborted = True
+                break
             sums += (parts.total * len(idx), parts.ce * len(idx),
                      parts.cos_mean * len(idx))
             degen += int(parts.degenerate.sum())

@@ -114,7 +114,7 @@ class TestFirstOrder:
         x0 = rng.normal(size=(4, 5))
 
         def build(g, x):
-            z = ag.affine(engine._GraphNS(g), x, g.var(w), g.var(b))
+            z = ag.affine(g, x, g.var(w), g.var(b))
             return ag.cross_entropy_mean(z, labels)
 
         check_grad(build, x0)
@@ -280,7 +280,7 @@ class TestDeterminism:
         g = ag.Graph()
         x = g.var(rng.normal(size=(2, 1, 8, 8)))
         k = g.var(rng.normal(size=(3, 1, 3, 3)) * 0.5)
-        ns = engine._GraphNS(g)
+        ns = g
         y = ag.maxpool2(ag.softplus(ag.conv_bias(ns, x, k, g.var(rng.normal(size=(3,))), 1)))
         z = ag.affine(ns, ag.flatten(ns, y), g.var(rng.normal(size=(48, 4)) * 0.3),
                       g.var(np.zeros(4)))
@@ -351,7 +351,7 @@ class TestKernelAdjoints:
         small = rng.normal(size=(2, 3, 3, 3))
         big = rng.normal(size=(2, 3, 6, 6))
         lhs = np.sum(kernels.unpool2(small, mask) * big)
-        rhs = np.sum(small * kernels.pool_gather(big, mask))
+        rhs = np.sum(small * kernels.maxpool2(big, mask))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_conv_input_adjoint_identity(self):
@@ -370,3 +370,60 @@ class TestKernelAdjoints:
         )
         np.testing.assert_allclose(gx, rhs_probe, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(np.sum(gx * x0), lhs, rtol=1e-10)
+
+
+class TestOneDispatch:
+    """Each op of `_OPS` runs through one kernel in `kernels` and is emitted
+    by one method of `Graph`, and the tape records what the kernel computes."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(60)
+        x = rng.normal(size=(2, 3, 4))
+        img = rng.normal(size=(2, 2, 4, 4))
+        pos = rng.uniform(0.5, 2.0, size=(3, 4))
+        small = rng.normal(size=(3, 4))
+        return {
+            "matmul": ((small, rng.normal(size=(4, 2))), ()),
+            "conv2d": ((img, rng.normal(size=(3, 2, 3, 3))), (1,)),
+            "permute": ((x,), ((2, 0, 1),)),
+            "flip_hw": ((img,), ()),
+            "reshape": ((x,), ((4, 6),)),
+            "add": ((small, pos), ()),
+            "mul": ((small, pos), ()),
+            "scale": ((small,), (-2.5,)),
+            "relu": ((small,), ()),
+            "softplus": ((small,), ()),
+            "exp": ((small,), ()),
+            "log": ((pos,), ()),
+            "rsqrt": ((pos,), ()),
+            "reciprocal": ((pos,), ()),
+            "sum_axes": ((x,), ((0, 2),)),
+            "broadcast": ((rng.normal(size=(1, 3, 1)),), ((2, 3, 4),)),
+            "maxpool2": ((img,), ()),
+            "unpool2": ((rng.normal(size=(2, 2, 2, 2)),), (kernels.pool_mask(img),)),
+        }
+
+    def test_every_op_has_one_kernel_and_one_emitter(self):
+        public = {name for name, f in vars(kernels).items()
+                  if callable(f) and getattr(f, "__module__", None) == kernels.__name__
+                  and not name.startswith("_")}
+        assert public - {"pool_mask", "const"} == set(engine._OPS)
+        assert set(self._cases()) == set(engine._OPS)
+        for op in engine._OPS:
+            assert callable(getattr(kernels, op)) and callable(getattr(ag.Graph, op))
+
+    @pytest.mark.parametrize("op", sorted(engine._OPS))
+    def test_tape_value_is_the_kernel_result(self, op):
+        arrays, payload = self._cases()[op]
+        g = ag.Graph()
+        got = getattr(g, op)(*(g.const(a) for a in arrays), *payload).value
+        want = getattr(kernels, op)(*arrays, *payload)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_sum_over_no_axes_keeps_negative_zero(self):
+        x = np.array([[-0.0, 1.5], [2.0, -0.0]])
+        g = ag.Graph()
+        for out in (kernels.sum_axes(x, ()), g.sum_axes(g.const(x), ()).value):
+            assert np.array_equal(np.signbit(out), np.signbit(x))
+            assert out is not x

@@ -27,7 +27,6 @@ from gradeq.attacks import (AttackSpec, IoaOutcome, IoaStep, apply_spec,
                             build_topk_mask, clipped_square, corrupt, error_rate,
                             ina1, ina2, ioa, pgd, rn)
 from gradeq.attribution import attribute, input_gradients
-from gradeq.autodiff.engine import _GraphNS
 from gradeq.data import synth_blobs
 from gradeq.models import CNN, MLP, linearize, predict
 from gradeq.seeding import seed_stream
@@ -178,7 +177,7 @@ class _LogSumModel:
         return {}
 
     def graph_logits(self, xv, params):
-        s = ag.log(ag.sum_axes(ag.flatten(_GraphNS(xv.graph), xv), (1,)))  # [N,1]
+        s = ag.log(ag.sum_axes(ag.flatten(xv.graph, xv), (1,)))  # [N,1]
         return ag.matmul(s, xv.graph.const(np.array([[0.0, 1.0]])))
 
     def logits(self, x):

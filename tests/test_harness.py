@@ -204,6 +204,17 @@ def test_missing_file(tmp_path):
     ("train.0", "weight_decay", float("nan")),
     ("attacks.2", "eps", "0.03"),
     ("attacks.2", "step", float("inf")),
+    ("attacks.0", "k", 65),
+    ("theory", "ks", [2, 65]),
+    ("dataset", "background", "0.2"),
+    ("dataset", "amplitude", float("nan")),
+    ("dataset", "spread", 0),
+    ("dataset", "spread", -1.5),
+    ("dataset", "noise", "x"),
+    ("dataset", "noise", -0.05),
+    ("dataset", "jitter", True),
+    ("dataset", "jitter", None),
+    (None, "dataset", {"kind": "cifar", "path": "train.bin", "variant": "cifar11"}),
 ])
 def test_bad_values_rejected_at_load(tmp_path, section, key, value):
     """Refused at load, before any model trains: severity 0 would index
@@ -227,6 +238,16 @@ def test_bad_ioa_rejected_at_load(tmp_path, key, value):
     cfg = base_config(tmp_path / "o")
     cfg["attacks"].append({"name": "occlude", "kind": "ioa", key: value})
     with pytest.raises(ConfigError, match=r"attacks\[3\].*" + key):
+        load_config(write_config(tmp_path / "c.json", cfg))
+
+
+def test_k_above_cifar_pixels_rejected_at_load(tmp_path):
+    """A CIFAR image has 32 * 32 pixels, so k = 1025 cannot be drawn."""
+    cfg = base_config(tmp_path / "o")
+    cfg["dataset"] = {"kind": "cifar", "path": "train.bin"}
+    load_config(write_config(tmp_path / "c.json", cfg))
+    cfg["attacks"][0]["k"] = 1025
+    with pytest.raises(ConfigError, match=r"attacks\[0\].*1024 pixels"):
         load_config(write_config(tmp_path / "c.json", cfg))
 
 

@@ -221,6 +221,18 @@ class TestTrain:
         assert record.aborted
         assert len(record.rows) < 4
 
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_on_last_batch_aborts(self):
+        """A run that diverges on an epoch's last batch aborts right after
+        that update instead of evaluating the overflowed parameters."""
+        cfg = tr.TrainConfig(method="standard", model={
+            "kind": "mlp", "in_shape": [1, 8, 8], "hidden": [8], "classes": 2},
+            epochs=3, batch_size=64, lr=1e30, seed=0)
+        model, record = tr.train(cfg, synth_blobs(40, resolution=8, classes=2, seed=1))
+        assert record.aborted
+        assert len(record.rows) == 1 and record.best_epoch == 0
+        assert all(np.isfinite(p).all() for p in model.params.values())
+
     def test_igd_records_cosine(self):
         data = blobs()
         teacher, _ = tr.train(blob_config("standard", epochs=2), data)
