@@ -253,7 +253,15 @@ def ioa(model: Model, xs: np.ndarray, ys: np.ndarray, n_max: int, r_max: int,
 # ---------------------------------------------------------------------------
 # Synthetic corruptions
 
-CORRUPT_KINDS = ("gaussian", "shot", "impulse")
+# Corruption severity ladders, mildest first. Gaussian values are sigma on
+# the [0,1] pixel scale; shot is the rate multiplier (smaller = noisier);
+# impulse is the flipped-pixel fraction.
+SEVERITY = {
+    "gaussian": [0.04, 0.06, 0.08, 0.09, 0.10],
+    "shot": [60.0, 25.0, 12.0, 5.0, 3.0],
+    "impulse": [0.03, 0.06, 0.09, 0.17, 0.27],
+}
+CORRUPT_KINDS = tuple(SEVERITY)
 
 
 def corrupt(x: np.ndarray, kind: str, param: float,

@@ -1,18 +1,21 @@
 """Image batches: CIFAR binary ingestion, synthetic blobs, cutout.
 
 All pixels live in [0,1]; attacks and attributions consume this space
-directly. A batch carries the scalar mean/std of its training split so
-occlusion fills and the deviation analysis reference one agreed pair of
-statistics.
+directly. A batch carries the scalar pixel mean of its training split,
+which cutout paints its holes with. The arguments of `synth_blobs` and
+`load_cifar` are the keys of a config's dataset entry, and the
+annotations of `synth_blobs` the types of its values.
 """
 
 from __future__ import annotations
 
+import inspect
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import is_int
+from .models import check_types
 from .seeding import seed_stream
 
 
@@ -21,8 +24,7 @@ class ImageBatch:
     pixels: np.ndarray  # [N, C, H, W], float64, values in [0, 1]
     labels: np.ndarray  # [N], int64
     classes: int
-    mean: float  # scalar pixel stats of the originating training split
-    std: float
+    mean: float  # scalar pixel mean of the originating training split
 
     def __post_init__(self):
         if self.pixels.ndim != 4:
@@ -38,13 +40,8 @@ class ImageBatch:
         return len(self.labels)
 
     def subset(self, idx) -> "ImageBatch":
-        """Row selection; inherits this batch's statistics."""
+        """Row selection; inherits this batch's mean."""
         return replace(self, pixels=self.pixels[idx], labels=self.labels[idx])
-
-
-def _with_stats(pixels, labels, classes) -> ImageBatch:
-    return ImageBatch(pixels, labels, classes,
-                      float(pixels.mean()), float(pixels.std()))
 
 
 CIFAR_VARIANTS = {
@@ -71,7 +68,7 @@ def load_cifar(path, variant: str = "cifar10") -> ImageBatch:
     if labels.max() >= classes:
         raise ValueError(f"label {labels.max()} out of range for {classes} classes")
     pixels = rows[:, label_bytes:].reshape(-1, 3, IMAGE_SIDE, IMAGE_SIDE).astype(np.float64) / 255.0
-    return _with_stats(pixels, labels, classes)
+    return ImageBatch(pixels, labels, classes, float(pixels.mean()))
 
 
 def blob_centers(resolution: int, classes: int) -> np.ndarray:
@@ -82,28 +79,20 @@ def blob_centers(resolution: int, classes: int) -> np.ndarray:
     return np.stack([mid + radius * np.sin(angles), mid + radius * np.cos(angles)], axis=1)
 
 
-_BLOB_INTS = {"n": 1, "resolution": 8, "classes": 2, "channels": 1, "seed": None}
-# float argument: (test beyond finiteness, what it must be)
-_BLOB_FLOATS = {"background": (None, "a finite number"),
-                "amplitude": (None, "a finite number"),
-                "spread": (lambda v: v > 0, "a finite number > 0"),
-                "noise": (lambda v: v >= 0, "a finite number >= 0"),
-                "jitter": (None, "a finite number")}
-
-
 def check_blob_args(args: dict) -> None:
-    """Refuse an argument of `synth_blobs` in `args` of the wrong type (a
-    bool is neither an integer nor a number) or out of its range."""
-    for name, least in _BLOB_INTS.items():
-        v = args.get(name)
-        if name in args and not (is_int(v) and (least is None or v >= least)):
-            need = "an integer" if least is None else f"an integer >= {least}"
-            raise ValueError(f"{name} must be {need}, got {v!r}")
-    for name, (ok, need) in _BLOB_FLOATS.items():
-        v = args.get(name)
-        finite = is_int(v) or isinstance(v, float) and np.isfinite(v)
-        if name in args and not (finite and (ok is None or ok(v))):
-            raise ValueError(f"{name} must be {need}, got {v!r}")
+    """Refuse an argument of `synth_blobs` in `args` that is not of its
+    annotated type (a bool is neither an integer nor a number) or is beyond
+    its limit in `_BLOB_LIMITS`."""
+    params = inspect.signature(synth_blobs).parameters
+    check_types((name, params[name].annotation, v) for name, v in args.items())
+    for name, (op, least) in _BLOB_LIMITS.items():
+        if name in args and not {">=": operator.ge, ">": operator.gt}[op](args[name], least):
+            raise ValueError(f"{name} must be {op} {least}, got {args[name]!r}")
+
+
+# the least value of a `synth_blobs` argument; its annotation gives its type
+_BLOB_LIMITS = {"n": (">=", 1), "resolution": (">=", 8), "classes": (">=", 2),
+                "channels": (">=", 1), "spread": (">", 0), "noise": (">=", 0)}
 
 
 def synth_blobs(n: int, resolution: int = IMAGE_SIDE, classes: int = 4, seed: int = 0,
@@ -116,10 +105,7 @@ def synth_blobs(n: int, resolution: int = IMAGE_SIDE, classes: int = 4, seed: in
     [0,1]. Classes are balanced round-robin and the whole batch is a pure
     function of the seed.
     """
-    check_blob_args({"n": n, "resolution": resolution, "classes": classes,
-                     "channels": channels, "seed": seed, "background": background,
-                     "amplitude": amplitude, "spread": spread, "noise": noise,
-                     "jitter": jitter})
+    check_blob_args(locals())
     rng = seed_stream(seed, "blobs", resolution, classes)
     labels = np.arange(n, dtype=np.int64) % classes
     centers = blob_centers(resolution, classes)
@@ -133,19 +119,19 @@ def synth_blobs(n: int, resolution: int = IMAGE_SIDE, classes: int = 4, seed: in
     pixels = np.clip(field[:, None, :, :], 0.0, 1.0)
     if channels > 1:
         pixels = np.repeat(pixels, channels, axis=1)
-    return _with_stats(pixels, labels, classes)
+    return ImageBatch(pixels, labels, classes, float(pixels.mean()))
 
 
 def train_val_split(batch: ImageBatch, val_fraction: float, seed: int) -> tuple[ImageBatch, ImageBatch]:
-    """Deterministic shuffle-split; both halves keep the train half's stats."""
+    """Deterministic shuffle-split; both halves keep the train half's mean."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in (0,1), got {val_fraction}")
     order = seed_stream(seed, "split").permutation(len(batch))
     n_val = max(1, int(round(len(batch) * val_fraction)))
     val_idx, train_idx = order[:n_val], order[n_val:]
-    train = _with_stats(batch.pixels[train_idx], batch.labels[train_idx], batch.classes)
-    val = ImageBatch(batch.pixels[val_idx], batch.labels[val_idx], batch.classes,
-                     train.mean, train.std)
+    train_px = batch.pixels[train_idx]
+    train = ImageBatch(train_px, batch.labels[train_idx], batch.classes, float(train_px.mean()))
+    val = ImageBatch(batch.pixels[val_idx], batch.labels[val_idx], batch.classes, train.mean)
     return train, val
 
 

@@ -12,7 +12,7 @@ the bundle manifest.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 import hashlib
@@ -24,12 +24,12 @@ import xml.sax.saxutils
 import numpy as np
 
 from . import attribution
-from .attacks import AttackSpec, corrupt, error_rate, pgd
+from .attacks import SEVERITY, AttackSpec, corrupt, error_rate, pgd
 from .data import (CIFAR_VARIANTS, IMAGE_SIDE, ImageBatch, check_blob_args, load_cifar,
                    synth_blobs, train_val_split)
 from .inequality import GiniReport, gini_exact, mean_gini, region_blocks
 from .models import (IntegrityError, Model, atomic_write, build_model, check_keys,
-                     check_kind, is_int, load_checkpoint, save_checkpoint)
+                     check_kind, is_int, load_checkpoint, save_checkpoint, signature_keys)
 from .seeding import seed_stream
 from .theory import SELECTIONS, sweep_mask_stats
 from .training import EpochRow, TrainConfig, accuracy, train
@@ -45,15 +45,6 @@ class StageError(RuntimeError):
         self.stage = stage
         self.cause = cause
 
-
-# Corruption severity ladders, mildest first. Gaussian values are sigma on
-# the [0,1] pixel scale; shot is the rate multiplier (smaller = noisier);
-# impulse is the flipped-pixel fraction.
-SEVERITY = {
-    "gaussian": [0.04, 0.06, 0.08, 0.09, 0.10],
-    "shot": [60.0, 25.0, 12.0, 5.0, 3.0],
-    "impulse": [0.03, 0.06, 0.09, 0.17, 0.27],
-}
 
 STAGES = ("data", "train", "tables", "attack", "theory", "corrupt", "plots")
 
@@ -113,12 +104,14 @@ _VALUES = {
     },
 }
 
-_DATASET_KEYS = {
-    "blobs": ({"n"}, {"resolution", "classes", "seed", "channels", "background",
-                      "amplitude", "spread", "noise", "jitter"}),
-    "cifar": ({"path"}, {"variant"}),
-    "attribution_file": ({"path"}, set()),
-}
+
+def _loaders() -> dict:
+    """kind: the loader a dataset entry is read by; the entry's other keys are
+    its arguments. Built when called, so a name rebound on this module (as
+    the benchmark's tracer does) is the one that runs."""
+    return {"blobs": synth_blobs, "cifar": load_cifar,
+            "attribution_file": attribution.load_attribution}
+
 
 _TRAIN_OPTIONAL = {f.name for f in fields(TrainConfig)} - {"method", "model", "seed"}
 
@@ -138,27 +131,32 @@ def _section(given: dict, section: str | None) -> SimpleNamespace:
 
 
 def _dataset(d: dict, seed: int) -> dict:
-    kind = check_kind(d, _DATASET_KEYS)
+    kind = check_kind(d, {k: signature_keys(f) for k, f in _loaders().items()})
     if kind == "cifar" and "variant" in d and d["variant"] not in CIFAR_VARIANTS:
         raise ValueError(f"variant must be one of {list(CIFAR_VARIANTS)}, got {d['variant']!r}")
     if kind != "blobs":
         return d
-    check_blob_args(d)
+    check_blob_args({k: v for k, v in d.items() if k != "kind"})
     return {"seed": seed} | d  # blobs without a seed of their own take the run's
 
 
-def _check_ks(config: "ExperimentConfig") -> None:
+def _check_image_bounds(config: "ExperimentConfig") -> None:
     """Refuse an attack `k` or a `theory.ks` entry above the image's pixel
-    count; an attribution file's count is known only to the file."""
+    count, and a train entry's `cutout_hole` above its side; an attribution
+    file's size is known only to the file."""
     kind = config.dataset["kind"]
     if kind == "attribution_file":
         return
-    pixels = (config.dataset.get("resolution", IMAGE_SIDE) if kind == "blobs" else IMAGE_SIDE) ** 2
+    side = config.dataset.get("resolution", IMAGE_SIDE) if kind == "blobs" else IMAGE_SIDE
     ks = [(f"attacks[{i}]: k", spec.k) for i, (_, spec) in enumerate(config.attacks)]
     ks += [("theory.ks entry", k) for k in config.theory.ks] if config.theory else []
     for what, k in ks:
-        if k > pixels:
-            raise ConfigError(f"{what} must be at most the image's {pixels} pixels, got {k}")
+        if k > side**2:
+            raise ConfigError(f"{what} must be at most the image's {side**2} pixels, got {k}")
+    for i, (_, tcfg) in enumerate(config.train):
+        if tcfg.cutout_hole > side:
+            raise ConfigError(f"train[{i}]: cutout_hole must be at most the image's "
+                              f"side {side}, got {tcfg.cutout_hole}")
 
 
 def _named(entries: list, section: str, parse) -> tuple:
@@ -178,8 +176,9 @@ def _named(entries: list, section: str, parse) -> tuple:
     return tuple(parsed)
 
 
-def _train_entry(entry: dict, earlier: list, config: "ExperimentConfig") -> TrainConfig:
-    """An igd entry's `teacher` names an earlier entry; it becomes its checkpoint."""
+def _train_entry(entry: dict, earlier: list, seed: int) -> TrainConfig:
+    """An igd entry's `teacher` names an earlier entry, whose model the train
+    stage hands to `train`."""
     check_keys(entry, {"method", "model"}, _TRAIN_OPTIONAL)
     teacher = entry.get("teacher")
     if entry["method"] == "igd":
@@ -190,9 +189,7 @@ def _train_entry(entry: dict, earlier: list, config: "ExperimentConfig") -> Trai
     with _at("model"):
         build_model(entry["model"])
     # lam stays as written, 0 when absent: checkpoints record it so
-    return TrainConfig(**entry | {
-        "lam": entry.get("lam", 0), "seed": config.seed,
-        "teacher": config.checkpoint(teacher) if teacher else None})
+    return TrainConfig(**entry | {"lam": entry.get("lam", 0), "seed": seed})
 
 
 @dataclass(frozen=True)
@@ -252,11 +249,11 @@ def load_config(path, seed: int | None = None, out=None) -> ExperimentConfig:
         gini=_section(cfg.get("gini", {}), "gini"),
         theory=_section(cfg["theory"], "theory") if "theory" in cfg else None,
         corrupt=_section(cfg["corrupt"], "corrupt") if "corrupt" in cfg else None,
-        attacks=_named(top.attacks, "attacks", lambda entry, _: AttackSpec.parse(entry)))
-    _check_ks(config)
-    # the teachers' checkpoint paths need the digest, seed and out above
-    return replace(config, train=_named(
-        top.train, "train", lambda entry, earlier: _train_entry(entry, earlier, config)))
+        attacks=_named(top.attacks, "attacks", lambda entry, _: AttackSpec.parse(entry)),
+        train=_named(top.train, "train",
+                     lambda entry, earlier: _train_entry(entry, earlier, use_seed)))
+    _check_image_bounds(config)
+    return config
 
 
 # --------------------------------------------------------------------------
@@ -404,8 +401,7 @@ def _stage_data(state: RunState) -> None:
     kind = cfg.dataset["kind"]
     if kind == "attribution_file":
         return  # handled by the tables stage directly
-    args = {k: v for k, v in cfg.dataset.items() if k != "kind"}
-    batch = synth_blobs(**args) if kind == "blobs" else load_cifar(**args)
+    batch = _loaders()[kind](**{k: v for k, v in cfg.dataset.items() if k != "kind"})
     state.data, state.holdout = train_val_split(batch, cfg.eval_fraction, cfg.seed)
     state.holdout = state.holdout_subset(cfg.eval_limit)
     state.log(f"data: pool={len(state.data.labels)} holdout={len(state.holdout.labels)}")
@@ -426,7 +422,8 @@ def _stage_train(state: RunState) -> None:
                     state.files.append(record_rel)
                 state.log(f"train: {name} cached ({extra.get('best_epoch')})")
                 continue
-        model, record = train(tcfg, state.data)
+        teacher = state.models[tcfg.teacher] if tcfg.teacher else None
+        model, record = train(tcfg, state.data, teacher)
         state.models[name] = model
         ckpt.parent.mkdir(parents=True, exist_ok=True)
         save_checkpoint(ckpt, model, {
@@ -467,8 +464,7 @@ def _stage_tables(state: RunState) -> None:
     trained = dict(cfg.train)
     gini_rows, l1_rows, conf_rows = [], [], []
     for name, model in state.models.items():
-        tcfg = trained.get(name)
-        meth, lam = (tcfg.method, tcfg.lam) if tcfg else ("?", 0)
+        meth, lam = trained[name].method, trained[name].lam
         clean = accuracy(model, px, lab)
         adv_x = pgd(model, px, lab, rng=seed_stream(cfg.seed, "tables-pgd", name)).x_adv
         adv = accuracy(model, adv_x, lab)

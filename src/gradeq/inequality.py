@@ -157,19 +157,19 @@ class ReduceTrace:
         return [gini_exact(w) for w in self.states()]
 
 
-def monotonic_reduce(weights, recipient: int, donor: int, delta) -> ReduceTrace:
-    """Move `delta` of mass from weights[donor] to weights[recipient].
+def _untie(w: list, a: int, b: int) -> tuple[int, int]:
+    """(a, b) moved inward past the entries tied with w[a] and with w[b]."""
+    while a + 1 <= b and w[a + 1] == w[a]:
+        a += 1
+    while b - 1 >= a and w[b - 1] == w[b]:
+        b -= 1
+    return a, b
 
-    Input must be ascending and nonnegative with recipient < donor. The
-    move is decomposed into elementary transfers, each bounded by the gap
-    to the next position (after skipping ties), so the sequence stays
-    ascending throughout and every step is a strict equalization: the
-    Gini coefficient drops at every step and the total is conserved
-    exactly.
 
-    Requires 2 * delta <= weights[donor] - weights[recipient]; a larger
-    move would push the two positions past each other.
-    """
+def _transfer(weights, recipient: int, donor: int, delta) -> tuple[list, Fraction, int, int]:
+    """Exact weights and delta of a move from weights[donor] to
+    weights[recipient], refused unless it meets `monotonic_reduce`'s
+    requirements, and the tie-adjusted positions it starts from."""
     w = [Fraction(v) for v in weights]
     n = len(w)
     if not 0 <= recipient < donor < n:
@@ -186,15 +186,25 @@ def monotonic_reduce(weights, recipient: int, donor: int, delta) -> ReduceTrace:
             f"delta {float(delta)} exceeds half the donor-recipient gap "
             f"{float(w[donor] - w[recipient])}; positions would cross"
         )
+    return (w, delta, *_untie(w, recipient, donor))
 
-    a, b = recipient, donor
-    remaining = delta
+
+def monotonic_reduce(weights, recipient: int, donor: int, delta) -> ReduceTrace:
+    """Move `delta` of mass from weights[donor] to weights[recipient].
+
+    Input must be ascending and nonnegative with recipient < donor. The
+    move is decomposed into elementary transfers, each bounded by the gap
+    to the next position (after skipping ties), so the sequence stays
+    ascending throughout and every step is a strict equalization: the
+    Gini coefficient drops at every step and the total is conserved
+    exactly.
+
+    Requires 2 * delta <= weights[donor] - weights[recipient]; a larger
+    move would push the two positions past each other.
+    """
+    w, remaining, a, b = _transfer(weights, recipient, donor, delta)
     steps: list[ReduceStep] = []
     while remaining > 0:
-        while a + 1 <= b and w[a + 1] == w[a]:
-            a += 1
-        while b - 1 >= a and w[b - 1] == w[b]:
-            b -= 1
         # 2 * remaining <= w[b] - w[a] is invariant: ties do not change the
         # endpoint values and each transfer closes the gap by twice itself,
         # so a == b cannot happen while mass is left to move.
@@ -207,6 +217,7 @@ def monotonic_reduce(weights, recipient: int, donor: int, delta) -> ReduceTrace:
         w[b] -= amount
         remaining -= amount
         steps.append(ReduceStep(a, b, amount, tuple(w)))
+        a, b = _untie(w, a, b)
     return ReduceTrace(tuple(Fraction(v) for v in weights), tuple(steps))
 
 
@@ -244,24 +255,9 @@ def transfer_ratio(weights, recipient: int, donor: int, delta) -> TransferRatio:
     ascending input, delta > 0, positions may not cross or reorder. Both
     deltas are recomputed from scratch; the closed form rides along.
     """
-    w = [Fraction(v) for v in weights]
-    n = len(w)
-    if not 0 <= recipient < donor < n:
-        raise ValueError(f"need 0 <= recipient < donor < {n}")
-    if any(v < 0 for v in w):
-        raise ValueError("weights must be nonnegative")
-    if any(w[i] > w[i + 1] for i in range(n - 1)):
-        raise ValueError("weights must be ascending")
-    delta = Fraction(delta)
-    if delta <= 0:
+    w, delta, a, b = _transfer(weights, recipient, donor, delta)
+    if delta == 0:
         raise ValueError("delta must be positive")
-    if 2 * delta > w[donor] - w[recipient]:
-        raise ValueError("delta exceeds half the donor-recipient gap")
-    a, b = recipient, donor
-    while a + 1 <= b and w[a + 1] == w[a]:
-        a += 1
-    while b - 1 >= a and w[b - 1] == w[b]:
-        b -= 1
     if a + 1 < b and (delta > w[a + 1] - w[a] or delta > w[b] - w[b - 1]):
         raise ValueError("delta would reorder the sequence; split the move")
 
@@ -271,7 +267,7 @@ def transfer_ratio(weights, recipient: int, donor: int, delta) -> TransferRatio:
     d_sum_sq = sum(v * v for v in after) - sum(v * v for v in w)
     d_gini = gini_exact(after) - gini_exact(w)
     total = sum(w)
-    closed = (delta - w[donor] + w[recipient]) * n * total / Fraction(a - b)
+    closed = (delta - w[donor] + w[recipient]) * len(w) * total / Fraction(a - b)
     return TransferRatio(d_sum_sq, d_gini, d_sum_sq / d_gini, closed)
 
 

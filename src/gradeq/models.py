@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import struct
@@ -69,20 +70,43 @@ def check_kind(d, kinds: dict) -> str:
     return kind
 
 
-def check_field_types(obj) -> None:
-    """Refuse a dataclass whose `int` field holds a non-integer or a bool, or
-    whose `float` field holds anything but a finite int or float."""
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if f.type in ("int", int) and not is_int(value):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+def signature_keys(fn, skip=()) -> tuple[set, set]:
+    """(required, optional) argument names of `fn`, leaving out those in `skip`."""
+    params = [p for p in inspect.signature(fn).parameters.values() if p.name not in skip]
+    return ({p.name for p in params if p.default is p.empty},
+            {p.name for p in params if p.default is not p.empty})
+
+
+def check_types(typed) -> None:
+    """Refuse, per (name, annotation, value) in `typed`, an `int` value that is
+    a non-integer or a bool, or a `float` value that is anything but a finite
+    int or float."""
+    for name, annotation, value in typed:
+        if annotation in ("int", int) and not is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         finite = is_int(value) or isinstance(value, float) and np.isfinite(value)
-        if f.type in ("float", float) and not finite:
-            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        if annotation in ("float", float) and not finite:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_field_types(obj) -> None:
+    """`check_types` over the fields of dataclass `obj`."""
+    check_types((f.name, f.type, getattr(obj, f.name)) for f in dataclasses.fields(obj))
 
 
 class _OneForward:
-    """`logits` and `graph_logits` from the subclass's `_forward(ns, x, p)`."""
+    """`logits` and `graph_logits` from the subclass's `_forward(ns, x, p)`;
+    `config` from its constructor, whose every argument but `seed` is an
+    attribute of the same name."""
+
+    def config(self) -> dict:
+        """The `build_model` config of this model, tuples written as lists."""
+        config = {"kind": self.kind}
+        for name in inspect.signature(type(self)).parameters:
+            if name != "seed":
+                value = getattr(self, name)
+                config[name] = list(value) if isinstance(value, tuple) else value
+        return config
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         p = {k: v.astype(np.float64) for k, v in self.params.items()}
@@ -113,15 +137,6 @@ class MLP(_OneForward):
             std = np.sqrt(2.0 / din)
             self.params[f"w{i}"] = (rng.normal(size=(din, dout)) * std).astype(np.float32)
             self.params[f"b{i}"] = np.zeros(dout, dtype=np.float32)
-
-    def config(self):
-        return {
-            "kind": self.kind,
-            "in_shape": list(self.in_shape),
-            "hidden": self.hidden,
-            "classes": self.classes,
-            "activation": self.activation,
-        }
 
     def _forward(self, ns, x, p):
         act = getattr(ns, self.activation)
@@ -163,15 +178,6 @@ class CNN(_OneForward):
         feat = c2 * (h // 4) * (w // 4)
         self.params["w"] = (rng.normal(size=(feat, classes)) * np.sqrt(2.0 / feat)).astype(np.float32)
         self.params["b"] = np.zeros(classes, dtype=np.float32)
-
-    def config(self):
-        return {
-            "kind": self.kind,
-            "in_shape": list(self.in_shape),
-            "channels": self.channels,
-            "classes": self.classes,
-            "activation": self.activation,
-        }
 
     def _forward(self, ns, x, p):
         act = getattr(ns, self.activation)
@@ -220,9 +226,6 @@ class LinearScore(_OneForward):
     def b(self) -> float:
         return float(self.params["b"][0])
 
-    def config(self):
-        return {"kind": self.kind, "in_shape": list(self.in_shape)}
-
     def _forward(self, ns, x, p):
         flat = flatten(ns, x) if len(x.shape) > 2 else x
         lift = ns.const(np.array([[0.0, 1.0]]))
@@ -232,18 +235,12 @@ class LinearScore(_OneForward):
 Model = MLP | CNN | LinearScore
 
 
-# kind: (required keys, optional keys); each key but kind is an argument of its class
-_MODEL_KEYS = {
-    "mlp": ({"in_shape", "hidden", "classes"}, {"activation"}),
-    "cnn": ({"in_shape", "channels", "classes"}, {"activation"}),
-    "linear": ({"in_shape"}, set()),
-}
-
-
 def build_model(config: dict, seed: int = 0) -> Model:
-    """The model a config object describes; a missing or unknown key is refused."""
-    cls = {c.kind: c for c in (MLP, CNN, LinearScore)}[check_kind(config, _MODEL_KEYS)]
-    return cls(**{k: v for k, v in config.items() if k != "kind"}, seed=seed)
+    """The model a config object describes: the keys besides "kind" are the
+    arguments of its class but `seed`; a missing or unknown key is refused."""
+    classes = {c.kind: c for c in (MLP, CNN, LinearScore)}
+    kind = check_kind(config, {k: signature_keys(c, {"seed"}) for k, c in classes.items()})
+    return classes[kind](**{k: v for k, v in config.items() if k != "kind"}, seed=seed)
 
 
 def predict(model: Model, x: np.ndarray) -> np.ndarray:

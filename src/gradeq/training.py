@@ -26,7 +26,8 @@ from .attacks import PGD_EPS, PGD_ITERS, PGD_STEP, pgd
 from .attribution import input_gradients, saliency
 from .data import ImageBatch, cutout, train_val_split
 from .inequality import gini, mean_gini  # noqa: F401  (gini: perfbench's tracer wraps this name)
-from .models import Model, build_model, check_field_types, load_checkpoint, predict
+from .models import Model, build_model, check_field_types, predict
+from .models import load_checkpoint  # noqa: F401  (perfbench's tracer wraps this name)
 from .seeding import seed_stream
 
 METHODS = ("standard", "pgdat", "pgdat_cutout", "igd")
@@ -51,7 +52,7 @@ class TrainConfig:
     cutout_hole: int = 8
     val_fraction: float = 0.1
     seed: int = 0
-    teacher: str | None = None  # checkpoint path, aligned method only
+    teacher: str | None = None  # igd only: name of the entry whose model is the teacher
 
     def __post_init__(self):
         check_field_types(self)
@@ -63,6 +64,10 @@ class TrainConfig:
             raise ValueError(f"lam has no effect under {self.method}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("bad epoch/batch settings")
+        if self.pgd_eps < 0 or self.pgd_step < 0 or self.pgd_iters < 0:
+            raise ValueError("pgd_eps, pgd_step and pgd_iters must be nonnegative")
+        if self.cutout_hole < 0:
+            raise ValueError(f"cutout_hole must be nonnegative, got {self.cutout_hole}")
         if not 0 < self.val_fraction < 1:
             raise ValueError("val_fraction must be in (0,1)")
 
@@ -161,15 +166,6 @@ def mean_saliency_gini(model: Model, pixels: np.ndarray, labels: np.ndarray,
     return mean_gini([m.reduced for m in maps])[0]
 
 
-def _load_teacher(config: TrainConfig, teacher: Model | None) -> Model | None:
-    if teacher is not None or config.method != "igd":
-        return teacher
-    if config.teacher is None:
-        raise ValueError("igd config needs a teacher checkpoint or model")
-    model, _ = load_checkpoint(config.teacher)
-    return model
-
-
 def train(config: TrainConfig, data: ImageBatch,
           teacher: Model | None = None) -> tuple[Model, TrainRecord]:
     """SGD with momentum, weight decay, and plateau LR decay.
@@ -178,8 +174,10 @@ def train(config: TrainConfig, data: ImageBatch,
     the returned parameters: the best epoch by clean accuracy for
     standard training, by PGD-eval accuracy for the adversarial methods.
     A non-finite loss or parameter aborts and returns the record so far.
+    `igd` needs the frozen `teacher` model.
     """
-    teacher = _load_teacher(config, teacher)
+    if config.method == "igd" and teacher is None:
+        raise ValueError("igd needs a teacher model")
     student = build_model(config.model, seed=config.seed)
     tr, val = train_val_split(data, config.val_fraction, config.seed)
 

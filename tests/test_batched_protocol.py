@@ -342,10 +342,10 @@ bad = [lambda: Mask(np.zeros(5)),
        lambda: synth_blobs(4.5),
        lambda: TrainConfig(method="standard", model={}, epochs=1.5),
        lambda: TrainConfig(method="standard", model={}, lr="0.1"),
-       lambda: ImageBatch(pix * 10, lab, 2, 0.5, 0.1),  # pixel 5.0
-       lambda: ImageBatch(pix, np.array([0, 7]), 2, 0.5, 0.1),  # label 7 of 2
-       lambda: ImageBatch(pix[0], lab, 2, 0.5, 0.1),
-       lambda: ImageBatch(pix, lab[:1], 2, 0.5, 0.1),
+       lambda: ImageBatch(pix * 10, lab, 2, 0.5),  # pixel 5.0
+       lambda: ImageBatch(pix, np.array([0, 7]), 2, 0.5),  # label 7 of 2
+       lambda: ImageBatch(pix[0], lab, 2, 0.5),
+       lambda: ImageBatch(pix, lab[:1], 2, 0.5),
        lambda: GiniReport(1.5, 0.2, 4, 100, "saliency")]
 for make in bad:
     try:

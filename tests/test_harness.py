@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradeq import cli, harness
+from gradeq import cli, harness, training
 from gradeq.attacks import corrupt
 from gradeq.attribution import AttributionMap
 from gradeq.harness import (SEVERITY, ConfigError, StageError, confidence_stats,
@@ -115,6 +115,19 @@ def test_teacher_rejected_outside_igd(tmp_path):
         load_config(write_config(tmp_path / "c.json", cfg))
 
 
+def test_student_trains_on_the_teacher_model_the_stage_holds(tmp_path, monkeypatch):
+    """The train stage hands the igd student its teacher's model; no
+    checkpoint is read back to get it."""
+    def no_read(path):
+        raise AssertionError(f"checkpoint {path} read back")
+
+    monkeypatch.setattr(training, "load_checkpoint", no_read)
+    config = load_config(write_config(tmp_path / "c.json",
+                                      base_config(tmp_path / "o", n=40, epochs=1)))
+    run(config, stages=("data", "train"))
+    assert all(config.checkpoint(name).exists() for name, _ in config.train)
+
+
 def test_unknown_attack_kind(tmp_path):
     cfg = base_config(tmp_path / "o")
     cfg["attacks"] = [{"name": "x", "kind": "warp"}]
@@ -215,6 +228,12 @@ def test_missing_file(tmp_path):
     ("dataset", "jitter", True),
     ("dataset", "jitter", None),
     (None, "dataset", {"kind": "cifar", "path": "train.bin", "variant": "cifar11"}),
+    ("train.1", "pgd_eps", -0.1),
+    ("train.0", "pgd_step", -0.01),
+    ("train.0", "pgd_iters", -1),
+    ("train.0", "cutout_hole", -1),
+    ("train.0", "cutout_hole", 9),
+    ("train.1", "cutout_hole", 40),
 ])
 def test_bad_values_rejected_at_load(tmp_path, section, key, value):
     """Refused at load, before any model trains: severity 0 would index
@@ -480,7 +499,9 @@ def test_tables_and_probe_count_a_tiny_map_alike(tmp_path):
     """A map of 1e-14 per pixel carries mass: the tables used to skip it
     (L2 norm below 1e-12) while the training probe counted it."""
     cfg = {"out": str(tmp_path / "o"), "gini": {"region": 2},
-           "dataset": {"kind": "blobs", "n": 16, "resolution": 8, "classes": 2}}
+           "dataset": {"kind": "blobs", "n": 16, "resolution": 8, "classes": 2},
+           "train": [{"name": "tiny", "method": "standard",
+                      "model": {"kind": "linear", "in_shape": [1, 8, 8]}}]}
     state = harness.RunState(load_config(write_config(tmp_path / "c.json", cfg)))
     harness._stage_data(state)
     state.holdout = state.holdout.subset(state.holdout.labels == 1)
