@@ -416,7 +416,8 @@ def error_rate(models: list[Model], spec: AttackSpec, pixels: np.ndarray,
     model is then attacked independently, but a given sample uses the
     same noise stream against every model (keyed by the sample's index),
     so differences in rates come from the models, not the draws. The
-    joint pool is attacked and predicted as one batch per model.
+    joint pool is attacked and predicted as one batch per model; an attack
+    that ignores the model (rn, corrupt) draws that batch once for all.
     """
     if not models:
         raise ValueError("need at least one model")
@@ -427,8 +428,11 @@ def error_rate(models: list[Model], spec: AttackSpec, pixels: np.ndarray,
         raise ValueError("no sample is classified correctly by every model")
     xs, ys = np.asarray(pixels)[joint], labels[joint]
     wrong = np.zeros((len(models), len(joint)), dtype=bool)
+    adv = None
     for mi, model in enumerate(models):
-        rngs = [seed_stream(seed, "attack", spec.label(), int(si)) for si in joint]
-        wrong[mi] = predict(model, spec.apply(model, xs, ys, rngs)) != ys
+        if adv is None or spec.kind not in ("rn", "corrupt"):
+            rngs = [seed_stream(seed, "attack", spec.label(), int(si)) for si in joint]
+            adv = spec.apply(model, xs, ys, rngs)
+        wrong[mi] = predict(model, adv) != ys
     rates = tuple(float(w.mean()) for w in wrong)
     return ErrorRateReport(rates, len(joint), joint, wrong)

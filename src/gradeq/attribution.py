@@ -1,11 +1,10 @@
 """Per-pixel attribution maps: saliency, input-times-gradient,
 integrated gradients, smoothgrad.
 
-Maps are computed batched (one tape per batch; per-sample gradients fall
-out of differentiating the summed per-sample class scores, which is
-exact because no op mixes samples) but returned per image. The pixel
-view used by masks and inequality metrics is `reduced`: the channel sum
-of absolute values.
+Every method is built from `models.input_gradients`, the one saliency
+gradient of the package: one tape per batch, maps returned per image.
+The pixel view used by masks and inequality metrics is `reduced`: the
+channel sum of absolute values.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ag
-from .models import Model
+from .models import Model, input_gradients
 from .seeding import seed_stream
 
 DEFAULT_SG_SIGMA = 0.1
@@ -43,16 +41,6 @@ class AttributionMap:
 
 def _wrap(values: np.ndarray, method: str, targets) -> list[AttributionMap]:
     return [AttributionMap(v, method, int(t)) for v, t in zip(values, targets)]
-
-
-def input_gradients(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d(class logit)/d(input) for each sample, [N, C, H, W]."""
-    graph = ag.Graph()
-    xv = graph.var(np.asarray(x, dtype=np.float64))
-    logits = model.graph_logits(xv, model.bind(graph))
-    rows = ag.picked_rows(logits, np.asarray(y))
-    (gx,) = ag.grad(ag.sum_all(rows), [xv])
-    return gx
 
 
 def saliency(model: Model, x: np.ndarray, y: np.ndarray) -> list[AttributionMap]:

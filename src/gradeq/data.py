@@ -128,6 +128,9 @@ def train_val_split(batch: ImageBatch, val_fraction: float, seed: int) -> tuple[
         raise ValueError(f"val_fraction must be in (0,1), got {val_fraction}")
     order = seed_stream(seed, "split").permutation(len(batch))
     n_val = max(1, int(round(len(batch) * val_fraction)))
+    if n_val >= len(batch):
+        raise ValueError(f"a batch of {len(batch)} leaves no training sample "
+                         f"at val_fraction {val_fraction}")
     val_idx, train_idx = order[:n_val], order[n_val:]
     train_px = batch.pixels[train_idx]
     train = ImageBatch(train_px, batch.labels[train_idx], batch.classes, float(train_px.mean()))

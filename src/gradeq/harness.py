@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 import hashlib
+import inspect
 import json
 import math
 import time
@@ -135,6 +136,8 @@ def _dataset(d: dict, seed: int) -> dict:
     if kind == "cifar" and "variant" in d and d["variant"] not in CIFAR_VARIANTS:
         raise ValueError(f"variant must be one of {list(CIFAR_VARIANTS)}, got {d['variant']!r}")
     if kind != "blobs":
+        if not isinstance(d["path"], str):
+            raise ValueError(f"path must be a string, got {d['path']!r}")
         return d
     check_blob_args({k: v for k, v in d.items() if k != "kind"})
     return {"seed": seed} | d  # blobs without a seed of their own take the run's
@@ -142,12 +145,17 @@ def _dataset(d: dict, seed: int) -> dict:
 
 def _check_image_bounds(config: "ExperimentConfig") -> None:
     """Refuse an attack `k` or a `theory.ks` entry above the image's pixel
-    count, and a train entry's `cutout_hole` above its side; an attribution
-    file's size is known only to the file."""
+    count, and a train entry with a `cutout_hole` above the image's side or
+    a model that cannot take the images or has fewer classes than the data;
+    an attribution file's size is known only to the file."""
     kind = config.dataset["kind"]
     if kind == "attribution_file":
         return
-    side = config.dataset.get("resolution", IMAGE_SIDE) if kind == "blobs" else IMAGE_SIDE
+    args = {n: p.default for n, p in inspect.signature(_loaders()[kind]).parameters.items()}
+    args |= config.dataset
+    channels, side, classes = ((3, IMAGE_SIDE, CIFAR_VARIANTS[args["variant"]][1])
+                               if kind == "cifar" else
+                               (args["channels"], args["resolution"], args["classes"]))
     ks = [(f"attacks[{i}]: k", spec.k) for i, (_, spec) in enumerate(config.attacks)]
     ks += [("theory.ks entry", k) for k in config.theory.ks] if config.theory else []
     for what, k in ks:
@@ -157,6 +165,13 @@ def _check_image_bounds(config: "ExperimentConfig") -> None:
         if tcfg.cutout_hole > side:
             raise ConfigError(f"train[{i}]: cutout_hole must be at most the image's "
                               f"side {side}, got {tcfg.cutout_hole}")
+        with _at(f"train[{i}]: model"):
+            model = build_model(tcfg.model)
+            if model.classes < classes:
+                raise ValueError(f"{model.classes} classes, fewer than the dataset's {classes}")
+        with _at(f"train[{i}]: model in_shape {list(model.in_shape)} on "
+                 f"{(channels, side, side)} images"):
+            model.check_input((channels, side, side))
 
 
 def _named(entries: list, section: str, parse) -> tuple:
@@ -178,7 +193,7 @@ def _named(entries: list, section: str, parse) -> tuple:
 
 def _train_entry(entry: dict, earlier: list, seed: int) -> TrainConfig:
     """An igd entry's `teacher` names an earlier entry, whose model the train
-    stage hands to `train`."""
+    stage hands to `train`; `_check_image_bounds` builds the model."""
     check_keys(entry, {"method", "model"}, _TRAIN_OPTIONAL)
     teacher = entry.get("teacher")
     if entry["method"] == "igd":
@@ -186,8 +201,6 @@ def _train_entry(entry: dict, earlier: list, seed: int) -> TrainConfig:
             raise ValueError("igd needs 'teacher' naming an earlier entry")
     elif teacher is not None:
         raise ValueError("teacher is only valid for method 'igd'")
-    with _at("model"):
-        build_model(entry["model"])
     # lam stays as written, 0 when absent: checkpoints record it so
     return TrainConfig(**entry | {"lam": entry.get("lam", 0), "seed": seed})
 

@@ -118,6 +118,11 @@ class _OneForward:
     def graph_logits(self, xv: ag.Var, pv: dict[str, ag.Var]) -> ag.Var:
         return self._forward(xv.graph, xv, pv)
 
+    def check_input(self, shape) -> None:
+        """Run the forward on one zero image of `shape`: a shape it cannot
+        take raises ValueError."""
+        self._forward(kernels, np.zeros((1, *shape)), self.params)
+
 
 class MLP(_OneForward):
     """Fully connected classifier over flattened inputs."""
@@ -247,24 +252,32 @@ def predict(model: Model, x: np.ndarray) -> np.ndarray:
     return np.argmax(model.logits(x), axis=1)
 
 
+def label_score(model: Model, xv: ag.Var, pv: dict[str, ag.Var], y) -> ag.Var:
+    """The labeled logits of a batch, summed, on `xv`'s tape. Its input
+    gradient holds each sample's saliency map at once, exactly, because no
+    op mixes samples; a label out of the model's range is refused."""
+    return ag.sum_all(ag.picked_rows(model.graph_logits(xv, pv), np.asarray(y)))
+
+
+def input_gradients(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d(labeled logit)/d(input) for each sample, shaped like `x`."""
+    graph = ag.Graph()
+    xv = graph.var(np.asarray(x, dtype=np.float64))
+    (gx,) = ag.grad(label_score(model, xv, model.bind(graph), y), [xv])
+    return gx
+
+
 def linearize(model: Model, x: np.ndarray, y: int) -> LinearScore:
     """First-order Taylor surrogate of the class-y logit at x.
 
     The weights are the input gradient, the bias absorbs the residual so
     the surrogate's score equals the model's at x itself.
     """
-    if not 0 <= int(y) < model.classes:
-        raise ValueError(f"class {y} out of range for {model.classes} classes")
     x = np.asarray(x, dtype=np.float64)
-    graph = ag.Graph()
-    xv = graph.var(x[None])
-    logits = model.graph_logits(xv, model.bind(graph))
-    score = ag.sum_all(ag.picked_rows(logits, np.array([int(y)])))
-    (gx,) = ag.grad(score, [xv])
-    if not np.all(np.isfinite(gx)):
+    w = input_gradients(model, x[None], [int(y)]).reshape(-1)
+    if not np.all(np.isfinite(w)):
         raise FloatingPointError("non-finite input gradient at linearization point")
-    w = gx.reshape(-1)
-    b = score.item() - float(w @ x.reshape(-1))
+    b = float(model.logits(x[None])[0, int(y)]) - float(w @ x.reshape(-1))
     return LinearScore.from_arrays(w, b, in_shape=x.shape)
 
 

@@ -12,8 +12,9 @@ S2 = sum(w_{d_i}^2):
 
 Nonlinear models enter through their first-order surrogate at each
 input, so everything downstream of `linearize` is approximate for them.
-The sweeps take every surrogate's weights from one batched `saliency`
-call, the same gradients `linearize` takes one input at a time.
+A surrogate's weights are the input's saliency map, which both
+`linearize` (one input) and the sweeps (one batched `saliency` call)
+take from `models.input_gradients`.
 """
 
 from __future__ import annotations
@@ -164,9 +165,6 @@ def sweep_mask_stats(model: Model, pixels: np.ndarray, labels: np.ndarray,
         raise ValueError(f"unknown selection {selection!r}")
     if selection == "random" and draws < 1:
         raise ValueError("random selection needs draws >= 1")
-    labels = np.asarray(labels)
-    if np.any((labels < 0) | (labels >= model.classes)):
-        raise ValueError(f"labels out of range for {model.classes} classes")
     maps = saliency(model, pixels, labels)
     if not all(np.isfinite(m.values).all() for m in maps):
         raise FloatingPointError("non-finite input gradient at linearization point")

@@ -26,7 +26,7 @@ from .attacks import PGD_EPS, PGD_ITERS, PGD_STEP, pgd
 from .attribution import input_gradients, saliency
 from .data import ImageBatch, cutout, train_val_split
 from .inequality import gini, mean_gini  # noqa: F401  (gini: perfbench's tracer wraps this name)
-from .models import Model, build_model, check_field_types, predict
+from .models import Model, build_model, check_field_types, label_score, predict
 from .models import load_checkpoint  # noqa: F401  (perfbench's tracer wraps this name)
 from .seeding import seed_stream
 
@@ -92,8 +92,9 @@ def igd_loss(student: Model, teacher: Model | None, x: np.ndarray,
     """Gradient-aligned adversarial objective; lam=0 is plain CE on x_adv.
 
     The alignment compares per-sample input gradients of the true-class
-    logit, both taken at the clean x; the student's side stays on the
-    tape so the parameter gradient sees through it (double backward).
+    logit, both taken at the clean x; the student's side, the gradient
+    of `models.label_score`, stays on the tape so the parameter gradient
+    sees through it (double backward).
     """
     y = np.asarray(y)
     g = ag.Graph()
@@ -109,8 +110,7 @@ def igd_loss(student: Model, teacher: Model | None, x: np.ndarray,
             raise ValueError("gradient alignment needs a teacher model")
         ref = input_gradients(teacher, x, y).reshape(len(y), -1)
         xv = g.var(np.asarray(x, dtype=np.float64))
-        score = ag.picked_rows(student.graph_logits(xv, pv), y)
-        (gx,) = ag.grad(ag.sum_all(score), [xv], create_graph=True)
+        (gx,) = ag.grad(label_score(student, xv, pv, y), [xv], create_graph=True)
         cos, flags = ag.cosine_rows(ag.flatten(g, gx), ref)
         cmean = ag.mean_all(cos)
         total = ag.add(ce, ag.scale(cmean, -lam))

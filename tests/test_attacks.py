@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gradeq import attacks
 from gradeq import autodiff as ag
 from gradeq.attacks import (
     AttackSpec,
@@ -352,6 +353,25 @@ def test_error_rate_shared_streams_across_models():
     spec = AttackSpec(kind="rn", k=8)
     rep = error_rate([m1, m2], spec, xs, labels, seed=2)
     assert np.array_equal(rep.wrong[0], rep.wrong[1])
+
+
+def test_error_rate_draws_a_model_free_batch_once(monkeypatch):
+    # every model sees the same per-sample streams, so each sample is
+    # corrupted once, not once per model; the rates stay per model
+    models = [small_mlp(seed=s, in_shape=(1, 4, 4), classes=2) for s in (44, 44, 45)]
+    xs = seed_stream(46, "x").uniform(size=(8, 1, 4, 4))
+    labels = predict(models[0], xs)
+    spec = AttackSpec(kind="corrupt", corrupt_kind="gaussian", param=0.3)
+    calls = []
+    monkeypatch.setattr(attacks, "corrupt",
+                        lambda *args: calls.append(1) or corrupt(*args))
+    rep = error_rate(models, spec, xs, labels, seed=4)
+    assert len(calls) == rep.evaluated > 0
+    monkeypatch.undo()
+    xj, yj = xs[rep.joint_indices], labels[rep.joint_indices]
+    for m, wrong in zip(models, rep.wrong):
+        rngs = [seed_stream(4, "attack", spec.label(), int(i)) for i in rep.joint_indices]
+        assert np.array_equal(wrong, predict(m, spec.apply(m, xj, yj, rngs)) != yj)
 
 
 def test_error_rate_pgd_flips_thin_margin():

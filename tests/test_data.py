@@ -164,6 +164,13 @@ class TestBatchOps:
         assert val.mean == train.mean
         assert val.mean == pytest.approx(float(train.pixels.mean()))
 
+    @pytest.mark.parametrize("n, fraction", [(1, 0.1), (2, 0.9)])
+    def test_split_leaving_no_training_sample_raises(self, n, fraction):
+        # an empty training half has no mean: the split refuses it up front
+        batch = dt.synth_blobs(n, resolution=8, classes=2, seed=3)
+        with pytest.raises(ValueError, match=f"batch of {n} .* {fraction}"):
+            dt.train_val_split(batch, fraction, seed=0)
+
     def test_subset_keeps_stats(self):
         batch = dt.synth_blobs(10, seed=9)
         sub = batch.subset(np.array([1, 3]))

@@ -234,6 +234,13 @@ def test_missing_file(tmp_path):
     ("train.0", "cutout_hole", -1),
     ("train.0", "cutout_hole", 9),
     ("train.1", "cutout_hole", 40),
+    ("train.1.model", "in_shape", [1, 16, 16]),
+    ("train.0.model", "in_shape", [3, 8, 8]),
+    ("dataset", "classes", 4),
+    ("train.0", "model", {"kind": "cnn", "in_shape": [3, 8, 8], "channels": [2, 2],
+                          "classes": 2}),
+    (None, "dataset", {"kind": "cifar", "path": 5}),
+    (None, "dataset", {"kind": "attribution_file", "path": 5}),
 ])
 def test_bad_values_rejected_at_load(tmp_path, section, key, value):
     """Refused at load, before any model trains: severity 0 would index
@@ -250,6 +257,46 @@ def test_bad_values_rejected_at_load(tmp_path, section, key, value):
         load_config(write_config(tmp_path / "c.json", cfg))
 
 
+@pytest.mark.parametrize("second, message", [
+    ({"kind": "mlp", "in_shape": [1, 16, 16], "hidden": [4], "classes": 4},
+     r"train\[1\]: model in_shape \[1, 16, 16\] on \(1, 8, 8\) images: matmul"),
+    ({"kind": "linear", "in_shape": [1, 8, 8]},
+     r"train\[1\]: model: 2 classes, fewer than the dataset's 4"),
+])
+def test_model_that_cannot_take_the_data_exits_2(tmp_path, capsys, second, message):
+    """Refused at load: such an entry used to exit 3 in the train stage,
+    after the entries before it had written their checkpoints."""
+    mlp = {"kind": "mlp", "in_shape": [1, 8, 8], "hidden": [4], "classes": 4}
+    cfg = {"out": str(tmp_path / "out"),
+           "dataset": {"kind": "blobs", "n": 40, "resolution": 8, "classes": 4},
+           "train": [{"name": "a", "method": "standard", "model": mlp, "epochs": 1},
+                     {"name": "b", "method": "standard", "model": second, "epochs": 1}]}
+    p = write_config(tmp_path / "c.json", cfg)
+    assert cli.main(["train", "--config", str(p)]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_attribution_file_path_must_be_a_string(tmp_path):
+    """A number used to reach `np.fromfile`, which took it for a file descriptor."""
+    cfg = {"dataset": {"kind": "attribution_file", "path": 5}}
+    with pytest.raises(ConfigError, match="dataset: path must be a string, got 5"):
+        load_config(write_config(tmp_path / "c.json", cfg))
+
+
+def test_split_leaving_no_training_sample_is_a_named_stage_error(tmp_path):
+    """Two blobs leave one pool sample and no training sample: the split says
+    so instead of averaging an empty array."""
+    cfg = {"dataset": {"kind": "blobs", "n": 2, "resolution": 8, "classes": 2},
+           "train": [{"name": "s", "method": "standard", "epochs": 1,
+                      "model": {"kind": "mlp", "in_shape": [1, 8, 8], "hidden": [4],
+                                "classes": 2}}]}
+    config = load_config(write_config(tmp_path / "c.json", cfg), out=tmp_path / "out")
+    with pytest.raises(StageError, match="batch of 1 leaves no training sample") as err:
+        run(config, stages=("data", "train"))
+    assert err.value.stage == "train"
+
+
 @pytest.mark.parametrize("key, value", [("n", 0), ("r", 0), ("r", -2),
                                         ("color", 1.5), ("color", -0.1)])
 def test_bad_ioa_rejected_at_load(tmp_path, key, value):
@@ -264,6 +311,8 @@ def test_k_above_cifar_pixels_rejected_at_load(tmp_path):
     """A CIFAR image has 32 * 32 pixels, so k = 1025 cannot be drawn."""
     cfg = base_config(tmp_path / "o")
     cfg["dataset"] = {"kind": "cifar", "path": "train.bin"}
+    for entry in cfg["train"]:
+        entry["model"] |= {"in_shape": [3, 32, 32], "classes": 10}
     load_config(write_config(tmp_path / "c.json", cfg))
     cfg["attacks"][0]["k"] = 1025
     with pytest.raises(ConfigError, match=r"attacks\[0\].*1024 pixels"):

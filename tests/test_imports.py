@@ -80,3 +80,44 @@ def test_unused_scanner_sees_each_import_form():
               "from . import kernels\n"
               "x = xml.sax.saxutils.escape(kernels.name)\n")
     assert unused_imports(source) == [(2, "np"), (4, "build_model"), (4, "pred")]
+
+
+def callers(source: str, name: str) -> list[tuple[int, str | None]]:
+    """(line, innermost enclosing function or None) for each call of `name`,
+    called bare or as an attribute."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+# the labeled logit is picked in the loss and in the one saliency score
+PICKED_ROWS_CALLERS = {("autodiff/functional.py", "cross_entropy_mean"),
+                       ("models.py", "label_score")}
+
+
+def test_labeled_logit_picked_only_by_the_loss_and_label_score():
+    hits = [f"{path.relative_to(SRC)}:{line} in {function}"
+            for path in sorted(SRC.rglob("*.py"))
+            for line, function in callers(path.read_text(), "picked_rows")
+            if (str(path.relative_to(SRC)), function) not in PICKED_ROWS_CALLERS]
+    assert hits == []
+
+
+def test_caller_scanner_sees_each_call_form():
+    source = ("x = picked_rows(a, b)\n"
+              "def f():\n"
+              "    def g():\n"
+              "        return ag.picked_rows(a, b)\n"
+              "    return g() + picked_rows\n")
+    assert callers(source, "picked_rows") == [(1, None), (4, "g")]

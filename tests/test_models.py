@@ -170,6 +170,40 @@ class TestClassScore:
             class_score(m, np.zeros(3), 2)
 
 
+class TestSaliencyGradient:
+    """`label_score` is the one labeled-logit score every saliency gradient
+    differentiates: attribution's, the theory surrogate's and the igd term's."""
+
+    MODELS = {"mlp": lambda: md.MLP((1, 8, 8), [6], 3, "softplus", seed=2),
+              "cnn": lambda: md.CNN((2, 8, 8), [3, 4], 3, "softplus", seed=3)}
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_create_graph_gradient_is_input_gradients(self, kind):
+        m = self.MODELS[kind]()
+        x = np.random.default_rng(4).uniform(size=(5, *m.in_shape))
+        y = np.array([0, 2, 1, 1, 0])
+        g = ag.Graph()
+        pv = m.bind(g)
+        xv = g.var(x)
+        (gx,) = ag.grad(md.label_score(m, xv, pv, y), [xv], create_graph=True)
+        assert np.array_equal(gx.value, md.input_gradients(m, x, y))
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_linearize_is_one_inputs_gradient(self, kind):
+        m = self.MODELS[kind]()
+        x = np.random.default_rng(5).uniform(size=m.in_shape)
+        lin = md.linearize(m, x, 1)
+        want = md.input_gradients(m, x[None], [1])[0].reshape(-1)
+        assert np.array_equal(lin.w, want)
+        at_x = lin.logits(x[None])[0, 1]
+        assert at_x == pytest.approx(m.logits(x[None])[0, 1], rel=1e-12, abs=1e-12)
+
+    def test_label_out_of_range_refused(self):
+        m = self.MODELS["mlp"]()
+        with pytest.raises(ValueError, match="labels out of range for 3 classes"):
+            md.linearize(m, np.zeros(m.in_shape), 3)
+
+
 class TestLinearize:
     def test_linear_fixed_point(self):
         m = md.LinearScore.from_arrays([0.5, 2.0, -1.0], 0.25)
