@@ -15,13 +15,14 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from . import autodiff as ag
 from .attribution import METHODS as ATTRIBUTION_METHODS
 from .attribution import attribute
-from .models import Model, check_field_types, check_kind, predict
+from .models import Model, check_args, check_kind, check_value, predict
 from .seeding import seed_stream
 
 PGD_EPS = 8.0 / 255.0
@@ -253,15 +254,22 @@ def ioa(model: Model, xs: np.ndarray, ys: np.ndarray, n_max: int, r_max: int,
 # ---------------------------------------------------------------------------
 # Synthetic corruptions
 
-# Corruption severity ladders, mildest first. Gaussian values are sigma on
-# the [0,1] pixel scale; shot is the rate multiplier (smaller = noisier);
-# impulse is the flipped-pixel fraction.
+# corrupt_kind: the bounds of its param. Gaussian's is sigma on the [0,1]
+# pixel scale; shot's the rate multiplier (smaller = noisier), below the
+# largest rate numpy's Poisson draw takes (about 9.2e18); impulse's the
+# flipped-pixel fraction.
+CORRUPT_PARAM = {
+    "gaussian": Annotated[float, (">=", 0)],
+    "shot": Annotated[float, (">", 0), ("<=", 1e18)],
+    "impulse": Annotated[float, (">=", 0), ("<=", 1)],
+}
+CORRUPT_KINDS = tuple(CORRUPT_PARAM)
+# Corruption severity ladders of param, mildest first.
 SEVERITY = {
     "gaussian": [0.04, 0.06, 0.08, 0.09, 0.10],
     "shot": [60.0, 25.0, 12.0, 5.0, 3.0],
     "impulse": [0.03, 0.06, 0.09, 0.17, 0.27],
 }
-CORRUPT_KINDS = tuple(SEVERITY)
 
 
 def corrupt(x: np.ndarray, kind: str, param: float,
@@ -269,28 +277,23 @@ def corrupt(x: np.ndarray, kind: str, param: float,
     """gaussian: additive N(0, param); shot: Poisson at rate scale param;
     impulse: salt-and-pepper with pixel probability param (half salt,
     half pepper, all channels of a hit pixel). All outputs clipped."""
+    if kind not in CORRUPT_PARAM:
+        raise ValueError(f"unknown corruption kind {kind!r}")
+    check_value("param", CORRUPT_PARAM[kind], param)
     x = np.asarray(x, dtype=np.float64)
     if kind == "gaussian":
-        if param < 0:
-            raise ValueError("gaussian sigma must be nonnegative")
         if param == 0:
             return x.copy()
         return np.clip(x + rng.normal(0.0, param, size=x.shape), 0.0, 1.0)
     if kind == "shot":
-        if param <= 0:
-            raise ValueError("shot rate scale must be positive")
         return np.clip(rng.poisson(x * param) / param, 0.0, 1.0)
-    if kind == "impulse":
-        if not 0.0 <= param <= 1.0:
-            raise ValueError("impulse probability must be in [0,1]")
-        out = x.copy()
-        pix = rng.random(size=x.shape[-2:])
-        salt = pix < param / 2.0
-        pepper = (pix >= param / 2.0) & (pix < param)
-        out[:, salt] = 1.0
-        out[:, pepper] = 0.0
-        return out
-    raise ValueError(f"unknown corruption kind {kind!r}")
+    out = x.copy()
+    pix = rng.random(size=x.shape[-2:])
+    salt = pix < param / 2.0
+    pepper = (pix >= param / 2.0) & (pix < param)
+    out[:, salt] = 1.0
+    out[:, pepper] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,33 +315,21 @@ ATTACK_OPTIONS = {
 class AttackSpec:
     """Parameters of one attack; `apply` runs it on a batch of samples."""
 
-    kind: str  # pgd | ina1 | ina2 | ioa | rn | corrupt
-    eps: float = PGD_EPS
-    step: float = PGD_STEP
-    iters: int = PGD_ITERS
-    k: int = 0
-    n: int = 10
-    r: int = 4
-    color: float = COLORS["gray"]
-    corrupt_kind: str = "gaussian"
-    param: float = 0.08
-    method: str = "saliency"
+    kind: Annotated[str, ("in", tuple(ATTACK_OPTIONS))]
+    eps: Annotated[float, (">=", 0)] = PGD_EPS
+    step: Annotated[float, (">=", 0)] = PGD_STEP
+    iters: Annotated[int, (">=", 0)] = PGD_ITERS
+    k: Annotated[int, (">=", 0)] = 0
+    n: Annotated[int, (">=", 1)] = 10
+    r: Annotated[int, (">=", 1)] = 4
+    color: Annotated[float, (">=", 0), ("<=", 1)] = COLORS["gray"]
+    corrupt_kind: Annotated[str, ("in", CORRUPT_KINDS)] = "gaussian"
+    param: float = 0.08  # within CORRUPT_PARAM[corrupt_kind]
+    method: Annotated[str, ("in", tuple(ATTRIBUTION_METHODS))] = "saliency"
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.kind not in ATTACK_OPTIONS:
-            raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.kind == "pgd" and (self.eps < 0 or self.step < 0 or self.iters < 0):
-            raise ValueError("pgd parameters must be nonnegative")
-        if self.kind in ("ina1", "ina2", "rn") and self.k < 0:
-            raise ValueError("k must be nonnegative")
-        if self.kind == "ioa" and not (self.n >= 1 and self.r >= 1 and 0 <= self.color <= 1):
-            raise ValueError(f"ioa needs n >= 1, r >= 1 and color in [0, 1], "
-                             f"got n={self.n}, r={self.r}, color={self.color!r}")
-        if self.kind == "corrupt" and self.corrupt_kind not in CORRUPT_KINDS:
-            raise ValueError(f"unknown corrupt_kind {self.corrupt_kind!r}")
-        if self.method not in ATTRIBUTION_METHODS:
-            raise ValueError(f"unknown attribution method {self.method!r}")
+        check_args(AttackSpec, vars(self))
+        check_value("param", CORRUPT_PARAM[self.corrupt_kind], self.param)
 
     @classmethod
     def parse(cls, entry: dict) -> AttackSpec:

@@ -105,7 +105,7 @@ def attribute(model: Model, x: np.ndarray, y: np.ndarray,
     return METHODS[method](model, x, y)
 
 
-def load_attribution(path) -> AttributionMap:
+def load_attribution(path: str) -> AttributionMap:
     """A map stored as raw values plus a JSON sidecar (shape, dtype, method, target)."""
     with open(str(path) + ".json") as f:
         sidecar = json.load(f)

@@ -3,19 +3,18 @@
 All pixels live in [0,1]; attacks and attributions consume this space
 directly. A batch carries the scalar pixel mean of its training split,
 which cutout paints its holes with. The arguments of `synth_blobs` and
-`load_cifar` are the keys of a config's dataset entry, and the
-annotations of `synth_blobs` the types of its values.
+`load_cifar` are the keys of a config's dataset entry, and their
+annotations the types and bounds of its values (`models.check_value`).
 """
 
 from __future__ import annotations
 
-import inspect
-import operator
 from dataclasses import dataclass, replace
+from typing import Annotated
 
 import numpy as np
 
-from .models import check_types
+from .models import check_args
 from .seeding import seed_stream
 
 
@@ -51,11 +50,11 @@ CIFAR_VARIANTS = {
 IMAGE_SIDE = 32  # side of a CIFAR image, and of a blob image by default
 
 
-def load_cifar(path, variant: str = "cifar10") -> ImageBatch:
+def load_cifar(path: str,
+               variant: Annotated[str, ("in", tuple(CIFAR_VARIANTS))] = "cifar10") -> ImageBatch:
     """Parse the CIFAR binary layout: label byte(s), then 3072 pixel bytes
     as full R, G, B planes of a row-major 32x32 image, scaled by 1/255."""
-    if variant not in CIFAR_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    check_args(load_cifar, {"variant": variant})
     label_bytes, classes = CIFAR_VARIANTS[variant]
     record = label_bytes + 3 * IMAGE_SIDE**2
     raw = np.fromfile(path, dtype=np.uint8)
@@ -79,33 +78,23 @@ def blob_centers(resolution: int, classes: int) -> np.ndarray:
     return np.stack([mid + radius * np.sin(angles), mid + radius * np.cos(angles)], axis=1)
 
 
-def check_blob_args(args: dict) -> None:
-    """Refuse an argument of `synth_blobs` in `args` that is not of its
-    annotated type (a bool is neither an integer nor a number) or is beyond
-    its limit in `_BLOB_LIMITS`."""
-    params = inspect.signature(synth_blobs).parameters
-    check_types((name, params[name].annotation, v) for name, v in args.items())
-    for name, (op, least) in _BLOB_LIMITS.items():
-        if name in args and not {">=": operator.ge, ">": operator.gt}[op](args[name], least):
-            raise ValueError(f"{name} must be {op} {least}, got {args[name]!r}")
-
-
-# the least value of a `synth_blobs` argument; its annotation gives its type
-_BLOB_LIMITS = {"n": (">=", 1), "resolution": (">=", 8), "classes": (">=", 2),
-                "channels": (">=", 1), "spread": (">", 0), "noise": (">=", 0)}
-
-
-def synth_blobs(n: int, resolution: int = IMAGE_SIDE, classes: int = 4, seed: int = 0,
-                channels: int = 1, background: float = 0.2, amplitude: float = 0.5,
-                spread: float = 4.0, noise: float = 0.15, jitter: float = 2.0) -> ImageBatch:
+def synth_blobs(n: Annotated[int, (">=", 1)],
+                resolution: Annotated[int, (">=", 8)] = IMAGE_SIDE,
+                classes: Annotated[int, (">=", 2)] = 4, seed: int = 0,
+                channels: Annotated[int, (">=", 1)] = 1, background: float = 0.2,
+                amplitude: float = 0.5,
+                spread: Annotated[float, (">=", 1e-150), ("<=", 1e150)] = 4.0,
+                noise: Annotated[float, (">=", 0)] = 0.15,
+                jitter: Annotated[float, (">=", 0), ("<=", 1e150)] = 2.0) -> ImageBatch:
     """Class-conditional Gaussian bumps over a noisy background.
 
     Each image is background + a bump of the class's characteristic
     location (jittered a little per sample) + pixel noise, clipped to
     [0,1]. Classes are balanced round-robin and the whole batch is a pure
-    function of the seed.
+    function of the seed. The bounds of `spread` and `jitter` keep their
+    squares finite and that of `spread` nonzero.
     """
-    check_blob_args(locals())
+    check_args(synth_blobs, locals())
     rng = seed_stream(seed, "blobs", resolution, classes)
     labels = np.arange(n, dtype=np.int64) % classes
     centers = blob_centers(resolution, classes)
@@ -114,7 +103,8 @@ def synth_blobs(n: int, resolution: int = IMAGE_SIDE, classes: int = 4, seed: in
     cy = centers[labels, 0] + offsets[:, 0]
     cx = centers[labels, 1] + offsets[:, 1]
     d2 = (yy[None] - cy[:, None, None]) ** 2 + (xx[None] - cx[:, None, None]) ** 2
-    bumps = amplitude * np.exp(-d2 / (2.0 * spread**2))
+    with np.errstate(over="ignore"):  # a far bump under a narrow spread: exp(-inf) = 0
+        bumps = amplitude * np.exp(-d2 / (2.0 * spread**2))
     field = background + bumps + rng.normal(0.0, noise, size=bumps.shape)
     pixels = np.clip(field[:, None, :, :], 0.0, 1.0)
     if channels > 1:
@@ -122,15 +112,21 @@ def synth_blobs(n: int, resolution: int = IMAGE_SIDE, classes: int = 4, seed: in
     return ImageBatch(pixels, labels, classes, float(pixels.mean()))
 
 
+def split_sizes(n: int, val_fraction: float) -> tuple[int, int]:
+    """(validation, training) sizes of a split of `n` samples: at least one
+    validation sample, and refused if no training sample is left."""
+    n_val = max(1, int(round(n * val_fraction)))
+    if n_val >= n:
+        raise ValueError(f"a batch of {n} split at {val_fraction} leaves no training sample")
+    return n_val, n - n_val
+
+
 def train_val_split(batch: ImageBatch, val_fraction: float, seed: int) -> tuple[ImageBatch, ImageBatch]:
     """Deterministic shuffle-split; both halves keep the train half's mean."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in (0,1), got {val_fraction}")
     order = seed_stream(seed, "split").permutation(len(batch))
-    n_val = max(1, int(round(len(batch) * val_fraction)))
-    if n_val >= len(batch):
-        raise ValueError(f"a batch of {len(batch)} leaves no training sample "
-                         f"at val_fraction {val_fraction}")
+    n_val, _ = split_sizes(len(batch), val_fraction)
     val_idx, train_idx = order[:n_val], order[n_val:]
     train_px = batch.pixels[train_idx]
     train = ImageBatch(train_px, batch.labels[train_idx], batch.classes, float(train_px.mean()))

@@ -21,16 +21,18 @@ import json
 import math
 import time
 import xml.sax.saxutils
+from typing import Annotated
 
 import numpy as np
 
 from . import attribution
-from .attacks import SEVERITY, AttackSpec, corrupt, error_rate, pgd
-from .data import (CIFAR_VARIANTS, IMAGE_SIDE, ImageBatch, check_blob_args, load_cifar,
+from .attacks import CORRUPT_KINDS, SEVERITY, AttackSpec, corrupt, error_rate, pgd
+from .data import (CIFAR_VARIANTS, IMAGE_SIDE, ImageBatch, load_cifar, split_sizes,
                    synth_blobs, train_val_split)
 from .inequality import GiniReport, gini_exact, mean_gini, region_blocks
-from .models import (IntegrityError, Model, atomic_write, build_model, check_keys,
-                     check_kind, is_int, load_checkpoint, save_checkpoint, signature_keys)
+from .models import (IntegrityError, Model, atomic_write, build_model, check_args,
+                     check_keys, check_kind, check_value, load_checkpoint, save_checkpoint,
+                     signature_keys)
 from .seeding import seed_stream
 from .theory import SELECTIONS, sweep_mask_stats
 from .training import EpochRow, TrainConfig, accuracy, train
@@ -54,54 +56,40 @@ STAGES = ("data", "train", "tables", "attack", "theory", "corrupt", "plots")
 # config: parsed once, at load, into the objects the stages run
 
 @contextmanager
-def _at(where: str):
+def _at(where: str = ""):
     """Re-raise a ValueError or TypeError from parsing `where` as a ConfigError."""
     try:
         yield
     except (ValueError, TypeError) as e:
-        raise ConfigError(f"{where}: {e}") from e
+        raise ConfigError(f"{where}: {e}" if where else str(e)) from e
 
 
-def _positive_int(v) -> bool:
-    return is_int(v) and v > 0
-
-
-def _list_of(v, ok) -> bool:
-    return isinstance(v, list) and all(ok(e) for e in v)
-
-
-# section: {key: (default, test a given value must pass, what it must be)};
-# section None is the top level. A limit must keep at least one sample.
+# section: {key: (default, annotation)}; section None is the top level. A
+# limit must keep at least one sample; a default of None means no limit.
 _VALUES = {
     None: {
-        "seed": (0, is_int, "an integer"),
-        "out": ("out", lambda v: isinstance(v, str), "a path string"),
-        "eval_fraction": (0.2, lambda v: type(v) in (int, float) and 0 < v < 1,
-                          "a number in (0, 1)"),
-        "eval_limit": (None, _positive_int, "a positive integer"),
-        "train": ([], lambda v: isinstance(v, list), "a list of entries"),
-        "attacks": ([], lambda v: isinstance(v, list), "a list of entries"),
+        "seed": (0, int),
+        "out": ("out", str),
+        "eval_fraction": (0.2, Annotated[float, (">", 0), ("<", 1)]),
+        "eval_limit": (None, Annotated[int, (">=", 1)]),
+        "train": ([], list),
+        "attacks": ([], list),
     },
     "gini": {
-        "region": (4, _positive_int, "a positive integer"),
-        "method": ("saliency", lambda v: v in tuple(attribution.METHODS),
-                   f"one of {list(attribution.METHODS)}"),
-        "limit": (None, _positive_int, "a positive integer"),
+        "region": (4, Annotated[int, (">=", 1)]),
+        "method": ("saliency", Annotated[str, ("in", tuple(attribution.METHODS))]),
+        "limit": (None, Annotated[int, (">=", 1)]),
     },
     "theory": {
-        "ks": ([1, 4, 16], lambda v: _list_of(v, lambda k: is_int(k) and k >= 0),
-               "a list of nonnegative integers"),
-        "selections": (list(SELECTIONS), lambda v: _list_of(v, lambda e: e in SELECTIONS),
-                       f"a list drawn from {list(SELECTIONS)}"),
-        "draws": (16, _positive_int, "a positive integer"),
-        "limit": (32, _positive_int, "a positive integer"),
+        "ks": ([1, 4, 16], Annotated[list[int], (">=", 0)]),
+        "selections": (list(SELECTIONS), Annotated[list[str], ("in", SELECTIONS)]),
+        "draws": (16, Annotated[int, (">=", 1)]),
+        "limit": (32, Annotated[int, (">=", 1)]),
     },
     "corrupt": {
-        "kinds": (list(SEVERITY), lambda v: _list_of(v, lambda e: e in tuple(SEVERITY)),
-                  f"a list drawn from {list(SEVERITY)}"),
-        "severities": ([1, 2, 3, 4, 5], lambda v: _list_of(v, lambda e: is_int(e) and 1 <= e <= 5),
-                       "a list of integers in 1..5"),
-        "limit": (None, _positive_int, "a positive integer"),
+        "kinds": (list(SEVERITY), Annotated[list[str], ("in", CORRUPT_KINDS)]),
+        "severities": ([1, 2, 3, 4, 5], Annotated[list[int], (">=", 1), ("<=", 5)]),
+        "limit": (None, Annotated[int, (">=", 1)]),
     },
 }
 
@@ -122,32 +110,30 @@ def _section(given: dict, section: str | None) -> SimpleNamespace:
     if section is not None:
         with _at(section):
             check_keys(given, set(), set(_VALUES[section]))
+    prefix = "" if section is None else f"{section}."
     values = {}
-    for key, (default, ok, what) in _VALUES[section].items():
-        if key in given and not ok(given[key]):
-            name = key if section is None else f"{section}.{key}"
-            raise ConfigError(f"{name} must be {what}, got {given[key]!r}")
+    for key, (default, annotation) in _VALUES[section].items():
+        if key in given:
+            with _at():
+                check_value(prefix + key, annotation, given[key])
         values[key] = given.get(key, default)
     return SimpleNamespace(**values)
 
 
 def _dataset(d: dict, seed: int) -> dict:
-    kind = check_kind(d, {k: signature_keys(f) for k, f in _loaders().items()})
-    if kind == "cifar" and "variant" in d and d["variant"] not in CIFAR_VARIANTS:
-        raise ValueError(f"variant must be one of {list(CIFAR_VARIANTS)}, got {d['variant']!r}")
-    if kind != "blobs":
-        if not isinstance(d["path"], str):
-            raise ValueError(f"path must be a string, got {d['path']!r}")
-        return d
-    check_blob_args({k: v for k, v in d.items() if k != "kind"})
-    return {"seed": seed} | d  # blobs without a seed of their own take the run's
+    loaders = _loaders()
+    kind = check_kind(d, {k: signature_keys(f) for k, f in loaders.items()})
+    check_args(loaders[kind], {k: v for k, v in d.items() if k != "kind"})
+    return {"seed": seed} | d if kind == "blobs" else d  # blobs without a seed take the run's
 
 
 def _check_image_bounds(config: "ExperimentConfig") -> None:
     """Refuse an attack `k` or a `theory.ks` entry above the image's pixel
-    count, and a train entry with a `cutout_hole` above the image's side or
-    a model that cannot take the images or has fewer classes than the data;
-    an attribution file's size is known only to the file."""
+    count, a `gini.region` that leaves a single block, a blobs split that
+    leaves no training sample, and a train entry with a `cutout_hole` above
+    the image's side or a model that cannot take the images or has fewer
+    classes than the data; an attribution file's size is known only to the
+    file."""
     kind = config.dataset["kind"]
     if kind == "attribution_file":
         return
@@ -161,7 +147,16 @@ def _check_image_bounds(config: "ExperimentConfig") -> None:
     for what, k in ks:
         if k > side**2:
             raise ConfigError(f"{what} must be at most the image's {side**2} pixels, got {k}")
+    if config.gini.region >= side:
+        raise ConfigError(f"gini.region must be below the image's side {side}, "
+                          f"got {config.gini.region}")
+    if kind == "blobs":
+        with _at("eval_fraction"):
+            pool = split_sizes(args["n"], config.eval_fraction)[1]
     for i, (_, tcfg) in enumerate(config.train):
+        if kind == "blobs":
+            with _at(f"train[{i}]: val_fraction"):
+                split_sizes(pool, tcfg.val_fraction)
         if tcfg.cutout_hole > side:
             raise ConfigError(f"train[{i}]: cutout_hole must be at most the image's "
                               f"side {side}, got {tcfg.cutout_hole}")

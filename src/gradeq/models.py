@@ -15,13 +15,15 @@ checkpoint reproduces the run that wrote it bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import inspect
 import json
+import operator
 import os
 import struct
+import sys
 from pathlib import Path
+from typing import Annotated, get_args, get_origin
 
 import numpy as np
 
@@ -77,21 +79,44 @@ def signature_keys(fn, skip=()) -> tuple[set, set]:
             {p.name for p in params if p.default is not p.empty})
 
 
-def check_types(typed) -> None:
-    """Refuse, per (name, annotation, value) in `typed`, an `int` value that is
-    a non-integer or a bool, or a `float` value that is anything but a finite
-    int or float."""
-    for name, annotation, value in typed:
-        if annotation in ("int", int) and not is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        finite = is_int(value) or isinstance(value, float) and np.isfinite(value)
-        if annotation in ("float", float) and not finite:
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+# type: (what a value must be, its test); a bool is neither an integer nor a
+# number, and an integer beyond every float is not a finite number
+_TYPES = {int: ("an integer", is_int),
+          float: ("a finite number", lambda v: (is_int(v) or isinstance(v, float))
+                  and abs(v) <= sys.float_info.max),
+          str: ("a string", lambda v: isinstance(v, str)),
+          list: ("a list", lambda v: isinstance(v, list))}
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt,
+           "in": lambda v, choices: v in choices}
 
 
-def check_field_types(obj) -> None:
-    """`check_types` over the fields of dataclass `obj`."""
-    check_types((f.name, f.type, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+def check_value(name: str, annotation, value) -> None:
+    """Refuse `value` unless it is of `annotation`'s type and within its
+    bounds. An annotation is a type or `Annotated[type, (op, bound), ...]`,
+    op one of >=, >, <=, < or "in" (a tuple of choices); the bounds of an
+    `Annotated[list[type], ...]` hold for each entry. A type other than
+    int, float, str and list is not checked."""
+    base, *bounds = get_args(annotation) if get_origin(annotation) is Annotated else [annotation]
+    values = [value]
+    if get_origin(base) is list:
+        check_value(name, list, value)
+        (base,), name, values = get_args(base), f"{name} entry", value
+    what, ok = _TYPES.get(base, (None, lambda v: True))
+    for v in values:
+        if not ok(v):
+            raise ValueError(f"{name} must be {what}, got {v!r}")
+        for op, bound in bounds:
+            if not _BOUNDS[op](v, bound):
+                limit = f"one of {list(bound)}" if op == "in" else f"{op} {bound}"
+                raise ValueError(f"{name} must be {limit}, got {v!r}")
+
+
+def check_args(fn, args: dict) -> None:
+    """`check_value` per argument in `args`, by the annotations of `fn`'s
+    parameters (a wrapper's are those of the function it wraps)."""
+    params = inspect.signature(fn, eval_str=True).parameters
+    for name, value in args.items():
+        check_value(name, params[name].annotation, value)
 
 
 class _OneForward:

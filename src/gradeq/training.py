@@ -18,6 +18,7 @@ to plain adversarial training.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import Annotated
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .attacks import PGD_EPS, PGD_ITERS, PGD_STEP, pgd
 from .attribution import input_gradients, saliency
 from .data import ImageBatch, cutout, train_val_split
 from .inequality import gini, mean_gini  # noqa: F401  (gini: perfbench's tracer wraps this name)
-from .models import Model, build_model, check_field_types, label_score, predict
+from .models import Model, build_model, check_args, label_score, predict
 from .models import load_checkpoint  # noqa: F401  (perfbench's tracer wraps this name)
 from .seeding import seed_stream
 
@@ -36,40 +37,28 @@ GINI_PROBE_CAP = 64  # saliency-gini probe size per epoch; keeps eval cheap
 
 @dataclass(frozen=True)
 class TrainConfig:
-    method: str
+    method: Annotated[str, ("in", METHODS)]
     model: dict  # build_model config
-    lam: float = 0.0
-    epochs: int = 30
-    batch_size: int = 64
+    lam: Annotated[float, (">=", 0)] = 0.0
+    epochs: Annotated[int, (">=", 0)] = 30
+    batch_size: Annotated[int, (">=", 1)] = 64
     lr: float = 0.05
     momentum: float = 0.9
     weight_decay: float = 5e-4
     plateau_factor: float = 0.1
     plateau_patience: int = 3
-    pgd_eps: float = PGD_EPS
-    pgd_step: float = PGD_STEP
-    pgd_iters: int = PGD_ITERS
-    cutout_hole: int = 8
-    val_fraction: float = 0.1
+    pgd_eps: Annotated[float, (">=", 0)] = PGD_EPS
+    pgd_step: Annotated[float, (">=", 0)] = PGD_STEP
+    pgd_iters: Annotated[int, (">=", 0)] = PGD_ITERS
+    cutout_hole: Annotated[int, (">=", 0)] = 8
+    val_fraction: Annotated[float, (">", 0), ("<", 1)] = 0.1
     seed: int = 0
     teacher: str | None = None  # igd only: name of the entry whose model is the teacher
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.method not in METHODS:
-            raise ValueError(f"unknown training method {self.method!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        check_args(TrainConfig, vars(self))
         if self.method != "igd" and self.lam != 0.0:
             raise ValueError(f"lam has no effect under {self.method}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("bad epoch/batch settings")
-        if self.pgd_eps < 0 or self.pgd_step < 0 or self.pgd_iters < 0:
-            raise ValueError("pgd_eps, pgd_step and pgd_iters must be nonnegative")
-        if self.cutout_hole < 0:
-            raise ValueError(f"cutout_hole must be nonnegative, got {self.cutout_hole}")
-        if not 0 < self.val_fraction < 1:
-            raise ValueError("val_fraction must be in (0,1)")
 
     @property
     def selection_metric(self) -> str:

@@ -103,6 +103,15 @@ class TestSynthBlobs:
         with pytest.raises(ValueError):
             dt.synth_blobs(4, classes=1)
 
+    def test_extremes_within_bounds_stay_quiet(self):
+        # a far bump under a narrow spread overflows its exponent to -inf,
+        # whose exp is 0; a numeric warning is a test failure
+        batch = dt.synth_blobs(4, resolution=8, classes=2, spread=1e-150, jitter=1e150)
+        assert len(batch) == 4
+        for key, value in (("spread", 1e-151), ("spread", 1e151), ("jitter", 2e150)):
+            with pytest.raises(ValueError, match=f"{key} must be"):
+                dt.synth_blobs(4, resolution=8, classes=2, **{key: value})
+
     def test_balanced_labels(self):
         batch = dt.synth_blobs(20, classes=4, seed=0)
         assert np.bincount(batch.labels).tolist() == [5, 5, 5, 5]

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -8,13 +10,14 @@ import numpy as np
 import pytest
 
 from gradeq import cli, harness, training
-from gradeq.attacks import corrupt
+from gradeq.attacks import CORRUPT_PARAM, AttackSpec, corrupt
 from gradeq.attribution import AttributionMap
+from gradeq.data import load_cifar, synth_blobs
 from gradeq.harness import (SEVERITY, ConfigError, StageError, confidence_stats,
                             config_digest, csv_text, load_config, run,
                             svg_line_chart)
 from gradeq.inequality import GiniReport, gini_exact
-from gradeq.models import LinearScore, atomic_write, load_checkpoint
+from gradeq.models import LinearScore, atomic_write, check_value, load_checkpoint
 from gradeq.seeding import seed_stream
 from gradeq.training import mean_saliency_gini
 from support import write_attribution
@@ -236,25 +239,111 @@ def test_missing_file(tmp_path):
     ("train.1", "cutout_hole", 40),
     ("train.1.model", "in_shape", [1, 16, 16]),
     ("train.0.model", "in_shape", [3, 8, 8]),
-    ("dataset", "classes", 4),
+    ("dataset", "spread", 1e300),
     ("train.0", "model", {"kind": "cnn", "in_shape": [3, 8, 8], "channels": [2, 2],
                           "classes": 2}),
     (None, "dataset", {"kind": "cifar", "path": 5}),
     (None, "dataset", {"kind": "attribution_file", "path": 5}),
+    ("dataset", "spread", 1e-300),
+    ("dataset", "jitter", 1e300),
+    ("dataset", "jitter", -1e300),
+    ("gini", "region", 8),
 ])
 def test_bad_values_rejected_at_load(tmp_path, section, key, value):
     """Refused at load, before any model trains: severity 0 would index
     severity 5's sigma under a severity-0 label, a zero limit would fail deep
     inside a stage on a zero-size array, and a bad attack, model or training
     value used to exit 3 only after the entries before it had trained.
-    `section` is a dotted path into the config; list indices are numbers."""
+    `section` is a dotted path into the config; list indices are numbers.
+    The message starts at the section, `train.1` as `train[1]`, and then
+    names the key."""
     cfg = base_config(tmp_path / "o")
     target = cfg
     for part in section.split(".") if section else ():
         target = target[int(part)] if part.isdigit() else target[part]
     target[key] = value
-    with pytest.raises(ConfigError, match=key):
+    location = re.sub(r"\.(\d+)", r"\\[\1\\]", section).replace(".", ".*") + ".*" if section else ""
+    with pytest.raises(ConfigError, match=rf"^{location}\b{key}\b"):
         load_config(write_config(tmp_path / "c.json", cfg))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("classes", 4, "train[0]: model: 2 classes, fewer than the dataset's 4"),
+    ("n", 1, "eval_fraction: a batch of 1 split at 0.25 leaves no training sample"),
+    ("n", 2, "train[0]: val_fraction: a batch of 1 split at 0.2 leaves no training sample"),
+], ids=["classes-4", "n-1", "n-2"])
+def test_bad_dataset_values_rejected_through_another_entry(tmp_path, key, value, message):
+    """A dataset value that only a split or a train entry cannot take is
+    refused at load under the name of what refuses it."""
+    cfg = base_config(tmp_path / "o")
+    cfg["dataset"][key] = value
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(write_config(tmp_path / "c.json", cfg))
+
+
+def declared_defaults():
+    """(where, name, annotation, default) of each declared config value, and
+    each severity ladder step as a corruption `param`."""
+    for fn in (training.TrainConfig, AttackSpec, synth_blobs, load_cifar):
+        for p in inspect.signature(fn, eval_str=True).parameters.values():
+            yield fn.__name__, p.name, p.annotation, p.default
+    for section, values in harness._VALUES.items():
+        for key, (default, annotation) in values.items():
+            yield f"section {section}", key, annotation, default
+    for kind, ladder in SEVERITY.items():
+        for param in ladder:
+            yield f"SEVERITY[{kind!r}]", "param", CORRUPT_PARAM[kind], param
+
+
+def test_every_default_meets_its_annotation():
+    """Load checks only the values a config gives, so a default that broke
+    its own bounds would pass unseen; a default of None means "not given"."""
+    seen = 0
+    for where, name, annotation, default in declared_defaults():
+        if default is not inspect.Parameter.empty and default is not None:
+            check_value(f"{where}: {name}", annotation, default)
+            seen += 1
+    assert seen > 40
+
+
+# what each leaf of the fuzzed config is replaced with, in turn
+FUZZ_VALUES = [0, -1, 1, 2, 3, 64, 0.5, 1e-300, 1e300, True, "x", None, [], {}, [0]]
+# the causes of a failed stage that depend on the data and the trained models
+DATA_DEPENDENT = ["no sample is classified correctly by every model"]
+
+
+def leaf_paths(node, path=()):
+    """The key path of each value in `node` that is neither an object nor a list."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            yield from leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def test_every_config_runs_or_is_refused_at_load(tmp_path, capsys):
+    """Each leaf of a config, replaced in turn by each of FUZZ_VALUES, either
+    runs `report` to the end (exit 0) or is refused at load (exit 2); a stage
+    may fail (exit 3) only for a cause in DATA_DEPENDENT."""
+    base = base_config(tmp_path / "unused", n=32, epochs=1)
+    base["attacks"] += [{"name": "occlude", "kind": "ioa", "n": 2, "r": 2},
+                        {"name": "shot", "kind": "corrupt", "corrupt_kind": "shot",
+                         "param": 5}]
+    cases = [(None, None)] + [(path, v) for path in leaf_paths(base) for v in FUZZ_VALUES]
+    bad = []
+    for i, (path, value) in enumerate(cases):
+        cfg = copy.deepcopy(base)
+        if path:
+            target = cfg
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        p = write_config(tmp_path / "c.json", cfg)
+        code = cli.main(["report", "--config", str(p), "--out", str(tmp_path / str(i))])
+        err = capsys.readouterr().err
+        if code not in (0, 2) and not (code == 3 and any(m in err for m in DATA_DEPENDENT)):
+            bad.append(f"{path} = {value!r}: exit {code}: {err.strip()}")
+    assert bad == []
 
 
 @pytest.mark.parametrize("second, message", [
@@ -284,17 +373,31 @@ def test_attribution_file_path_must_be_a_string(tmp_path):
         load_config(write_config(tmp_path / "c.json", cfg))
 
 
-def test_split_leaving_no_training_sample_is_a_named_stage_error(tmp_path):
-    """Two blobs leave one pool sample and no training sample: the split says
-    so instead of averaging an empty array."""
-    cfg = {"dataset": {"kind": "blobs", "n": 2, "resolution": 8, "classes": 2},
+def test_split_leaving_no_training_sample_is_refused_at_load(tmp_path, capsys):
+    """Two blobs leave one pool sample and no training sample: load says so,
+    where the train stage used to fail after the data stage had run."""
+    cfg = {"out": str(tmp_path / "out"),
+           "dataset": {"kind": "blobs", "n": 2, "resolution": 8, "classes": 2},
            "train": [{"name": "s", "method": "standard", "epochs": 1,
                       "model": {"kind": "mlp", "in_shape": [1, 8, 8], "hidden": [4],
                                 "classes": 2}}]}
-    config = load_config(write_config(tmp_path / "c.json", cfg), out=tmp_path / "out")
-    with pytest.raises(StageError, match="batch of 1 leaves no training sample") as err:
-        run(config, stages=("data", "train"))
-    assert err.value.stage == "train"
+    p = write_config(tmp_path / "c.json", cfg)
+    with pytest.raises(ConfigError, match=r"train\[0\]: val_fraction: a batch of 1 split"):
+        load_config(p)
+    assert cli.main(["train", "--config", str(p)]) == 2
+    assert "leaves no training sample" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, param", [("gaussian", -1), ("shot", 0), ("impulse", 2)])
+def test_bad_corrupt_param_rejected_at_load(tmp_path, kind, param):
+    """A corruption its kind cannot apply used to fail the attack stage,
+    after every model had trained."""
+    cfg = base_config(tmp_path / "o")
+    cfg["attacks"].append({"name": "c", "kind": "corrupt", "corrupt_kind": kind,
+                           "param": param})
+    with pytest.raises(ConfigError, match=r"^attacks\[3\]: param must be"):
+        load_config(write_config(tmp_path / "c.json", cfg))
 
 
 @pytest.mark.parametrize("key, value", [("n", 0), ("r", 0), ("r", -2),
@@ -563,18 +666,20 @@ def test_tables_and_probe_count_a_tiny_map_alike(tmp_path):
     assert float(row["global_gini"]) == float(row["regional_gini"]) == 0.0
 
 
-def test_single_block_region_fails_the_tables_stage(tmp_path):
-    """region 16 on 16x16 data leaves one block: refused, never written as 0.0."""
+def test_single_block_region_is_refused_at_load(tmp_path, capsys):
+    """region 16 on 16x16 data leaves one block: refused at load, where the
+    tables stage used to fail after every model had trained."""
     cfg = base_config(tmp_path / "o", epochs=1)
     cfg["dataset"]["resolution"] = 16
     cfg["train"] = cfg["train"][:1]
     cfg["train"][0]["model"]["in_shape"] = [1, 16, 16]
     cfg["gini"] = {"region": 16}
-    config = load_config(write_config(tmp_path / "c.json", cfg))
-    with pytest.raises(StageError, match="single block") as info:
-        run(config, stages=("data", "train", "tables"))
-    assert info.value.stage == "tables"
-    assert not (config.out / "tables" / "gini.csv").exists()
+    p = write_config(tmp_path / "c.json", cfg)
+    with pytest.raises(ConfigError, match="gini.region must be below the image's side 16"):
+        load_config(p)
+    assert cli.main(["report", "--config", str(p)]) == 2
+    capsys.readouterr()
+    assert not (tmp_path / "o").exists()
 
 
 def test_plots_come_from_this_runs_rows(tmp_path):
@@ -600,10 +705,10 @@ def test_plots_come_from_this_runs_rows(tmp_path):
     assert manifest["files"] == second.files
 
 
-def test_failed_run_keeps_earlier_outputs_due(tmp_path):
+def test_failed_run_keeps_earlier_outputs_due(tmp_path, monkeypatch):
     """A failed run between two successful ones does not lose what the
     first one listed: config A writes an attack curve, config B fails in
-    the tables stage, B fixed then succeeds and deletes A's curve."""
+    the tables stage, B then succeeds and deletes A's curve."""
     out = tmp_path / "out"
     cfg = base_config(out, n=48, epochs=1)
     cfg["train"] = cfg["train"][:1]
@@ -611,14 +716,20 @@ def test_failed_run_keeps_earlier_outputs_due(tmp_path):
     run(load_config(write_config(tmp_path / "a.json", cfg)))
     assert (out / "curves" / "error_rate.csv").exists()
     del cfg["attacks"]
-    cfg["gini"] = {"region": 8}  # one block on 8x8 images
-    with pytest.raises(StageError, match="single block"):
-        run(load_config(write_config(tmp_path / "b.json", cfg)))
+    config_b = load_config(write_config(tmp_path / "b.json", cfg))
+
+    def failing_gini(maps, region=None):  # a cause load cannot see
+        raise ValueError("no gini today")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "mean_gini", failing_gini)
+        with pytest.raises(StageError, match="no gini today") as err:
+            run(config_b)
+    assert err.value.stage == "tables"
     assert json.loads((out / "bundle.json").read_text())["stale"] == [
         "curves/error_rate.csv", "plots/error_rate_ina1.svg", "tables/confidence.csv",
         "tables/gini.csv", "tables/l1.csv"]
-    cfg["gini"] = {"region": 4}
-    fixed = run(load_config(write_config(tmp_path / "b.json", cfg)))
+    fixed = run(config_b)
     assert not (out / "curves" / "error_rate.csv").exists()
     assert not (out / "plots" / "error_rate_ina1.svg").exists()
     manifest = json.loads((out / "bundle.json").read_text())

@@ -1,7 +1,9 @@
 """Model forwards, linearization, and checkpoint round trips."""
 
+import functools
 import json
 import struct
+from typing import Annotated
 
 import numpy as np
 import pytest
@@ -373,3 +375,51 @@ class TestMalformedCheckpoints:
         for k in _SAMPLE.params:
             assert np.array_equal(model.params[k], _SAMPLE.params[k])
 
+
+
+class TestCheckValue:
+    """The one checker of config values: a type, then each bound of an
+    `Annotated` annotation, per entry of a list."""
+
+    @pytest.mark.parametrize("annotation, value, message", [
+        (int, True, "x must be an integer, got True"),
+        (int, 2.0, "x must be an integer, got 2.0"),
+        (float, float("inf"), "x must be a finite number, got inf"),
+        (float, "1", "x must be a finite number, got '1'"),
+        (str, 5, "x must be a string, got 5"),
+        (Annotated[int, (">=", 1)], 0, "x must be >= 1, got 0"),
+        (Annotated[float, (">", 0), ("<", 1)], 1, "x must be < 1, got 1"),
+        (Annotated[str, ("in", ("a", "b"))], "c", r"x must be one of \['a', 'b'\], got 'c'"),
+        (Annotated[list[int], (">=", 1), ("<=", 5)], 3, "x must be a list, got 3"),
+        (Annotated[list[int], (">=", 1), ("<=", 5)], [1, 6], "x entry must be <= 5, got 6"),
+        (Annotated[list[int], (">=", 1)], [1, 2.0], "x entry must be an integer, got 2.0"),
+    ])
+    def test_refusals_name_the_value(self, annotation, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            md.check_value("x", annotation, value)
+
+    def test_an_integer_beyond_every_float_is_not_a_finite_number(self):
+        # JSON reads 1 followed by 400 zeros as an exact int, too large for a float
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            md.check_value("x", float, 10**400)
+
+    @pytest.mark.parametrize("annotation, value", [
+        (int, np.int64(3)), (float, 2), (Annotated[float, (">=", 0), ("<=", 1)], 1.0),
+        (Annotated[list[str], ("in", ("a", "b"))], []), (dict, 5), (str | None, None),
+    ])
+    def test_accepted(self, annotation, value):
+        md.check_value("x", annotation, value)
+
+    def test_check_args_reads_through_a_wrapper(self):
+        """A wrapper that sets `__wrapped__`, as the benchmark's tracer does,
+        is checked by the annotations of the function it wraps."""
+        def bounded(n: Annotated[int, (">=", 1)], name: str = "a"):
+            return n
+
+        @functools.wraps(bounded)
+        def wrapper(*args, **kwargs):
+            return bounded(*args, **kwargs)
+
+        md.check_args(wrapper, {"n": 1, "name": "b"})
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            md.check_args(wrapper, {"n": 0})
