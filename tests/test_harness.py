@@ -20,7 +20,9 @@ from gradeq.inequality import GiniReport, gini_exact
 from gradeq.models import LinearScore, atomic_write, check_value, load_checkpoint
 from gradeq.seeding import seed_stream
 from gradeq.training import mean_saliency_gini
-from support import write_attribution
+from support import report_summary, summary_mismatches, write_attribution
+
+GOLDEN = Path(__file__).with_name("golden") / "pipeline_report.json"
 
 
 def base_config(out, n=96, epochs=2):
@@ -623,6 +625,27 @@ def test_rerun_is_bytewise_identical_without_retraining(pipeline):
     after = tree_digests(config.out)
     assert before == after
     assert all(p.stat().st_mtime_ns == t for p, t in stamps.items())
+
+
+def test_report_matches_the_golden_file(pipeline):
+    """What the report computes does not change: every table and curve
+    cell, `bundle.json`, and each checkpoint's header and parameter summary
+    match `golden/pipeline_report.json` (strings and ints exactly, floats
+    within 1e-9). `golden/write_pipeline_golden.py` rewrites it for a change
+    that is meant to alter the numbers."""
+    _, config, _ = pipeline
+    want = json.loads(GOLDEN.read_text())
+    assert summary_mismatches(report_summary(config.out), want) == []
+
+
+@pytest.mark.parametrize("got,want,ok", [
+    ("0.5", "0.5000000000001", True), ("0.5", "0.500001", False),
+    ("16", "17", False), ("16", "16.0", False), ("std", "igd2", False),
+    (0.25, 0.25 + 1e-12, True), (0.25, 0.2501, False), (3, 3, True),
+    (3, 3.0, False), ([1, 2], [1, 2, 3], False), ({"a": 1}, {"b": 1}, False),
+])
+def test_golden_comparison_rules(got, want, ok):
+    assert (summary_mismatches(got, want) == []) is ok
 
 
 def gini_rows(out):
