@@ -1,30 +1,6 @@
 """Tape-based reverse-mode autodiff with double-backward support."""
 
-from .engine import (
-    Graph,
-    GraphError,
-    NonFiniteError,
-    Var,
-    add,
-    broadcast,
-    conv2d,
-    exp,
-    flip_hw,
-    grad,
-    log,
-    matmul,
-    maxpool2,
-    mul,
-    permute,
-    reciprocal,
-    relu,
-    reshape,
-    rsqrt,
-    scale,
-    softplus,
-    sum_axes,
-    unpool2,
-)
+from .engine import Graph, GraphError, NonFiniteError, Var, grad
 from .functional import (
     COSINE_NORM_FLOOR,
     affine,
@@ -41,9 +17,6 @@ from .functional import (
 
 __all__ = [
     "Graph", "GraphError", "NonFiniteError", "Var", "grad",
-    "add", "broadcast", "conv2d", "exp", "flip_hw", "log", "matmul",
-    "maxpool2", "mul", "permute", "reciprocal", "relu",
-    "reshape", "rsqrt", "scale", "softplus", "sum_axes", "unpool2",
     "COSINE_NORM_FLOOR", "affine", "conv_bias",
     "cosine_rows", "cross_entropy_mean", "flatten", "logsumexp_rows",
     "mean_all", "onehot", "picked_rows", "sum_all",

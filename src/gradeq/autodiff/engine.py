@@ -6,12 +6,12 @@ and the eagerly computed float64 value. Node arguments always have smaller
 ids than the node itself, so the tape is topologically sorted by
 construction and a backward sweep is a single reverse pass.
 
-There are two op namespaces with the same names. The `kernels` module
-runs each op on raw arrays; a `Graph` emits each op onto its tape
-(`graph.matmul(a, b)`), its emitters set from `_OPS`, the one list of op
-names. Every vector-Jacobian rule and every model forward is written
-against a namespace argument, so the raw and the recording routes cannot
-drift apart.
+An op is its kernel, `kernels.<op>`, which checks its arguments, and its
+VJP rule; `_OPS` is the one list of them. `Graph.<op>` (`graph.matmul(a,
+b)`) records an op on the tape through `Graph.apply`, which runs the same
+kernel. Every VJP rule and every model forward takes its op namespace, the
+`kernels` module or a Graph, as an argument, so the raw and the recording
+routes cannot drift apart.
 
 `grad` runs the backward sweep either on raw arrays through `kernels`
 (fast path) or, with `create_graph=True`, by emitting the adjoint
@@ -31,10 +31,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import kernels
-
-
-class GraphError(ValueError):
-    """Malformed graph construction (cross-graph args, bad shapes)."""
+from .kernels import GraphError
 
 
 class NonFiniteError(FloatingPointError):
@@ -101,107 +98,10 @@ class Graph:
         value = kernel(*vals) if meta is None else kernel(*vals, meta)
         return self._append(_Node(op, tuple(a.idx for a in args), meta, value))
 
-
-# ---------------------------------------------------------------------------
-# Primitive emitters, also set on Graph as its ops. Shape and argument
-# validation happens here, once, so both the model forwards and the VJP
-# rules can rely on it.
-
-
-def matmul(a: Var, b: Var) -> Var:
-    if len(a.shape) != 2 or len(b.shape) != 2:
-        raise GraphError(f"matmul needs 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise GraphError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    return a.graph.apply("matmul", (a, b))
-
-
-def conv2d(x: Var, k: Var, pad: int) -> Var:
-    kh, kw = k.shape[2], k.shape[3]
-    if kh != kw:
-        raise GraphError(f"conv2d kernels must be square, got {kh}x{kw}")
-    if not 0 <= pad <= kh - 1:
-        raise GraphError(f"conv2d pad must lie in [0, {kh - 1}], got {pad}")
-    return x.graph.apply("conv2d", (x, k), int(pad))
-
-
-def permute(x: Var, axes: tuple[int, ...]) -> Var:
-    if sorted(axes) != list(range(len(x.shape))):
-        raise GraphError(f"permute axes {axes} invalid for rank {len(x.shape)}")
-    return x.graph.apply("permute", (x,), tuple(axes))
-
-
-def flip_hw(x: Var) -> Var:
-    return x.graph.apply("flip_hw", (x,))
-
-
-def reshape(x: Var, shape: tuple[int, ...]) -> Var:
-    if int(np.prod(shape, dtype=np.int64)) != x.value.size:
-        raise GraphError(f"reshape {x.shape} -> {shape} changes element count")
-    return x.graph.apply("reshape", (x,), tuple(int(s) for s in shape))
-
-
-def add(a: Var, b: Var) -> Var:
-    if a.shape != b.shape:
-        raise GraphError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return a.graph.apply("add", (a, b))
-
-
-def mul(a: Var, b: Var) -> Var:
-    if a.shape != b.shape:
-        raise GraphError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    return a.graph.apply("mul", (a, b))
-
-
-def scale(x: Var, c: float) -> Var:
-    return x.graph.apply("scale", (x,), float(c))
-
-
-def relu(x: Var) -> Var:
-    return x.graph.apply("relu", (x,))
-
-
-def softplus(x: Var) -> Var:
-    return x.graph.apply("softplus", (x,))
-
-
-def exp(x: Var) -> Var:
-    return x.graph.apply("exp", (x,))
-
-
-def log(x: Var) -> Var:
-    return x.graph.apply("log", (x,))
-
-
-def rsqrt(x: Var) -> Var:
-    return x.graph.apply("rsqrt", (x,))
-
-
-def reciprocal(x: Var) -> Var:
-    return x.graph.apply("reciprocal", (x,))
-
-
-def sum_axes(x: Var, axes: tuple[int, ...]) -> Var:
-    axes = tuple(sorted(int(a) % len(x.shape) for a in axes))
-    if len(set(axes)) != len(axes):
-        raise GraphError(f"sum_axes got repeated axes {axes}")
-    return x.graph.apply("sum_axes", (x,), axes)
-
-
-def broadcast(x: Var, shape: tuple[int, ...]) -> Var:
-    return x.graph.apply("broadcast", (x,), tuple(int(s) for s in shape))
-
-
-def maxpool2(x: Var, mask: np.ndarray | None = None) -> Var:
-    """2x2 max pool through `mask`, by default the argmax mask of x's value;
-    either way the mask is frozen into the tape at build time."""
-    if mask is None:
-        mask = kernels.pool_mask(x.value)
-    return x.graph.apply("maxpool2", (x,), mask)
-
-
-def unpool2(x: Var, mask: np.ndarray) -> Var:
-    return x.graph.apply("unpool2", (x,), mask)
+    def maxpool2(self, x: Var, mask: np.ndarray | None = None) -> Var:
+        """2x2 max pool through `mask`, by default the argmax mask of x's
+        value; either way the mask is frozen into the tape at build time."""
+        return self.apply("maxpool2", (x,), kernels.pool_mask(x.value) if mask is None else mask)
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +206,29 @@ def _vjp_unpool2(ns, g, xs, vals, out, meta):
     return (ns.maxpool2(g, meta),)
 
 
-# the one list of op names: each maps to its VJP rule `_vjp_<op>`; the
-# forward is `kernels.<op>` and the tape emitter `<op>` above
+# the one list of op names: each maps to its VJP rule `_vjp_<op>`; its
+# forward is `kernels.<op>`
 _OPS = {op: globals()[f"_vjp_{op}"] for op in (
     "matmul", "conv2d", "permute", "flip_hw", "reshape", "add", "mul", "scale",
     "relu", "softplus", "exp", "log", "rsqrt", "reciprocal", "sum_axes",
     "broadcast", "maxpool2", "unpool2")}
 
-for _name in _OPS:
-    setattr(Graph, _name, staticmethod(globals()[_name]))
-del _name
+
+def _method(op: str):
+    """`Graph.<op>(*inputs, payload)`: the leading Vars are the op's inputs,
+    a trailing non-Var its payload; `apply` is looked up at each call."""
+    def method(self, *args):
+        if args and not isinstance(args[-1], Var):
+            return self.apply(op, args[:-1], args[-1])
+        return self.apply(op, args)
+    method.__name__ = method.__qualname__ = op
+    return method
+
+
+for _op in _OPS:
+    if _op not in vars(Graph):
+        setattr(Graph, _op, _method(_op))
+del _op
 
 
 def grad(out: Var, wrts: Sequence[Var], *, create_graph: bool = False) -> list:

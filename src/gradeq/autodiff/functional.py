@@ -3,15 +3,15 @@
 `affine`, `conv_bias` and `flatten` take an op namespace first, like the
 VJP rules: the `kernels` module to run on raw arrays, or a `Graph` to
 emit onto its tape. So a model forward runs on either alike.
-Everything else takes and returns graph Vars; plain arrays enter only as
-constants (one-hot labels, row maxima, frozen reference gradients).
+Everything else takes and returns graph Vars and records its ops on
+their graph (`x.graph.<op>`); plain arrays enter only as constants
+(one-hot labels, row maxima, frozen reference gradients).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import engine as ag
 from .engine import Var
 
 COSINE_NORM_FLOOR = 1e-12
@@ -37,11 +37,12 @@ def flatten(ns, x):
 
 
 def sum_all(x: Var) -> Var:
-    return ag.reshape(ag.sum_axes(x, tuple(range(len(x.shape)))), ())
+    g = x.graph
+    return g.reshape(g.sum_axes(x, tuple(range(len(x.shape)))), ())
 
 
 def mean_all(x: Var) -> Var:
-    return ag.scale(sum_all(x), 1.0 / x.value.size)
+    return x.graph.scale(sum_all(x), 1.0 / x.value.size)
 
 
 def onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -61,21 +62,22 @@ def logsumexp_rows(logits: Var) -> Var:
     """
     m = np.max(logits.value, axis=1, keepdims=True)
     g = logits.graph
-    shifted = ag.add(logits, g.const(np.broadcast_to(-m, logits.shape)))
-    s = ag.sum_axes(ag.exp(shifted), (1,))
-    return ag.add(ag.log(s), g.const(m))
+    shifted = g.add(logits, g.const(np.broadcast_to(-m, logits.shape)))
+    s = g.sum_axes(g.exp(shifted), (1,))
+    return g.add(g.log(s), g.const(m))
 
 
 def picked_rows(logits: Var, labels: np.ndarray) -> Var:
     """Logit of each row's labeled class, shape [B, 1]."""
-    hot = logits.graph.const(onehot(labels, logits.shape[1]))
-    return ag.sum_axes(ag.mul(logits, hot), (1,))
+    g = logits.graph
+    return g.sum_axes(g.mul(logits, g.const(onehot(labels, logits.shape[1]))), (1,))
 
 
 def cross_entropy_mean(logits: Var, labels: np.ndarray) -> Var:
     """Mean softmax cross entropy over the batch, scalar."""
-    rows = ag.add(logsumexp_rows(logits), ag.scale(picked_rows(logits, labels), -1.0))
-    return ag.scale(sum_all(rows), 1.0 / logits.shape[0])
+    g = logits.graph
+    rows = g.add(logsumexp_rows(logits), g.scale(picked_rows(logits, labels), -1.0))
+    return g.scale(sum_all(rows), 1.0 / logits.shape[0])
 
 
 def cosine_rows(u: Var, ref: np.ndarray) -> tuple[Var, np.ndarray]:
@@ -95,9 +97,9 @@ def cosine_rows(u: Var, ref: np.ndarray) -> tuple[Var, np.ndarray]:
     ok = (u_norms >= COSINE_NORM_FLOOR) & (r_norms >= COSINE_NORM_FLOOR)
     mask = ok.astype(np.float64)
 
-    uu = ag.sum_axes(ag.mul(u, u), (1,))
+    uu = g.sum_axes(g.mul(u, u), (1,))
     rr = np.sum(ref * ref, axis=1, keepdims=True)
-    ur = ag.sum_axes(ag.mul(u, g.const(ref)), (1,))
-    safe = ag.add(ag.mul(uu, g.const(rr)), g.const(1.0 - mask))
-    cos = ag.mul(ag.mul(ur, ag.rsqrt(safe)), g.const(mask))
+    ur = g.sum_axes(g.mul(u, g.const(ref)), (1,))
+    safe = g.add(g.mul(uu, g.const(rr)), g.const(1.0 - mask))
+    cos = g.mul(g.mul(ur, g.rsqrt(safe)), g.const(mask))
     return cos, ~ok[:, 0]

@@ -1,12 +1,12 @@
 """Raw numpy kernels for the dense-tensor op set: the raw-array op namespace.
 
-These are plain array functions with no graph bookkeeping, one per op of
-the engine's `_OPS`, plus `const` (the identity) and `pool_mask`. The graph
-engine calls them for forward evaluation, the fast (non-recording) backward
-pass runs the vector-Jacobian rules with this module as their namespace,
-and a model forward run on this module evaluates on plain arrays. Each is
-looked up here at call time. All arithmetic is float64; single-precision
-storage is a concern of model checkpoints, not of the engine.
+One function per op of the engine's `_OPS`, plus `const` (the identity)
+and `pool_mask`. Each is its op's one forward on both routes: a Graph
+computes every node's value with it, and the non-recording backward pass
+and a model forward on plain arrays run with this module as their op
+namespace. So each kernel checks its own arguments, raising `GraphError`
+where numpy would broadcast or compute silently; where numpy already
+raises, it is left to. All arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -15,11 +15,18 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
+class GraphError(ValueError):
+    """Malformed op arguments or graph construction (bad shapes, cross-graph args)."""
+
+
 def const(x: np.ndarray) -> np.ndarray:
     return x
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise GraphError(f"matmul needs 2-d operands with equal inner dims, "
+                         f"got {a.shape} @ {b.shape}")
     return a @ b
 
 
@@ -31,9 +38,13 @@ def conv2d(x: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
     n, c, h, w = x.shape
     o, c2, kh, kw = k.shape
     if c != c2:
-        raise ValueError(f"conv2d channel mismatch: input {c}, kernel {c2}")
+        raise GraphError(f"conv2d channel mismatch: input {c}, kernel {c2}")
+    if kh != kw:
+        raise GraphError(f"conv2d kernels must be square, got {kh}x{kw}")
+    if not 0 <= pad <= kh - 1:
+        raise GraphError(f"conv2d pad must lie in [0, {kh - 1}], got {pad}")
     if kh > h + 2 * pad or kw > w + 2 * pad:
-        raise ValueError("conv2d kernel larger than padded input")
+        raise GraphError("conv2d kernel larger than padded input")
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))  # [n, c, ho, wo, kh, kw]
@@ -52,11 +63,18 @@ def reshape(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.reshape(x, shape)
 
 
+def _same_shape(op: str, a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise GraphError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
+
+
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    _same_shape("add", a, b)
     return a + b
 
 
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    _same_shape("mul", a, b)
     return a * b
 
 
@@ -102,10 +120,10 @@ def sum_axes(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 def broadcast(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if x.ndim != len(shape):
-        raise ValueError(f"broadcast rank mismatch: {x.shape} -> {shape}")
+        raise GraphError(f"broadcast rank mismatch: {x.shape} -> {shape}")
     for have, want in zip(x.shape, shape):
         if have != want and have != 1:
-            raise ValueError(f"broadcast shape mismatch: {x.shape} -> {shape}")
+            raise GraphError(f"broadcast shape mismatch: {x.shape} -> {shape}")
     return np.ascontiguousarray(np.broadcast_to(x, shape))
 
 
@@ -113,7 +131,7 @@ def pool_mask(x: np.ndarray) -> np.ndarray:
     """One-hot argmax mask over each 2x2 window, first max wins on ties."""
     n, c, h, w = x.shape
     if h % 2 or w % 2:
-        raise ValueError(f"maxpool2 needs even spatial dims, got {h}x{w}")
+        raise GraphError(f"maxpool2 needs even spatial dims, got {h}x{w}")
     win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
     flat = win.reshape(n, c, h // 2, w // 2, 4)
     idx = np.argmax(flat, axis=-1)

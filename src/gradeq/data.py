@@ -9,6 +9,7 @@ annotations the types and bounds of its values (`models.check_value`).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import Annotated
 
@@ -78,7 +79,7 @@ def blob_centers(resolution: int, classes: int) -> np.ndarray:
     return np.stack([mid + radius * np.sin(angles), mid + radius * np.cos(angles)], axis=1)
 
 
-def synth_blobs(n: Annotated[int, (">=", 1)],
+def synth_blobs(n: Annotated[int, (">=", 1), ("<=", sys.float_info.max)],
                 resolution: Annotated[int, (">=", 8)] = IMAGE_SIDE,
                 classes: Annotated[int, (">=", 2)] = 4, seed: int = 0,
                 channels: Annotated[int, (">=", 1)] = 1, background: float = 0.2,

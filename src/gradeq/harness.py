@@ -57,10 +57,11 @@ STAGES = ("data", "train", "tables", "attack", "theory", "corrupt", "plots")
 
 @contextmanager
 def _at(where: str = ""):
-    """Re-raise a ValueError or TypeError from parsing `where` as a ConfigError."""
+    """Re-raise a ValueError, TypeError or OverflowError (an integer too
+    large for a float) from parsing `where` as a ConfigError."""
     try:
         yield
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise ConfigError(f"{where}: {e}" if where else str(e)) from e
 
 

@@ -102,7 +102,7 @@ def igd_loss(student: Model, teacher: Model | None, x: np.ndarray,
         (gx,) = ag.grad(label_score(student, xv, pv, y), [xv], create_graph=True)
         cos, flags = ag.cosine_rows(ag.flatten(g, gx), ref)
         cmean = ag.mean_all(cos)
-        total = ag.add(ce, ag.scale(cmean, -lam))
+        total = g.add(ce, g.scale(cmean, -lam))
         cos_val = float(cmean.value)
     names = list(pv)
     grads = dict(zip(names, ag.grad(total, [pv[n] for n in names])))

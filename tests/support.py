@@ -1,11 +1,15 @@
 """Helpers several test modules share and the package itself does not need:
-a single-input class score (the finite-difference oracle) and the writer
-of attribution-map fixture files."""
+a single-input class score (the finite-difference oracle), the writer of
+attribution-map fixture files, and the summary of a `report` run that the
+golden file holds, with its comparison."""
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
+
+from gradeq.models import load_checkpoint
 
 
 def class_score(model, x: np.ndarray, y: int) -> float:
@@ -34,10 +38,6 @@ def report_summary(out) -> dict:
     versions: every cell of its tables and curves, its `bundle.json`, and
     per checkpoint the `extra` header (best epoch included) and, per
     parameter, its shape and float64 sum and sum of squares."""
-    from pathlib import Path
-
-    from gradeq.models import load_checkpoint
-
     out = Path(out)
     csvs = {str(p.relative_to(out)): [ln.split(",") for ln in p.read_text().splitlines()]
             for d in ("tables", "curves") for p in sorted((out / d).glob("*.csv"))}

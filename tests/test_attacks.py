@@ -92,8 +92,8 @@ class _LogSumModel:
 
     def graph_logits(self, xv, params):
         g = xv.graph
-        s = ag.log(ag.sum_axes(xv, (1,)))  # [N,1]
-        return ag.matmul(s, g.const(np.array([[0.0, 1.0]])))
+        s = g.log(g.sum_axes(xv, (1,)))  # [N,1]
+        return g.matmul(s, g.const(np.array([[0.0, 1.0]])))
 
 
 def test_pgd_flags_nonfinite_sample():

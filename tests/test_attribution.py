@@ -25,9 +25,10 @@ class QuadraticScore:
         return {}
 
     def graph_logits(self, x, pv):
-        flat = ag.flatten(x.graph, x) if len(x.shape) > 2 else x
-        s = ag.sum_axes(ag.mul(flat, flat), (1,))
-        return ag.matmul(s, x.graph.const(np.array([[0.0, 1.0]])))
+        g = x.graph
+        flat = ag.flatten(g, x) if len(x.shape) > 2 else x
+        s = g.sum_axes(g.mul(flat, flat), (1,))
+        return g.matmul(s, g.const(np.array([[0.0, 1.0]])))
 
 
 class TestLinearClosedForms:

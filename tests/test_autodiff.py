@@ -6,6 +6,8 @@ analytic first derivative. Nothing here trusts the engine to test itself
 except the bit-reproducibility cases, where the oracle is repetition.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,7 @@ class TestFirstOrder:
         rng = np.random.default_rng(11)
         a0 = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 2))
-        check_grad(lambda g, x: ag.sum_all(ag.mul(m := ag.matmul(x, g.const(b)), m)), a0)
+        check_grad(lambda g, x: ag.sum_all(g.mul(m := g.matmul(x, g.const(b)), m)), a0)
 
     def test_conv2d_wrt_input(self):
         rng = np.random.default_rng(12)
@@ -57,7 +59,7 @@ class TestFirstOrder:
         for pad in (0, 1, 2):
             x0 = rng.normal(size=(2, 3, 5, 5))
             check_grad(
-                lambda g, x: ag.sum_all(ag.mul(y := ag.conv2d(x, g.const(k), pad), y)),
+                lambda g, x: ag.sum_all(g.mul(y := g.conv2d(x, g.const(k), pad), y)),
                 x0,
             )
 
@@ -67,31 +69,31 @@ class TestFirstOrder:
         k0 = rng.normal(size=(4, 3, 3, 3))
         for pad in (0, 1):
             check_grad(
-                lambda g, kk: ag.sum_all(ag.mul(y := ag.conv2d(g.const(x), kk, pad), y)),
+                lambda g, kk: ag.sum_all(g.mul(y := g.conv2d(g.const(x), kk, pad), y)),
                 k0,
             )
 
     def test_elementwise_ops(self):
         rng = np.random.default_rng(14)
         x0 = rng.uniform(0.5, 2.0, size=(3, 4))
-        for fn in (ag.softplus, ag.exp, ag.log, ag.rsqrt, ag.reciprocal):
-            check_grad(lambda g, x, fn=fn: ag.sum_all(ag.mul(y := fn(x), y)), x0)
+        for op in ("softplus", "exp", "log", "rsqrt", "reciprocal"):
+            check_grad(lambda g, x, op=op: ag.sum_all(g.mul(y := getattr(g, op)(x), y)), x0)
 
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(15)
         x0 = rng.normal(size=(4, 5))
         x0[np.abs(x0) < 0.1] = 0.5
-        check_grad(lambda g, x: ag.sum_all(ag.mul(y := ag.relu(x), y)), x0)
+        check_grad(lambda g, x: ag.sum_all(g.mul(y := g.relu(x), y)), x0)
 
     def test_shape_ops(self):
         rng = np.random.default_rng(16)
         x0 = rng.normal(size=(2, 3, 4))
 
         def build(g, x):
-            y = ag.permute(x, (2, 0, 1))
-            y = ag.reshape(y, (4, 6))
-            y = ag.broadcast(ag.sum_axes(y, (1,)), (4, 6))
-            return ag.sum_all(ag.mul(y, y))
+            y = g.permute(x, (2, 0, 1))
+            y = g.reshape(y, (4, 6))
+            y = g.broadcast(g.sum_axes(y, (1,)), (4, 6))
+            return ag.sum_all(g.mul(y, y))
 
         check_grad(build, x0)
 
@@ -99,12 +101,12 @@ class TestFirstOrder:
         rng = np.random.default_rng(17)
         x0 = rng.normal(size=(1, 2, 3, 3))
         w = rng.normal(size=(1, 2, 3, 3))
-        check_grad(lambda g, x: ag.sum_all(ag.mul(ag.flip_hw(x), g.const(w))), x0)
+        check_grad(lambda g, x: ag.sum_all(g.mul(g.flip_hw(x), g.const(w))), x0)
 
     def test_maxpool_away_from_ties(self):
         rng = np.random.default_rng(18)
         x0 = rng.normal(size=(2, 2, 4, 4))
-        check_grad(lambda g, x: ag.sum_all(ag.mul(y := ag.maxpool2(x), y)), x0)
+        check_grad(lambda g, x: ag.sum_all(g.mul(y := g.maxpool2(x), y)), x0)
 
     def test_affine_and_ce(self):
         rng = np.random.default_rng(19)
@@ -184,9 +186,9 @@ class TestSecondOrder:
         v = rng.normal(size=(3, 3))
         g = ag.Graph()
         x = g.var(x0)
-        f = ag.sum_all(ag.mul(ag.mul(x, x), x))
+        f = ag.sum_all(g.mul(g.mul(x, x), x))
         (gx,) = ag.grad(f, [x], create_graph=True)
-        s = ag.sum_all(ag.mul(gx, g.const(v)))
+        s = ag.sum_all(g.mul(gx, g.const(v)))
         (hv,) = ag.grad(s, [x])
         np.testing.assert_allclose(hv, 6.0 * x0 * v, rtol=1e-12)
 
@@ -199,14 +201,14 @@ class TestSecondOrder:
         def first_grad(arr):
             g = ag.Graph()
             x = g.var(arr)
-            f = ag.sum_all(ag.softplus(ag.matmul(x, g.const(w))))
+            f = ag.sum_all(g.softplus(g.matmul(x, g.const(w))))
             return ag.grad(f, [x])[0]
 
         g = ag.Graph()
         x = g.var(x0)
-        f = ag.sum_all(ag.softplus(ag.matmul(x, g.const(w))))
+        f = ag.sum_all(g.softplus(g.matmul(x, g.const(w))))
         (gx,) = ag.grad(f, [x], create_graph=True)
-        s = ag.sum_all(ag.mul(gx, g.const(v)))
+        s = ag.sum_all(g.mul(gx, g.const(v)))
         (hv,) = ag.grad(s, [x])
 
         h = 1e-5
@@ -218,9 +220,9 @@ class TestSecondOrder:
         x0 = rng.normal(size=(3, 4)) + 2.0  # strictly positive side
         g = ag.Graph()
         x = g.var(x0)
-        f = ag.sum_all(ag.mul(y := ag.relu(x), y))
+        f = ag.sum_all(g.mul(y := g.relu(x), y))
         (gx,) = ag.grad(f, [x], create_graph=True)
-        s = ag.sum_all(ag.mul(gx, gx))
+        s = ag.sum_all(g.mul(gx, gx))
         (hv,) = ag.grad(s, [x])
         # d/dx (2 relu(x))^2 treats the mask as constant: 8 * mask * x
         np.testing.assert_allclose(hv, 8.0 * x0, rtol=1e-12)
@@ -236,16 +238,16 @@ class TestSecondOrder:
         def value(wa):
             g = ag.Graph()
             x = g.var(x0)
-            f = ag.sum_all(ag.softplus(ag.matmul(x, g.var(wa))))
+            f = ag.sum_all(g.softplus(g.matmul(x, g.var(wa))))
             (gx,) = ag.grad(f, [x], create_graph=True)
-            return ag.sum_all(ag.mul(gx, g.const(c))).item()
+            return ag.sum_all(g.mul(gx, g.const(c))).item()
 
         g = ag.Graph()
         x = g.var(x0)
         w = g.var(w0)
-        f = ag.sum_all(ag.softplus(ag.matmul(x, w)))
+        f = ag.sum_all(g.softplus(g.matmul(x, w)))
         (gx,) = ag.grad(f, [x], create_graph=True)
-        s = ag.sum_all(ag.mul(gx, g.const(c)))
+        s = ag.sum_all(g.mul(gx, g.const(c)))
         (gw,) = ag.grad(s, [w])
         want = numeric_grad(value, w0)
         np.testing.assert_allclose(gw, want, rtol=1e-3, atol=1e-8)
@@ -259,16 +261,16 @@ class TestSecondOrder:
         def value(ka):
             g = ag.Graph()
             x = g.var(x0)
-            f = ag.sum_all(ag.softplus(ag.conv2d(x, g.var(ka), 1)))
+            f = ag.sum_all(g.softplus(g.conv2d(x, g.var(ka), 1)))
             (gx,) = ag.grad(f, [x], create_graph=True)
-            return ag.sum_all(ag.mul(gx, g.const(c))).item()
+            return ag.sum_all(g.mul(gx, g.const(c))).item()
 
         g = ag.Graph()
         x = g.var(x0)
         k = g.var(k0)
-        f = ag.sum_all(ag.softplus(ag.conv2d(x, k, 1)))
+        f = ag.sum_all(g.softplus(g.conv2d(x, k, 1)))
         (gx,) = ag.grad(f, [x], create_graph=True)
-        s = ag.sum_all(ag.mul(gx, g.const(c)))
+        s = ag.sum_all(g.mul(gx, g.const(c)))
         (gk,) = ag.grad(s, [k])
         want = numeric_grad(value, k0)
         np.testing.assert_allclose(gk, want, rtol=1e-3, atol=1e-8)
@@ -281,7 +283,7 @@ class TestDeterminism:
         x = g.var(rng.normal(size=(2, 1, 8, 8)))
         k = g.var(rng.normal(size=(3, 1, 3, 3)) * 0.5)
         ns = g
-        y = ag.maxpool2(ag.softplus(ag.conv_bias(ns, x, k, g.var(rng.normal(size=(3,))), 1)))
+        y = g.maxpool2(g.softplus(ag.conv_bias(ns, x, k, g.var(rng.normal(size=(3,))), 1)))
         z = ag.affine(ns, ag.flatten(ns, y), g.var(rng.normal(size=(48, 4)) * 0.3),
                       g.var(np.zeros(4)))
         loss = ag.cross_entropy_mean(z, np.array([1, 3]))
@@ -304,32 +306,51 @@ class TestGuards:
     def test_log_of_negative_raises(self):
         g = ag.Graph()
         with pytest.raises(ag.NonFiniteError):
-            ag.log(g.var(np.array([-1.0])))
+            g.log(g.var(np.array([-1.0])))
 
     def test_cross_graph_mix_raises(self):
         g1, g2 = ag.Graph(), ag.Graph()
         a = g1.var(np.ones((2, 2)))
         b = g2.var(np.ones((2, 2)))
         with pytest.raises(ag.GraphError):
-            ag.add(a, b)
+            g1.add(a, b)
 
     def test_shape_mismatch_raises(self):
         g = ag.Graph()
         with pytest.raises(ag.GraphError):
-            ag.add(g.var(np.ones((2, 2))), g.var(np.ones((2, 3))))
+            g.add(g.var(np.ones((2, 2))), g.var(np.ones((2, 3))))
 
     def test_conv_pad_bound(self):
         g = ag.Graph()
         x = g.var(np.ones((1, 1, 4, 4)))
         k = g.var(np.ones((1, 1, 3, 3)))
         with pytest.raises(ag.GraphError):
-            ag.conv2d(x, k, 3)
+            g.conv2d(x, k, 3)
+
+    @pytest.mark.parametrize("op,arrays,payload", [
+        ("add", (np.ones((3, 4)), np.ones((1, 4))), ()),
+        ("mul", (np.ones((3, 4)), np.ones((3, 1))), ()),
+        ("matmul", (np.ones(3), np.ones((3, 2))), ()),
+        ("matmul", (np.ones((2, 3)), np.ones((4, 2))), ()),
+        ("conv2d", (np.ones((1, 1, 4, 4)), np.ones((1, 1, 3, 3))), (3,)),
+        ("conv2d", (np.ones((1, 1, 4, 4)), np.ones((1, 1, 2, 3))), (1,)),
+    ], ids=["add-shape", "mul-shape", "matmul-1d", "matmul-inner", "conv2d-pad3",
+            "conv2d-2x3"])
+    def test_bad_arguments_raise_on_both_routes(self, op, arrays, payload):
+        """The kernel is the one place an op checks its arguments, so the raw
+        route refuses what the tape refuses, where numpy would broadcast or
+        compute silently."""
+        with pytest.raises(ag.GraphError):
+            getattr(kernels, op)(*arrays, *payload)
+        g = ag.Graph()
+        with pytest.raises(ag.GraphError):
+            getattr(g, op)(*(g.const(a) for a in arrays), *payload)
 
     def test_const_blocks_gradient(self):
         g = ag.Graph()
         x = g.var(np.ones((2, 2)))
         c = g.const(np.full((2, 2), 3.0))
-        out = ag.sum_all(ag.mul(x, c))
+        out = ag.sum_all(g.mul(x, c))
         (gx,) = ag.grad(out, [x])
         np.testing.assert_allclose(gx, 3.0)
 
@@ -362,8 +383,8 @@ class TestKernelAdjoints:
         gg = rng.normal(size=(2, 3, 5, 5))
         g = ag.Graph()
         x = g.var(x0)
-        y = ag.conv2d(x, g.const(k), 1)
-        (gx,) = ag.grad(ag.sum_all(ag.mul(y, g.const(gg))), [x])
+        y = g.conv2d(x, g.const(k), 1)
+        (gx,) = ag.grad(ag.sum_all(g.mul(y, g.const(gg))), [x])
         lhs = np.sum(y.value * gg)
         rhs_probe = numeric_grad(
             lambda arr: float(np.sum(kernels.conv2d(arr, k, 1) * gg)), x0
@@ -406,7 +427,7 @@ class TestOneDispatch:
 
     def test_every_op_has_one_kernel_and_one_emitter(self):
         public = {name for name, f in vars(kernels).items()
-                  if callable(f) and getattr(f, "__module__", None) == kernels.__name__
+                  if inspect.isfunction(f) and f.__module__ == kernels.__name__
                   and not name.startswith("_")}
         assert public - {"pool_mask", "const"} == set(engine._OPS)
         assert set(self._cases()) == set(engine._OPS)
@@ -420,6 +441,24 @@ class TestOneDispatch:
         got = getattr(g, op)(*(g.const(a) for a in arrays), *payload).value
         want = getattr(kernels, op)(*arrays, *payload)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_every_graph_op_passes_through_apply(self, monkeypatch):
+        """The benchmark tracer counts and times ops by wrapping
+        `Graph.apply`, so every op method must reach it, looked up per call."""
+        seen = []
+        original = engine.Graph.apply
+
+        def spy(self, op, args, meta=None):
+            seen.append(op)
+            return original(self, op, args, meta)
+
+        monkeypatch.setattr(engine.Graph, "apply", spy)
+        for op in sorted(engine._OPS):
+            arrays, payload = self._cases()[op]
+            g = ag.Graph()
+            seen.clear()
+            getattr(g, op)(*(g.const(a) for a in arrays), *payload)
+            assert seen == [op]
 
     def test_sum_over_no_axes_keeps_negative_zero(self):
         x = np.array([[-0.0, 1.5], [2.0, -0.0]])

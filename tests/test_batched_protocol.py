@@ -177,8 +177,9 @@ class _LogSumModel:
         return {}
 
     def graph_logits(self, xv, params):
-        s = ag.log(ag.sum_axes(ag.flatten(xv.graph, xv), (1,)))  # [N,1]
-        return ag.matmul(s, xv.graph.const(np.array([[0.0, 1.0]])))
+        g = xv.graph
+        s = g.log(g.sum_axes(ag.flatten(g, xv), (1,)))  # [N,1]
+        return g.matmul(s, g.const(np.array([[0.0, 1.0]])))
 
     def logits(self, x):
         with np.errstate(divide="ignore"):

@@ -250,6 +250,9 @@ def test_missing_file(tmp_path):
     ("dataset", "jitter", 1e300),
     ("dataset", "jitter", -1e300),
     ("gini", "region", 8),
+    ("dataset", "n", 10**400),
+    ("train.0", "model", {"kind": "mlp", "in_shape": [1, 8, 10**400], "hidden": [12],
+                          "classes": 2}),
 ])
 def test_bad_values_rejected_at_load(tmp_path, section, key, value):
     """Refused at load, before any model trains: severity 0 would index
