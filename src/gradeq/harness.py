@@ -5,8 +5,10 @@ and everything lands in one output directory as CSV, SVG and checkpoints.
 Reruns are idempotent per (config digest, seed): finished checkpoints are
 reused (one that fails its integrity check is retrained), every downstream
 number is a pure function of config and seed, and the emitted files are
-byte-identical across runs. Each file is written whole or not at all, and
-charts are drawn from the rows this run computed, never from files on disk.
+byte-identical across runs. Each file is written whole or not at all, every
+CSV table goes through `RunState.table`, which ends each row with the seed
+and config digest, and charts are drawn from the rows this run computed,
+never from files on disk.
 The only timestamped output is log.txt, which is deliberately excluded from
 the bundle manifest.
 """
@@ -29,7 +31,8 @@ from . import attribution
 from .attacks import CORRUPT_KINDS, SEVERITY, AttackSpec, corrupt, error_rate, pgd
 from .data import (CIFAR_VARIANTS, IMAGE_SIDE, ImageBatch, load_cifar, split_sizes,
                    synth_blobs, train_val_split)
-from .inequality import GiniReport, gini_exact, mean_gini, region_blocks
+from .inequality import gini_exact  # noqa: F401  (re-exported: perfbench's tracer wraps it here)
+from .inequality import mean_gini
 from .models import (IntegrityError, Model, atomic_write, build_model, check_args,
                      check_keys, check_kind, check_value, load_checkpoint, save_checkpoint,
                      signature_keys)
@@ -69,7 +72,7 @@ def _at(where: str = ""):
 # limit must keep at least one sample; a default of None means no limit.
 _VALUES = {
     None: {
-        "seed": (0, int),
+        "seed": (0, Annotated[int, (">=", 0), ("<", 2**32)]),  # seed_stream reads 32 bits
         "out": ("out", str),
         "eval_fraction": (0.2, Annotated[float, (">", 0), ("<", 1)]),
         "eval_limit": (None, Annotated[int, (">=", 1)]),
@@ -245,7 +248,10 @@ def load_config(path, seed: int | None = None, out=None) -> ExperimentConfig:
     with _at("config"):
         check_keys(cfg, {"dataset"}, set(_VALUES[None]) | {s for s in _VALUES if s})
     top = _section(cfg, None)
-    use_seed = int(seed) if seed is not None else top.seed
+    if seed is not None:
+        with _at():
+            check_value("seed", _VALUES[None]["seed"][1], seed)
+    use_seed = top.seed if seed is None else int(seed)
     with _at("dataset"):
         dataset = _dataset(cfg["dataset"], use_seed)
     if top.train and dataset["kind"] == "attribution_file":
@@ -288,10 +294,11 @@ def confidence_stats(model: Model, pixels: np.ndarray, labels: np.ndarray) -> tu
 
 
 def csv_text(header: list[str], rows: list[list]) -> str:
-    """Deterministic CSV: floats via repr (shortest round-trip), no quoting
-    needed because no field ever contains a comma."""
+    """Deterministic CSV: floats, numpy's included, as the repr of a Python
+    float (shortest round-trip); no quoting needed because no field ever
+    contains a comma."""
     lines = [",".join(header)]
-    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
               for row in rows]
     return "\n".join(lines) + "\n"
 
@@ -384,6 +391,12 @@ class RunState:
         atomic_write(path, text.encode("utf-8"))
         self.files.append(rel)
 
+    def table(self, rel: str, header: list[str], rows: list[list]) -> None:
+        """A CSV table; every row ends with this run's seed and config digest."""
+        cfg = self.config
+        self.emit(rel, csv_text([*header, "seed", "config"],
+                                [[*row, cfg.seed, cfg.digest] for row in rows]))
+
     def holdout_subset(self, limit) -> ImageBatch:
         b = self.holdout
         return b if limit is None or limit >= len(b) else b.subset(np.arange(limit))
@@ -391,15 +404,12 @@ class RunState:
 
 @dataclass(frozen=True)
 class ReportBundle:
+    """What a successful run wrote; a failed run raises StageError instead."""
+
     digest: str
     seed: int
     out: Path
     files: list
-    failed_stage: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_stage is None
 
 
 # --------------------------------------------------------------------------
@@ -440,10 +450,8 @@ def _stage_train(state: RunState) -> None:
             "best_epoch": record.best_epoch, "seed": cfg.seed,
             "config": cfg.digest, "aborted": record.aborted,
         })
-        rows = [[name, *r.as_dict().values(), cfg.seed, cfg.digest]
-                for r in record.rows]
-        header = ["name", *(f.name for f in fields(EpochRow)), "seed", "config"]
-        state.emit(record_rel, csv_text(header, rows))
+        state.table(record_rel, ["name", *(f.name for f in fields(EpochRow))],
+                    [[name, *r.as_dict().values()] for r in record.rows])
         state.log(f"train: {name} done, best_epoch={record.best_epoch} "
                   f"aborted={record.aborted}")
 
@@ -452,11 +460,12 @@ def _fixture_tables(state: RunState) -> None:
     cfg = state.config
     amap = attribution.load_attribution(cfg.dataset["path"])
     reduced = amap.reduced
-    g = gini_exact(reduced.reshape(-1))
-    rg = gini_exact(region_blocks(reduced, cfg.gini.region)) if reduced.ndim == 2 else g
-    report = GiniReport(global_gini=float(g), regional_gini=float(rg),
-                        region=cfg.gini.region, n=int(reduced.size), method=amap.method)
-    row = report.as_row() | {"seed": cfg.seed, "config": cfg.digest}
+    g, rg, kept = mean_gini([reduced], cfg.gini.region)
+    if not kept:
+        raise ValueError("gini undefined when all values are zero")
+    row = {"global_gini": g, "regional_gini": rg, "region": cfg.gini.region,
+           "n": int(reduced.size), "method": amap.method,
+           "seed": cfg.seed, "config": cfg.digest}
     state.emit("tables/gini.json", json.dumps(row, sort_keys=True) + "\n")
     state.log(f"tables: fixture gini={g}")
 
@@ -480,21 +489,15 @@ def _stage_tables(state: RunState) -> None:
         maps = attribution.attribute(model, px, lab, cfg.gini.method)
         gg, rg, kept = mean_gini([m.reduced for m in maps], cfg.gini.region)
         l1s = [float(np.abs(m.values).sum()) for m in maps]
-        gini_rows.append([name, meth, float(lam), clean, adv, gg, rg,
-                          kept, cfg.seed, cfg.digest])
-        l1_rows.append([name, meth, float(lam), float(np.mean(l1s)),
-                        float(np.max(l1s)), len(l1s), cfg.seed, cfg.digest])
-        conf, count = confidence_stats(model, px, lab)
-        conf_rows.append([name, meth, float(lam), conf, count, cfg.seed, cfg.digest])
-    state.emit("tables/gini.csv", csv_text(
-        ["name", "method", "lam", "clean_acc", "adv_acc", "global_gini",
-         "regional_gini", "maps", "seed", "config"], gini_rows))
-    state.emit("tables/l1.csv", csv_text(
-        ["name", "method", "lam", "mean_l1", "max_l1", "maps", "seed", "config"],
-        l1_rows))
-    state.emit("tables/confidence.csv", csv_text(
-        ["name", "method", "lam", "confidence", "correct", "seed", "config"],
-        conf_rows))
+        gini_rows.append([name, meth, float(lam), clean, adv, gg, rg, kept])
+        l1_rows.append([name, meth, float(lam), np.mean(l1s), np.max(l1s), len(l1s)])
+        conf_rows.append([name, meth, float(lam), *confidence_stats(model, px, lab)])
+    state.table("tables/gini.csv", ["name", "method", "lam", "clean_acc", "adv_acc",
+                                    "global_gini", "regional_gini", "maps"], gini_rows)
+    state.table("tables/l1.csv", ["name", "method", "lam", "mean_l1", "max_l1", "maps"],
+                l1_rows)
+    state.table("tables/confidence.csv", ["name", "method", "lam", "confidence", "correct"],
+                conf_rows)
     state.log(f"tables: {len(gini_rows)} models on {len(lab)} holdout samples")
 
 
@@ -510,18 +513,16 @@ def _stage_attack(state: RunState) -> None:
         rep = error_rate(models, spec, sub.pixels, sub.labels, cfg.seed)
         for name, rate in zip(names, rep.rates):
             rows.append([attack, spec.kind, spec.label(), spec.size, name,
-                         rate, rep.evaluated, cfg.seed, cfg.digest])
+                         rate, rep.evaluated])
             by_kind.setdefault(spec.kind, {}).setdefault(name, []).append(
                 (float(spec.size), rate))
-    state.emit("curves/error_rate.csv", csv_text(
-        ["attack", "kind", "label", "param", "model", "error_rate", "evaluated",
-         "seed", "config"], rows))
+    state.table("curves/error_rate.csv", ["attack", "kind", "label", "param", "model",
+                                          "error_rate", "evaluated"], rows)
     for kind, per_model in by_kind.items():
         # a single attack size per model draws no curve
         curves = {m: pts for m, pts in per_model.items() if len(pts) >= 2}
-        if curves:
-            state.charts.append((f"plots/error_rate_{kind}.svg", f"{kind} error rate",
-                                 "attack size", "error rate", curves))
+        state.charts.append((f"plots/error_rate_{kind}.svg", f"{kind} error rate",
+                             "attack size", "error rate", curves))
     state.log(f"attack: {len(cfg.attacks)} specs x {len(names)} models, "
               f"joint pool {rep.evaluated}")
 
@@ -540,15 +541,13 @@ def _stage_theory(state: RunState) -> None:
                                    draws=theory.draws)
             for p in pts:
                 rows.append([name, sel, p.k, p.mean_sum_sq, p.stderr_sum_sq,
-                             p.mean_sum2, p.stderr_sum2, p.count,
-                             cfg.seed, cfg.digest])
+                             p.mean_sum2, p.stderr_sum2, p.count])
                 curves.setdefault(f"{name}/{sel}", []).append((float(p.k), p.mean_sum_sq))
-    state.emit("curves/mask_stats.csv", csv_text(
-        ["model", "selection", "k", "mean_sum_sq", "stderr_sum_sq", "mean_sum2",
-         "stderr_sum2", "count", "seed", "config"], rows))
-    if curves:
-        state.charts.append(("plots/mask_stats.svg", "masked weight concentration",
-                             "k", "sum of squared weights", curves))
+    state.table("curves/mask_stats.csv", ["model", "selection", "k", "mean_sum_sq",
+                                          "stderr_sum_sq", "mean_sum2", "stderr_sum2",
+                                          "count"], rows)
+    state.charts.append(("plots/mask_stats.svg", "masked weight concentration",
+                         "k", "sum of squared weights", curves))
     state.log(f"theory: {len(rows)} sweep points")
 
 
@@ -573,20 +572,20 @@ def _stage_corrupt(state: RunState) -> None:
                 mses.append(float(np.mean((xc - sub.pixels[i]) ** 2)))
             mse = float(np.mean(mses))
             for name, rate in zip(names, rep.rates):
-                rows.append([kind, sev, param, name, rate, rep.evaluated,
-                             mse, cfg.seed, cfg.digest])
+                rows.append([kind, sev, param, name, rate, rep.evaluated, mse])
                 curves.setdefault(f"{name}/{kind}", []).append((float(sev), rate))
-    state.emit("curves/corrupt.csv", csv_text(
-        ["kind", "severity", "param", "model", "error_rate", "evaluated", "mse",
-         "seed", "config"], rows))
-    if curves:
-        state.charts.append(("plots/corrupt.svg", "corruption error rate",
-                             "severity", "error rate", curves))
+    state.table("curves/corrupt.csv", ["kind", "severity", "param", "model", "error_rate",
+                                       "evaluated", "mse"], rows)
+    state.charts.append(("plots/corrupt.svg", "corruption error rate",
+                         "severity", "error rate", curves))
     state.log(f"corrupt: {len(rows)} rows")
 
 
 def _stage_plots(state: RunState) -> None:
+    """One SVG per chart that has a curve."""
     for rel, title, xlabel, ylabel, curves in state.charts:
+        if not curves:
+            continue
         series = []
         for key, pts in sorted(curves.items()):
             pts = sorted(pts)
@@ -643,17 +642,15 @@ def run(config: ExperimentConfig, stages=STAGES) -> ReportBundle:
             error = e
             state.log(f"{stage}: FAILED {e}")
             break
-    bundle = ReportBundle(digest=config.digest, seed=config.seed,
-                          out=config.out, files=sorted(set(state.files)),
-                          failed_stage=failed)
-    stale = sorted(earlier - set(bundle.files))
+    files = sorted(set(state.files))
+    stale = sorted(earlier - set(files))
     if failed is None:
         for rel in stale:
             if (config.out / rel).is_file():
                 (config.out / rel).unlink()
                 state.log(f"removed {rel}: an earlier run's output, not this run's")
     manifest = {"config": config.digest, "seed": config.seed,
-                "files": bundle.files, "failed_stage": failed,
+                "files": files, "failed_stage": failed,
                 "stages": list(ordered)}
     if failed is not None:
         manifest["stale"] = stale  # for the next successful run to delete
@@ -663,4 +660,4 @@ def run(config: ExperimentConfig, stages=STAGES) -> ReportBundle:
     atomic_write(config.out / "log.txt", ("\n".join(state.log_lines) + "\n").encode())
     if failed is not None:
         raise StageError(failed, error)
-    return bundle
+    return ReportBundle(digest=config.digest, seed=config.seed, out=config.out, files=files)

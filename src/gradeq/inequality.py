@@ -57,25 +57,6 @@ def gini_exact(values) -> Fraction:
     return Fraction(n + 1 - 2 * weighted / total, n)
 
 
-@dataclass(frozen=True)
-class GiniReport:
-    """Global and block-level concentration of one attribution map."""
-
-    global_gini: float
-    regional_gini: float
-    region: int
-    n: int  # population size behind the global figure
-    method: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.global_gini <= (self.n - 1) / self.n + 1e-12:
-            raise ValueError(f"global gini {self.global_gini} outside [0, (n-1)/n]")
-
-    def as_row(self) -> dict:
-        return {"global_gini": self.global_gini, "regional_gini": self.regional_gini,
-                "region": self.region, "n": self.n, "method": self.method}
-
-
 def block_sums(map2d: np.ndarray, region: int) -> np.ndarray:
     """Sum a 2-d map over a region x region grid anchored top-left.
 

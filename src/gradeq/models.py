@@ -229,7 +229,6 @@ class LinearScore(_OneForward):
     def __init__(self, in_shape, seed=0):
         self.in_shape = tuple(_sizes("in_shape", in_shape))
         self.classes = 2
-        self.activation = "linear"
         d = int(np.prod(self.in_shape))
         rng = seed_stream(seed, "init", self.kind)
         self.params = {
@@ -244,7 +243,6 @@ class LinearScore(_OneForward):
         m = cls.__new__(cls)
         m.in_shape = tuple(in_shape) if in_shape is not None else (w.shape[0],)
         m.classes = 2
-        m.activation = "linear"
         m.params = {"w": w, "b": np.atleast_1d(np.asarray(b, dtype=np.float64))}
         return m
 

@@ -14,7 +14,8 @@ Nonlinear models enter through their first-order surrogate at each
 input, so everything downstream of `linearize` is approximate for them.
 A surrogate's weights are the input's saliency map, which both
 `linearize` (one input) and the sweeps (one batched `saliency` call)
-take from `models.input_gradients`.
+take from `models.input_gradients`. A sweep scores every pick of an input
+and mask size, ranked or drawn, through one gather of pixel columns.
 """
 
 from __future__ import annotations
@@ -79,15 +80,12 @@ def _flat_mask(mask, size: int) -> np.ndarray:
     return m
 
 
-def _stats(sel: np.ndarray) -> MaskStats:
+def mask_stats(w: np.ndarray, mask) -> MaskStats:
+    w = np.asarray(w, dtype=np.float64).reshape(-1)
+    sel = w[_flat_mask(mask, w.size)]
     # fsum: correctly rounded, so the result is independent of term order
     return MaskStats(sel.size, math.fsum((sel * sel).tolist()),
                      math.fsum(sel.tolist()), math.fsum(np.abs(sel).tolist()))
-
-
-def mask_stats(w: np.ndarray, mask) -> MaskStats:
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    return _stats(w[_flat_mask(mask, w.size)])
 
 
 def predicted_deviation(model, mask, spec: NoiseSpec) -> float:
@@ -159,7 +157,9 @@ def sweep_mask_stats(model: Model, pixels: np.ndarray, labels: np.ndarray,
     `random` draws `draws` pixel subsets per input; `attribution_ranked`
     takes the top-k pixels of the map's `reduced` view, the ranking the
     inductive attacks use. A pixel selects its column of the [C, H*W]
-    weight view, every channel at once.
+    weight view, every channel at once; the picks of one input, [picks, k]
+    pixel indices, are gathered together and each row is summed with
+    `math.fsum`, so a point does not depend on the order of its terms.
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}")
@@ -181,13 +181,13 @@ def sweep_mask_stats(model: Model, pixels: np.ndarray, labels: np.ndarray,
         ss, s2 = [], []
         for w, red in surrogates:
             if selection == "attribution_ranked":
-                picks = [topk_flags(red, k)]
-            else:
-                picks = [rng.choice(pix_n, size=k, replace=False) for _ in range(draws)]
-            for cols in picks:
-                st = _stats(w[:, cols].reshape(-1))
-                ss.append(st.sum_sq)
-                s2.append(st.sum ** 2)
+                picks = np.flatnonzero(topk_flags(red, k))[None]
+            else:  # one call per draw, so the generator's stream is that of single draws
+                picks = np.stack([rng.choice(pix_n, size=k, replace=False)
+                                  for _ in range(draws)])
+            sel = np.moveaxis(w[:, picks], 1, 0).reshape(len(picks), -1)  # [picks, C*k]
+            ss += [math.fsum(row) for row in (sel * sel).tolist()]
+            s2 += [math.fsum(row) ** 2 for row in sel.tolist()]
         m_ss, e_ss = _mean_stderr(np.array(ss))
         m_s2, e_s2 = _mean_stderr(np.array(s2))
         points.append(CurvePoint(int(k), selection, m_ss, e_ss, m_s2, e_s2, len(ss)))

@@ -35,12 +35,13 @@ GOLDEN_TOLERANCE = 1e-9
 
 def report_summary(out) -> dict:
     """What a `report` run computed, in a form that can be compared across
-    versions: every cell of its tables and curves, its `bundle.json`, and
-    per checkpoint the `extra` header (best epoch included) and, per
-    parameter, its shape and float64 sum and sum of squares."""
+    versions: every cell of its tables, curves and training records, its
+    `bundle.json`, and per checkpoint the `extra` header (best epoch
+    included) and, per parameter, its shape and float64 sum and sum of
+    squares."""
     out = Path(out)
     csvs = {str(p.relative_to(out)): [ln.split(",") for ln in p.read_text().splitlines()]
-            for d in ("tables", "curves") for p in sorted((out / d).glob("*.csv"))}
+            for d in ("tables", "curves", "records") for p in sorted((out / d).glob("*.csv"))}
     checkpoints = {}
     for p in sorted((out / "checkpoints").glob("*.ckpt")):
         model, extra = load_checkpoint(p)

@@ -16,7 +16,7 @@ from gradeq.data import load_cifar, synth_blobs
 from gradeq.harness import (SEVERITY, ConfigError, StageError, confidence_stats,
                             config_digest, csv_text, load_config, run,
                             svg_line_chart)
-from gradeq.inequality import GiniReport, gini_exact
+from gradeq.inequality import gini_exact
 from gradeq.models import LinearScore, atomic_write, check_value, load_checkpoint
 from gradeq.seeding import seed_stream
 from gradeq.training import mean_saliency_gini
@@ -253,6 +253,9 @@ def test_missing_file(tmp_path):
     ("dataset", "n", 10**400),
     ("train.0", "model", {"kind": "mlp", "in_shape": [1, 8, 10**400], "hidden": [12],
                           "classes": 2}),
+    (None, "seed", 10**300),
+    (None, "seed", -1),
+    (None, "seed", 2**32),
 ])
 def test_bad_values_rejected_at_load(tmp_path, section, key, value):
     """Refused at load, before any model trains: severity 0 would index
@@ -532,8 +535,8 @@ def test_confidence_no_correct_samples():
 
 
 def test_csv_roundtrips_floats():
-    vals = [0.1, 1 / 3, 2.0 ** -52, float(np.float64(math.pi))]
-    line = csv_text(["a", "b", "c", "d"], [vals]).splitlines()[1]
+    vals = [0.1, 1 / 3, 2.0 ** -52, float(np.float64(math.pi)), np.float64(0.49)]
+    line = csv_text(["a", "b", "c", "d", "e"], [vals]).splitlines()[1]
     assert [float(s) for s in line.split(",")] == vals
 
 
@@ -576,7 +579,6 @@ def test_svg_chart_degenerate_ranges():
 
 def test_bundle_lists_expected_files(pipeline):
     _, config, bundle = pipeline
-    assert bundle.ok
     names = set(bundle.files)
     assert "tables/gini.csv" in names
     assert "tables/l1.csv" in names
@@ -793,7 +795,6 @@ def test_train_only_stages(tmp_path):
     cfg["train"] = cfg["train"][:1]
     config = load_config(write_config(tmp_path / "c.json", cfg))
     bundle = run(config, stages=("data", "train"))
-    assert bundle.ok
     assert all(f.startswith("records/") for f in bundle.files)
     assert not (config.out / "tables").exists()
 
@@ -857,6 +858,17 @@ def test_gini_fixture_single_block_refused(tmp_path):
     assert not (config.out / "tables" / "gini.json").exists()
 
 
+def test_gini_fixture_all_zero_map_fails_the_tables_stage(tmp_path, capsys):
+    fpath = tmp_path / "map.f64"
+    write_attribution(AttributionMap(np.zeros((1, 8, 8)), "saliency", 0), fpath)
+    cfg = {"out": str(tmp_path / "out"), "gini": {"region": 4},
+           "dataset": {"kind": "attribution_file", "path": str(fpath)}}
+    p = write_config(tmp_path / "c.json", cfg)
+    assert cli.main(["gini", "--config", str(p)]) == 3
+    assert "stage 'tables'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "tables" / "gini.json").exists()
+
+
 def test_fixture_config_rejects_training(tmp_path):
     cfg = {"dataset": {"kind": "attribution_file", "path": "x"},
            "train": [{"name": "m", "method": "standard",
@@ -898,19 +910,6 @@ def test_corrupt_curve_mse_column_monotone(pipeline):
 
 
 # --------------------------------------------------------------------------
-# report types
-
-
-def test_gini_report_row_and_bounds():
-    rep = GiniReport(0.4, 0.2, 4, 100, "saliency")
-    row = rep.as_row()
-    assert row == {"global_gini": 0.4, "regional_gini": 0.2, "region": 4,
-                   "n": 100, "method": "saliency"}
-    with pytest.raises(ValueError):
-        GiniReport(1.5, 0.2, 4, 100, "saliency")
-
-
-# --------------------------------------------------------------------------
 # command line
 
 
@@ -946,6 +945,18 @@ def test_cli_stage_failure_exit_3(tmp_path, capsys):
     p = write_config(tmp_path / "c.json", cfg)
     assert cli.main(["evaluate", "--config", str(p)]) == 3
     assert "stage 'data'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**32), "1" + "0" * 300],
+                         ids=["-1", "2**32", "10**300"])
+def test_cli_seed_out_of_range_exit_2(tmp_path, capsys, seed):
+    """seed_stream reads a seed's low 32 bits, so a seed outside [0, 2**32)
+    would alias one inside it under another file tag."""
+    cfg = base_config(tmp_path / "out", n=32, epochs=1)
+    p = write_config(tmp_path / "c.json", cfg)
+    assert cli.main(["train", "--config", str(p), "--seed", seed]) == 2
+    assert "config error: seed must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_seed_and_out_flags(tmp_path, capsys):

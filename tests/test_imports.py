@@ -45,9 +45,11 @@ def test_scanner_sees_each_import_form():
                                        (5, "_private")]
 
 
+PERFBENCH_TRACER = SRC.parents[1] / "perfbench" / "tracer.py"
+
 # imported only so that perfbench's tracer, which wraps names by module, finds them
 TRACED_REEXPORTS = {("training.py", "gini"), ("training.py", "load_checkpoint"),
-                    ("theory.py", "linearize")}
+                    ("theory.py", "linearize"), ("harness.py", "gini_exact")}
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -70,6 +72,48 @@ def test_no_unused_import():
             for line, name in unused_imports(path.read_text())
             if (str(path.relative_to(SRC)), name) not in TRACED_REEXPORTS]
     assert hits == []
+
+
+def patched_names(source: str) -> set[tuple[str, str]]:
+    """(owner, name) for each `self._patch(owner, "name", ...)` in `source`;
+    an owner bound by `for owner in (a, b):` counts as each of a and b."""
+    found = set()
+
+    def visit(node, bound):
+        if (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+                and isinstance(node.iter, ast.Tuple)):
+            bound = bound | {node.target.id: [ast.unparse(e) for e in node.iter.elts]}
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_patch" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)):
+            owner = ast.unparse(node.args[0])
+            found.update((o, node.args[1].value) for o in bound.get(owner, [owner]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(ast.parse(source), {})
+    return found
+
+
+def test_traced_reexports_are_patched_by_the_tracer():
+    """Each lint exception names a (module, name) that the tracer wraps, so
+    the list cannot outlive the reason for it."""
+    patched = patched_names(PERFBENCH_TRACER.read_text())
+    stale = [(path, name) for path, name in sorted(TRACED_REEXPORTS)
+             if (path.removesuffix(".py").replace("/", "."), name) not in patched]
+    assert stale == []
+
+
+def test_patch_scanner_sees_each_owner_form():
+    source = ("def install(self):\n"
+              "    self._patch(models.MLP, 'logits', 'models.logits')\n"
+              "    for owner in (inequality, harness):\n"
+              "        self._patch(owner, 'gini_exact', 'inequality.gini_exact')\n"
+              "    self._patch(cli, name, 'x')\n"
+              "    setattr(harness, 'run', None)\n")
+    assert patched_names(source) == {("models.MLP", "logits"),
+                                     ("inequality", "gini_exact"),
+                                     ("harness", "gini_exact")}
 
 
 def test_unused_scanner_sees_each_import_form():
