@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .attribution import METHODS as ATTRIBUTION_METHODS
-from .attribution import attribute
+from .attribution import attribute, reduced
 from .models import Model, check_args, check_kind, check_value, predict
 from .seeding import seed_stream
 
@@ -57,9 +57,9 @@ def topk_flags(values: np.ndarray, k: int) -> np.ndarray:
     return m
 
 
-def build_topk_mask(reduced: np.ndarray, k: int) -> Mask:
-    """Pixel-grid form of topk_flags for [H, W] attribution maps."""
-    return Mask(topk_flags(reduced, k).reshape(np.shape(reduced)))
+def build_topk_mask(red: np.ndarray, k: int) -> Mask:
+    """Pixel-grid form of topk_flags for an [H, W] `reduced` attribution map."""
+    return Mask(topk_flags(red, k).reshape(np.shape(red)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def ioa(model: Model, xs: np.ndarray, ys: np.ndarray, n_max: int, r_max: int,
                          f"got shapes {cur.shape} and {ys.shape}")
 
     def tape(idx):
-        return np.stack([m.reduced for m in attribute(model, cur[idx], ys[idx], method)])
+        return reduced(attribute(model, cur[idx], ys[idx], method))
 
     h, w = cur.shape[2:]
     flipped = np.zeros(len(cur), dtype=bool)
@@ -371,8 +371,8 @@ class AttackSpec:
             return pgd(model, xs, ys, self.eps, self.step, self.iters, rngs).x_adv
         if self.kind in ("ina1", "ina2"):
             noise = ina1 if self.kind == "ina1" else ina2
-            maps = attribute(model, xs, ys, self.method)
-            outs = [noise(x, build_topk_mask(m.reduced, self.k), rng)
+            maps = reduced(attribute(model, xs, ys, self.method))
+            outs = [noise(x, build_topk_mask(m, self.k), rng)
                     for x, m, rng in zip(xs, maps, rngs)]
         elif self.kind == "ioa":
             outs = [o.x_adv for o in ioa(model, xs, ys, self.n, self.r, self.color,

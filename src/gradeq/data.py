@@ -81,7 +81,8 @@ def blob_centers(resolution: int, classes: int) -> np.ndarray:
 
 def synth_blobs(n: Annotated[int, (">=", 1), ("<=", sys.float_info.max)],
                 resolution: Annotated[int, (">=", 8)] = IMAGE_SIDE,
-                classes: Annotated[int, (">=", 2)] = 4, seed: int = 0,
+                classes: Annotated[int, (">=", 2)] = 4,
+                seed: Annotated[int, (">=", 0), ("<", 2**32)] = 0,  # seed_stream reads 32 bits
                 channels: Annotated[int, (">=", 1)] = 1, background: float = 0.2,
                 amplitude: float = 0.5,
                 spread: Annotated[float, (">=", 1e-150), ("<=", 1e150)] = 4.0,

@@ -8,7 +8,9 @@ number is a pure function of config and seed, and the emitted files are
 byte-identical across runs. Each file is written whole or not at all, every
 CSV table goes through `RunState.table`, which ends each row with the seed
 and config digest, and charts are drawn from the rows this run computed,
-never from files on disk.
+never from files on disk. Attribution maps arrive as one array per batch
+(one map for the `attribution_file` dataset), and every Gini is taken of
+their `attribution.reduced` view through `inequality.mean_gini`.
 The only timestamped output is log.txt, which is deliberately excluded from
 the bundle manifest.
 """
@@ -458,13 +460,13 @@ def _stage_train(state: RunState) -> None:
 
 def _fixture_tables(state: RunState) -> None:
     cfg = state.config
-    amap = attribution.load_attribution(cfg.dataset["path"])
-    reduced = amap.reduced
-    g, rg, kept = mean_gini([reduced], cfg.gini.region)
+    values, method = attribution.load_attribution(cfg.dataset["path"])
+    reduced = attribution.reduced(values[None])
+    g, rg, kept = mean_gini(reduced, cfg.gini.region)
     if not kept:
         raise ValueError("gini undefined when all values are zero")
     row = {"global_gini": g, "regional_gini": rg, "region": cfg.gini.region,
-           "n": int(reduced.size), "method": amap.method,
+           "n": int(reduced.size), "method": method,
            "seed": cfg.seed, "config": cfg.digest}
     state.emit("tables/gini.json", json.dumps(row, sort_keys=True) + "\n")
     state.log(f"tables: fixture gini={g}")
@@ -487,8 +489,8 @@ def _stage_tables(state: RunState) -> None:
         adv_x = pgd(model, px, lab, rng=seed_stream(cfg.seed, "tables-pgd", name)).x_adv
         adv = accuracy(model, adv_x, lab)
         maps = attribution.attribute(model, px, lab, cfg.gini.method)
-        gg, rg, kept = mean_gini([m.reduced for m in maps], cfg.gini.region)
-        l1s = [float(np.abs(m.values).sum()) for m in maps]
+        gg, rg, kept = mean_gini(attribution.reduced(maps), cfg.gini.region)
+        l1s = [float(np.abs(m).sum()) for m in maps]
         gini_rows.append([name, meth, float(lam), clean, adv, gg, rg, kept])
         l1_rows.append([name, meth, float(lam), np.mean(l1s), np.max(l1s), len(l1s)])
         conf_rows.append([name, meth, float(lam), *confidence_stats(model, px, lab)])

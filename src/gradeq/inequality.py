@@ -73,21 +73,16 @@ def block_sums(map2d: np.ndarray, region: int) -> np.ndarray:
     return np.add.reduceat(rows, np.arange(0, w, region), axis=1)
 
 
-def region_blocks(map2d: np.ndarray, region: int) -> np.ndarray:
-    """Flat block sums for a regional Gini, float or exact; a region that
-    leaves a single block is refused here, for both."""
+def regional_gini(map2d: np.ndarray, region: int) -> float:
+    """Gini coefficient over clipped region x region block sums; a region
+    that leaves a single block is refused."""
     blocks = block_sums(map2d, region)
     if blocks.size < 2:
         raise ValueError(
             f"region {region} leaves a single block on shape {np.shape(map2d)}; "
             "inequality over one region is meaningless"
         )
-    return blocks.reshape(-1)
-
-
-def regional_gini(map2d: np.ndarray, region: int) -> float:
-    """Gini coefficient over clipped region x region block sums."""
-    return gini(region_blocks(map2d, region))
+    return gini(blocks)
 
 
 def mean_gini(reduced_maps, region: int | None = None) -> tuple[float, float, int]:

@@ -14,8 +14,10 @@ Nonlinear models enter through their first-order surrogate at each
 input, so everything downstream of `linearize` is approximate for them.
 A surrogate's weights are the input's saliency map, which both
 `linearize` (one input) and the sweeps (one batched `saliency` call)
-take from `models.input_gradients`. A sweep scores every pick of an input
-and mask size, ranked or drawn, through one gather of pixel columns.
+take from `models.input_gradients`. A sweep reads the batch of maps as
+one array, its weights as [N, C, H*W] and its ranking as the
+`attribution.reduced` view, and scores every pick of an input and mask
+size, ranked or drawn, through one gather of pixel columns.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import topk_flags
-from .attribution import saliency
+from .attribution import reduced, saliency
 from .models import Model, linearize  # noqa: F401  (re-exported: one input's surrogate)
 
 NOISE_KINDS = ("additive", "mult_additive", "occlusion")
@@ -155,8 +157,8 @@ def sweep_mask_stats(model: Model, pixels: np.ndarray, labels: np.ndarray,
     Each input contributes through its linearized score, whose weights
     are its saliency map: the input gradient of its labeled logit.
     `random` draws `draws` pixel subsets per input; `attribution_ranked`
-    takes the top-k pixels of the map's `reduced` view, the ranking the
-    inductive attacks use. A pixel selects its column of the [C, H*W]
+    takes the top-k pixels of the map's `attribution.reduced` view, the
+    ranking the inductive attacks use. A pixel selects its column of the [C, H*W]
     weight view, every channel at once; the picks of one input, [picks, k]
     pixel indices, are gathered together and each row is summed with
     `math.fsum`, so a point does not depend on the order of its terms.
@@ -166,20 +168,18 @@ def sweep_mask_stats(model: Model, pixels: np.ndarray, labels: np.ndarray,
     if selection == "random" and draws < 1:
         raise ValueError("random selection needs draws >= 1")
     maps = saliency(model, pixels, labels)
-    if not all(np.isfinite(m.values).all() for m in maps):
+    if not np.isfinite(maps).all():
         raise FloatingPointError("non-finite input gradient at linearization point")
-    surrogates = []
-    for m in maps:
-        red = m.reduced.reshape(-1)
-        surrogates.append((m.values.reshape(-1, red.size), red))  # [C, H*W]
-    pix_n = surrogates[0][1].size
+    reds = reduced(maps).reshape(len(maps), -1)  # [N, H*W]
+    pix_n = reds.shape[1]
+    weights = maps.reshape(len(maps), -1, pix_n)  # [N, C, H*W]
 
     points = []
     for k in ks:
         if not 0 <= k <= pix_n:
             raise ValueError(f"k must be in [0, {pix_n}], got {k}")
         ss, s2 = [], []
-        for w, red in surrogates:
+        for w, red in zip(weights, reds):
             if selection == "attribution_ranked":
                 picks = np.flatnonzero(topk_flags(red, k))[None]
             else:  # one call per draw, so the generator's stream is that of single draws

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .attacks import PGD_EPS, PGD_ITERS, PGD_STEP, pgd
-from .attribution import input_gradients, saliency
+from .attribution import input_gradients, reduced, saliency
 from .data import ImageBatch, cutout, train_val_split
 from .inequality import gini, mean_gini  # noqa: F401  (gini: perfbench's tracer wraps this name)
 from .models import Model, build_model, check_args, label_score, predict
@@ -42,11 +42,11 @@ class TrainConfig:
     lam: Annotated[float, (">=", 0)] = 0.0
     epochs: Annotated[int, (">=", 0)] = 30
     batch_size: Annotated[int, (">=", 1)] = 64
-    lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    plateau_factor: float = 0.1
-    plateau_patience: int = 3
+    lr: Annotated[float, (">", 0)] = 0.05  # no upper bound: a diverging run aborts
+    momentum: Annotated[float, (">=", 0), ("<", 1)] = 0.9
+    weight_decay: Annotated[float, (">=", 0)] = 5e-4
+    plateau_factor: Annotated[float, (">", 0), ("<=", 1)] = 0.1
+    plateau_patience: Annotated[int, (">=", 0)] = 3
     pgd_eps: Annotated[float, (">=", 0)] = PGD_EPS
     pgd_step: Annotated[float, (">=", 0)] = PGD_STEP
     pgd_iters: Annotated[int, (">=", 0)] = PGD_ITERS
@@ -127,9 +127,6 @@ class EpochRow:
 
 @dataclass(frozen=True)
 class TrainRecord:
-    method: str
-    lam: float
-    selection_metric: str
     rows: tuple[EpochRow, ...]
     best_epoch: int  # -1 when no epoch ran
     aborted: bool = False
@@ -151,8 +148,7 @@ def mean_saliency_gini(model: Model, pixels: np.ndarray, labels: np.ndarray,
     """Mean global Gini of the first `cap` saliency maps, by the rule of
     `inequality.mean_gini`: nan when every map is zero, ValueError on a
     non-finite map."""
-    maps = saliency(model, pixels[:cap], np.asarray(labels)[:cap])
-    return mean_gini([m.reduced for m in maps])[0]
+    return mean_gini(reduced(saliency(model, pixels[:cap], np.asarray(labels)[:cap])))[0]
 
 
 def train(config: TrainConfig, data: ImageBatch,
@@ -197,8 +193,7 @@ def train(config: TrainConfig, data: ImageBatch,
                     adv = pgd(student, xb, yb, config.pgd_eps, config.pgd_step,
                               config.pgd_iters,
                               seed_stream(config.seed, "pgd", epoch, bi)).x_adv
-                    lam = config.lam if config.method == "igd" else 0.0
-                    parts = igd_loss(student, teacher, xb, adv, yb, lam)
+                    parts = igd_loss(student, teacher, xb, adv, yb, config.lam)
             except ag.NonFiniteError:
                 aborted = True
                 break
@@ -239,6 +234,4 @@ def train(config: TrainConfig, data: ImageBatch,
                 bad_epochs = 0
 
     student.params = best_params
-    record = TrainRecord(config.method, config.lam, config.selection_metric,
-                         tuple(rows), best_epoch, aborted)
-    return student, record
+    return student, TrainRecord(tuple(rows), best_epoch, aborted)

@@ -19,13 +19,13 @@ def class_score(model, x: np.ndarray, y: int) -> float:
     return float(model.logits(np.asarray(x)[None])[0, int(y)])
 
 
-def write_attribution(amap, path) -> None:
-    """Raw little-endian float64 values plus the JSON sidecar that
-    `gradeq.attribution.load_attribution` reads."""
+def write_attribution(values: np.ndarray, method: str, target: int, path) -> None:
+    """One map as raw little-endian float64 values plus the JSON sidecar
+    that `gradeq.attribution.load_attribution` reads."""
     with open(path, "wb") as f:
-        f.write(np.ascontiguousarray(amap.values.astype("<f8")).tobytes())
-    sidecar = {"shape": list(amap.values.shape), "dtype": "<f8",
-               "method": amap.method, "target": amap.target}
+        f.write(np.ascontiguousarray(values.astype("<f8")).tobytes())
+    sidecar = {"shape": list(values.shape), "dtype": "<f8",
+               "method": method, "target": target}
     with open(str(path) + ".json", "w") as f:
         json.dump(sidecar, f, sort_keys=True)
 

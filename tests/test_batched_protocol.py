@@ -26,7 +26,7 @@ from gradeq import theory as th
 from gradeq.attacks import (AttackSpec, IoaOutcome, IoaStep, apply_spec,
                             build_topk_mask, clipped_square, corrupt, error_rate,
                             ina1, ina2, ioa, pgd, rn)
-from gradeq.attribution import attribute, input_gradients
+from gradeq.attribution import attribute, input_gradients, reduced
 from gradeq.data import synth_blobs
 from gradeq.models import CNN, MLP, linearize, predict
 from gradeq.seeding import seed_stream
@@ -52,7 +52,7 @@ def ioa_one(model, x, y, n_max, r_max, color, method="saliency"):
     for n in range(1, n_max + 1):
         for r in range(1, r_max + 1):
             try:
-                red = attribute(model, cur[None], np.array([y]), method)[0].reduced
+                red = reduced(attribute(model, cur[None], np.array([y]), method))[0]
             except ag.NonFiniteError:
                 return IoaOutcome(cur, False, tuple(steps), aborted=True)
             order = np.argsort(-red.reshape(-1), kind="stable")[:n]
@@ -75,7 +75,7 @@ def apply_one(spec, model, x, y, rng):
         return pgd(model, x[None], np.array([y]), spec.eps, spec.step, spec.iters,
                    rng).x_adv[0]
     if spec.kind in ("ina1", "ina2"):
-        red = attribute(model, x[None], np.array([y]), spec.method)[0].reduced
+        red = reduced(attribute(model, x[None], np.array([y]), spec.method))[0]
         mask = build_topk_mask(red, spec.k)
         return (ina1 if spec.kind == "ina1" else ina2)(x, mask, rng)
     if spec.kind == "ioa":

@@ -11,7 +11,6 @@ import pytest
 
 from gradeq import cli, harness, training
 from gradeq.attacks import CORRUPT_PARAM, AttackSpec, corrupt
-from gradeq.attribution import AttributionMap
 from gradeq.data import load_cifar, synth_blobs
 from gradeq.harness import (SEVERITY, ConfigError, StageError, confidence_stats,
                             config_digest, csv_text, load_config, run,
@@ -256,6 +255,15 @@ def test_missing_file(tmp_path):
     (None, "seed", 10**300),
     (None, "seed", -1),
     (None, "seed", 2**32),
+    ("dataset", "seed", -1),
+    ("dataset", "seed", 2**32),
+    ("train.0", "lr", 0.0),
+    ("train.0", "weight_decay", -1e-4),
+    ("train.0", "momentum", -0.1),
+    ("train.0", "momentum", 1.0),
+    ("train.0", "plateau_factor", 0),
+    ("train.0", "plateau_factor", 1.5),
+    ("train.0", "plateau_patience", -1),
 ])
 def test_bad_values_rejected_at_load(tmp_path, section, key, value):
     """Refused at load, before any model trains: severity 0 would index
@@ -829,9 +837,8 @@ def test_stage_failure_recorded_with_partials(tmp_path):
 def test_gini_fixture_single_row(tmp_path):
     rng = seed_stream(7, "fixture")
     values = rng.random((1, 8, 8))
-    amap = AttributionMap(values, "saliency", 1)
     fpath = tmp_path / "map.f64"
-    write_attribution(amap, fpath)
+    write_attribution(values, "saliency", 1, fpath)
     cfg = {"out": str(tmp_path / "out"),
            "dataset": {"kind": "attribution_file", "path": str(fpath)},
            "gini": {"region": 4}}
@@ -849,7 +856,7 @@ def test_gini_fixture_single_row(tmp_path):
 
 def test_gini_fixture_single_block_refused(tmp_path):
     fpath = tmp_path / "map.f64"
-    write_attribution(AttributionMap(np.ones((1, 4, 4)), "saliency", 0), fpath)
+    write_attribution(np.ones((1, 4, 4)), "saliency", 0, fpath)
     cfg = {"out": str(tmp_path / "out"), "gini": {"region": 4},
            "dataset": {"kind": "attribution_file", "path": str(fpath)}}
     config = load_config(write_config(tmp_path / "c.json", cfg))
@@ -860,7 +867,7 @@ def test_gini_fixture_single_block_refused(tmp_path):
 
 def test_gini_fixture_all_zero_map_fails_the_tables_stage(tmp_path, capsys):
     fpath = tmp_path / "map.f64"
-    write_attribution(AttributionMap(np.zeros((1, 8, 8)), "saliency", 0), fpath)
+    write_attribution(np.zeros((1, 8, 8)), "saliency", 0, fpath)
     cfg = {"out": str(tmp_path / "out"), "gini": {"region": 4},
            "dataset": {"kind": "attribution_file", "path": str(fpath)}}
     p = write_config(tmp_path / "c.json", cfg)

@@ -165,3 +165,49 @@ def test_caller_scanner_sees_each_call_form():
               "        return ag.picked_rows(a, b)\n"
               "    return g() + picked_rows\n")
     assert callers(source, "picked_rows") == [(1, None), (4, "g")]
+
+
+def unread_private_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each underscore-named top-level function, class or
+    constant that `source` defines and never reads; a dunder is not
+    private."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Load)}
+    return [(line, name) for line, name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_every_private_name_is_read_in_its_module():
+    """A private helper no code calls is dead. The `_vjp_<op>` rules are
+    read by name: `_OPS` looks each up in the module's globals."""
+    hits = [f"{path.relative_to(SRC)}:{line} {name}"
+            for path in sorted(SRC.rglob("*.py"))
+            for line, name in unread_private_names(path.read_text())
+            if not name.startswith("_vjp_")]
+    assert hits == []
+
+
+def test_private_scanner_sees_each_definition_form():
+    source = ("import numpy as _np\n"
+              "_USED = 1\n"
+              "_UNUSED: int = 2\n"
+              "__all__ = ['f']\n"
+              "def _helper():\n"
+              "    return _USED\n"
+              "def _dead():\n"
+              "    def _inner():\n"
+              "        pass\n"
+              "class _Gone:\n"
+              "    _field = 3\n"
+              "x = _helper()\n"
+              "_dead = None\n")
+    assert unread_private_names(source) == [(3, "_UNUSED"), (7, "_dead"), (10, "_Gone"),
+                                            (13, "_dead")]
