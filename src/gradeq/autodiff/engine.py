@@ -17,7 +17,10 @@ routes cannot drift apart.
 (fast path) or, with `create_graph=True`, by emitting the adjoint
 computation onto the same tape. In the second mode the returned gradients
 are graph values, so differentiating through them again is just another
-`grad` call.
+`grad` call. Either way the sweep computes only the adjoints on a path
+from the output to a target; a `const` cuts the path, so an attack's
+input gradient computes no parameter adjoint and a training step none of
+its input's.
 
 ReLU backward multiplies by a constant activation mask, so its second
 derivative is identically zero; use softplus where curvature matters.
@@ -107,89 +110,96 @@ class Graph:
 # ---------------------------------------------------------------------------
 # VJP rules. Each receives the namespace `ns` (the `kernels` module or the
 # Graph), the upstream adjoint `g`, ns-domain handles of the inputs and
-# output, the recorded input arrays `vals`, and the static payload. They
-# return one contribution per input; None marks a blocked path.
+# output, the recorded input arrays `vals`, the static payload, and `want`,
+# one flag per input that is set when the input lies on a path to a target.
+# They return one contribution per input; the sweep drops those of unwanted
+# inputs, so a rule whose contributions cost a kernel call returns None for
+# them instead.
 
 
-def _vjp_matmul(ns, g, xs, vals, out, meta):
+def _vjp_matmul(ns, g, xs, vals, out, meta, want):
     a, b = xs
-    return ns.matmul(g, ns.permute(b, (1, 0))), ns.matmul(ns.permute(a, (1, 0)), g)
+    return (ns.matmul(g, ns.permute(b, (1, 0))) if want[0] else None,
+            ns.matmul(ns.permute(a, (1, 0)), g) if want[1] else None)
 
 
-def _vjp_conv2d(ns, g, xs, vals, out, meta):
+def _vjp_conv2d(ns, g, xs, vals, out, meta, want):
     x, k = xs
     pad = meta
     kh = vals[1].shape[2]
-    k_flip = ns.flip_hw(ns.permute(k, (1, 0, 2, 3)))
-    gx = ns.conv2d(g, k_flip, kh - 1 - pad)
-    gk = ns.permute(
-        ns.conv2d(ns.permute(x, (1, 0, 2, 3)), ns.permute(g, (1, 0, 2, 3)), pad),
-        (1, 0, 2, 3),
-    )
+    gx = gk = None
+    if want[0]:
+        k_flip = ns.flip_hw(ns.permute(k, (1, 0, 2, 3)))
+        gx = ns.conv2d(g, k_flip, kh - 1 - pad)
+    if want[1]:
+        gk = ns.permute(
+            ns.conv2d(ns.permute(x, (1, 0, 2, 3)), ns.permute(g, (1, 0, 2, 3)), pad),
+            (1, 0, 2, 3),
+        )
     return gx, gk
 
 
-def _vjp_permute(ns, g, xs, vals, out, meta):
+def _vjp_permute(ns, g, xs, vals, out, meta, want):
     inv = [0] * len(meta)
     for i, a in enumerate(meta):
         inv[a] = i
     return (ns.permute(g, tuple(inv)),)
 
 
-def _vjp_flip_hw(ns, g, xs, vals, out, meta):
+def _vjp_flip_hw(ns, g, xs, vals, out, meta, want):
     return (ns.flip_hw(g),)
 
 
-def _vjp_reshape(ns, g, xs, vals, out, meta):
+def _vjp_reshape(ns, g, xs, vals, out, meta, want):
     return (ns.reshape(g, vals[0].shape),)
 
 
-def _vjp_add(ns, g, xs, vals, out, meta):
+def _vjp_add(ns, g, xs, vals, out, meta, want):
     return g, g
 
 
-def _vjp_mul(ns, g, xs, vals, out, meta):
+def _vjp_mul(ns, g, xs, vals, out, meta, want):
     a, b = xs
-    return ns.mul(g, b), ns.mul(g, a)
+    return ns.mul(g, b) if want[0] else None, ns.mul(g, a) if want[1] else None
 
 
-def _vjp_scale(ns, g, xs, vals, out, meta):
+def _vjp_scale(ns, g, xs, vals, out, meta, want):
     return (ns.scale(g, meta),)
 
 
-def _vjp_relu(ns, g, xs, vals, out, meta):
+def _vjp_relu(ns, g, xs, vals, out, meta, want):
     mask = (vals[0] > 0.0).astype(np.float64)
     return (ns.mul(g, ns.const(mask)),)
 
 
-def _vjp_softplus(ns, g, xs, vals, out, meta):
+def _vjp_softplus(ns, g, xs, vals, out, meta, want):
     (x,) = xs
     # sigmoid(x) = exp(-softplus(-x)), stable on both tails
     sig = ns.exp(ns.scale(ns.softplus(ns.scale(x, -1.0)), -1.0))
     return (ns.mul(g, sig),)
 
 
-def _vjp_exp(ns, g, xs, vals, out, meta):
+def _vjp_exp(ns, g, xs, vals, out, meta, want):
     return (ns.mul(g, out),)
 
 
-def _vjp_log(ns, g, xs, vals, out, meta):
+def _vjp_log(ns, g, xs, vals, out, meta, want):
     return (ns.mul(g, ns.reciprocal(xs[0])),)
 
 
-def _vjp_reciprocal(ns, g, xs, vals, out, meta):
+def _vjp_reciprocal(ns, g, xs, vals, out, meta, want):
     return (ns.scale(ns.mul(g, ns.mul(out, out)), -1.0),)
 
 
-def _vjp_rsqrt(ns, g, xs, vals, out, meta):
+def _vjp_rsqrt(ns, g, xs, vals, out, meta, want):
     return (ns.scale(ns.mul(g, ns.mul(out, ns.mul(out, out))), -0.5),)
 
 
-def _vjp_sum_axes(ns, g, xs, vals, out, meta):
+def _vjp_sum_axes(ns, g, xs, vals, out, meta, want):
     return (ns.broadcast(g, vals[0].shape),)
 
 
-def _vjp_broadcast(ns, g, xs, vals, out, meta):
+def _vjp_broadcast(ns, g, xs, vals, out, meta, want):
     axes = tuple(
         i for i, (a, b) in enumerate(zip(vals[0].shape, meta)) if a == 1 and b != 1
     )
@@ -198,11 +208,11 @@ def _vjp_broadcast(ns, g, xs, vals, out, meta):
     return (ns.sum_axes(g, axes),)
 
 
-def _vjp_maxpool2(ns, g, xs, vals, out, meta):
+def _vjp_maxpool2(ns, g, xs, vals, out, meta, want):
     return (ns.unpool2(g, meta),)
 
 
-def _vjp_unpool2(ns, g, xs, vals, out, meta):
+def _vjp_unpool2(ns, g, xs, vals, out, meta, want):
     return (ns.maxpool2(g, meta),)
 
 
@@ -231,15 +241,28 @@ for _op in _OPS:
 del _op
 
 
+def _live(nodes: list[_Node], last: int, targets: set[int]) -> list[bool]:
+    """Per node up to `last`, whether it lies on a path to a target: it is a
+    target or one of its arguments is live, and it is not a `const`."""
+    live = []
+    for i, node in enumerate(nodes[:last + 1]):
+        live.append(node.op != "const"
+                    and (i in targets or any(live[j] for j in node.args)))
+    return live
+
+
 def grad(out: Var, wrts: Sequence[Var], *, create_graph: bool = False) -> list:
     """Gradients of `out` with respect to each entry of `wrts`.
 
     With `create_graph=False` the sweep runs on raw arrays and returns
     ndarrays. With `create_graph=True` the adjoint computation is emitted
     onto the tape and Vars come back, ready for another `grad` call.
-    The sweep starts from ones of the output's shape. Adjoints accumulate
-    in strict reverse node order, so repeated calls on the same tape are
-    bitwise reproducible.
+    The sweep starts from ones of the output's shape and computes only the
+    adjoints of nodes on a path to a `wrts` entry; a `const` cuts the path,
+    and a target no path reaches gets zeros. Every adjoint it computes
+    gets the same contributions, in the same order, as a sweep over every
+    node would give it. Adjoints accumulate in strict reverse node order,
+    so repeated calls on the same tape are bitwise reproducible.
     """
     graph = out.graph
     nodes = graph.nodes
@@ -247,14 +270,17 @@ def grad(out: Var, wrts: Sequence[Var], *, create_graph: bool = False) -> list:
         if w.graph is not graph:
             raise GraphError("grad target lives on a different graph")
     ns = graph if create_graph else kernels
+    targets = {w.idx for w in wrts}
+    live = _live(nodes, out.idx, targets)
     adj: dict[int, Any] = {out.idx: ns.const(np.ones_like(nodes[out.idx].value))}
     for i in range(out.idx, -1, -1):
         if i not in adj:
             continue
         node = nodes[i]
-        if node.op in ("var", "const"):
+        want = tuple(live[j] for j in node.args)
+        if not any(want):
             continue
-        g = adj[i]
+        g = adj[i] if i in targets else adj.pop(i)  # freed once consumed
         vjp = _OPS[node.op]
         vals = tuple(nodes[j].value for j in node.args)
         if create_graph:
@@ -262,11 +288,10 @@ def grad(out: Var, wrts: Sequence[Var], *, create_graph: bool = False) -> list:
             out_h = Var(graph, i)
         else:
             xs, out_h = vals, node.value
-        contribs = vjp(ns, g, xs, vals, out_h, node.meta)
-        for j, c in zip(node.args, contribs):
-            if c is None or nodes[j].op == "const":
-                continue
-            adj[j] = c if j not in adj else ns.add(adj[j], c)
+        contribs = vjp(ns, g, xs, vals, out_h, node.meta, want)
+        for j, w, c in zip(node.args, want, contribs):
+            if w:
+                adj[j] = c if j not in adj else ns.add(adj[j], c)
     return [
         adj[w.idx] if w.idx in adj else ns.const(np.zeros_like(nodes[w.idx].value))
         for w in wrts

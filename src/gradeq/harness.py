@@ -3,9 +3,11 @@
 and everything lands in one output directory as CSV, SVG and checkpoints.
 
 Reruns are idempotent per (config digest, seed): finished checkpoints are
-reused (one that fails its integrity check is retrained), every downstream
-number is a pure function of config and seed, and the emitted files are
-byte-identical across runs. Each file is written whole or not at all, every
+reused (one that fails its integrity check, or whose training record is
+missing, is retrained), every downstream number is a pure function of
+config and seed, and the emitted files are byte-identical across runs.
+Each file is written whole or not at all; a run starts by deleting the
+temp files that writers killed mid-write left in its directories. Every
 CSV table goes through `RunState.table`, which ends each row with the seed
 and config digest, and charts are drawn from the rows this run computed,
 never from files on disk. Attribution maps arrive as one array per batch
@@ -36,8 +38,8 @@ from .data import (CIFAR_VARIANTS, IMAGE_SIDE, ImageBatch, load_cifar, split_siz
 from .inequality import gini_exact  # noqa: F401  (re-exported: perfbench's tracer wraps it here)
 from .inequality import mean_gini
 from .models import (IntegrityError, Model, atomic_write, build_model, check_args,
-                     check_keys, check_kind, check_value, load_checkpoint, save_checkpoint,
-                     signature_keys)
+                     check_keys, check_kind, check_value, load_checkpoint,
+                     remove_orphan_temps, save_checkpoint, signature_keys)
 from .seeding import seed_stream
 from .theory import SELECTIONS, sweep_mask_stats
 from .training import EpochRow, TrainConfig, accuracy, train
@@ -433,27 +435,30 @@ def _stage_train(state: RunState) -> None:
     for name, tcfg in cfg.train:
         ckpt = cfg.checkpoint(name)
         record_rel = f"records/{cfg.tag(name)}-train.csv"
-        if ckpt.exists():
+        # the record is written first, so a checkpoint marks a finished entry;
+        # one without its record is from a run killed in between
+        if ckpt.exists() and not (cfg.out / record_rel).exists():
+            state.log(f"train: {name} checkpoint has no record, retraining")
+        elif ckpt.exists():
             try:
                 state.models[name], extra = load_checkpoint(ckpt)
             except IntegrityError as e:
                 state.log(f"train: {name} checkpoint unreadable ({e}), retraining")
             else:
-                if (cfg.out / record_rel).exists():
-                    state.files.append(record_rel)
+                state.files.append(record_rel)
                 state.log(f"train: {name} cached ({extra.get('best_epoch')})")
                 continue
         teacher = state.models[tcfg.teacher] if tcfg.teacher else None
         model, record = train(tcfg, state.data, teacher)
         state.models[name] = model
+        state.table(record_rel, ["name", *(f.name for f in fields(EpochRow))],
+                    [[name, *r.as_dict().values()] for r in record.rows])
         ckpt.parent.mkdir(parents=True, exist_ok=True)
         save_checkpoint(ckpt, model, {
             "model": tcfg.model, "method": tcfg.method, "lam": tcfg.lam,
             "best_epoch": record.best_epoch, "seed": cfg.seed,
             "config": cfg.digest, "aborted": record.aborted,
         })
-        state.table(record_rel, ["name", *(f.name for f in fields(EpochRow))],
-                    [[name, *r.as_dict().values()] for r in record.rows])
         state.log(f"train: {name} done, best_epoch={record.best_epoch} "
                   f"aborted={record.aborted}")
 
@@ -607,6 +612,10 @@ _STAGE_FNS = {
 }
 
 
+# the directories a run writes, relative to its output directory
+_OUTPUT_DIRS = ("", "checkpoints", "records", "tables", "curves", "plots")
+
+
 def _listed_untagged(manifest: Path) -> set:
     """The outputs without a config tag (tables/, curves/, plots/) that a
     bundle manifest lists as written or as stale; none when it is absent or
@@ -633,6 +642,9 @@ def run(config: ExperimentConfig, stages=STAGES) -> ReportBundle:
     ordered = [s for s in STAGES if s in stages]
     state = RunState(config)
     config.out.mkdir(parents=True, exist_ok=True)
+    for d in _OUTPUT_DIRS:
+        for p in remove_orphan_temps(config.out / d):
+            state.log(f"removed {p.relative_to(config.out)}: a killed write's temp file")
     earlier = _listed_untagged(config.out / "bundle.json")
     failed = None
     error = None

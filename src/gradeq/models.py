@@ -20,6 +20,7 @@ import inspect
 import json
 import operator
 import os
+import re
 import struct
 import sys
 from pathlib import Path
@@ -320,7 +321,9 @@ class IntegrityError(ValueError):
 def atomic_write(path, *chunks: bytes) -> None:
     """Write `chunks` to a temp file in the same directory, then `os.replace`
     it: a run cut off midway leaves the old file or the new one, never a torn
-    one. Chunks are written in turn, so a payload is never copied to join it."""
+    one. Chunks are written in turn, so a payload is never copied to join it.
+    A killed writer leaves its temp file behind; `remove_orphan_temps`
+    deletes it."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -329,6 +332,32 @@ def atomic_write(path, *chunks: bytes) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+_TEMP_NAME = re.compile(r"\..+\.([0-9]+)\.tmp")
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:  # another user's process
+        return True
+    return True
+
+
+def remove_orphan_temps(directory) -> list[Path]:
+    """Delete the `atomic_write` temp files in `directory` whose writer's pid
+    names no running process, and return their paths. A running writer's
+    temp file stays."""
+    removed = []
+    for p in sorted(Path(directory).glob(".*.tmp")):
+        m = _TEMP_NAME.fullmatch(p.name)
+        if m and not _running(int(m.group(1))):
+            p.unlink(missing_ok=True)
+            removed.append(p)
+    return removed
 
 
 def save_checkpoint(path, model: Model, extra: dict | None = None) -> None:

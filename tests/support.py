@@ -1,5 +1,6 @@
 """Helpers several test modules share and the package itself does not need:
-a single-input class score (the finite-difference oracle), the writer of
+a single-input class score (the finite-difference oracle), the unpruned
+backward sweep (the oracle of `autodiff.grad`), the writer of
 attribution-map fixture files, and the summary of a `report` run that the
 golden file holds, with its comparison."""
 
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from gradeq.autodiff import engine, kernels
 from gradeq.models import load_checkpoint
 
 
@@ -17,6 +19,32 @@ def class_score(model, x: np.ndarray, y: int) -> float:
     if not 0 <= int(y) < model.classes:
         raise ValueError(f"class {y} out of range for {model.classes} classes")
     return float(model.logits(np.asarray(x)[None])[0, int(y)])
+
+
+def unpruned_grad(out, wrts, *, create_graph=False) -> list:
+    """`autodiff.grad` without its pruning: the sweep computes an adjoint
+    for every non-const input of every node it reaches, whether or not a
+    path leads from that input to a target. `grad` must equal it bit for
+    bit."""
+    graph, nodes = out.graph, out.graph.nodes
+    ns = graph if create_graph else kernels
+    adj = {out.idx: ns.const(np.ones_like(nodes[out.idx].value))}
+    for i in range(out.idx, -1, -1):
+        node = nodes[i]
+        if i not in adj or node.op in ("var", "const"):
+            continue
+        vals = tuple(nodes[j].value for j in node.args)
+        if create_graph:
+            xs, out_h = tuple(engine.Var(graph, j) for j in node.args), engine.Var(graph, i)
+        else:
+            xs, out_h = vals, node.value
+        want = (True,) * len(node.args)
+        contribs = engine._OPS[node.op](ns, adj[i], xs, vals, out_h, node.meta, want)
+        for j, c in zip(node.args, contribs):
+            if nodes[j].op != "const":
+                adj[j] = c if j not in adj else ns.add(adj[j], c)
+    return [adj[w.idx] if w.idx in adj else ns.const(np.zeros_like(nodes[w.idx].value))
+            for w in wrts]
 
 
 def write_attribution(values: np.ndarray, method: str, target: int, path) -> None:

@@ -3,16 +3,22 @@
 Every gradient the tape produces is compared to (f(x+h) - f(x-h)) / 2h
 on float64 inputs; second derivatives are checked the same way on the
 analytic first derivative. Nothing here trusts the engine to test itself
-except the bit-reproducibility cases, where the oracle is repetition.
+except the bit-reproducibility cases, where the oracle is repetition, and
+the pruned-sweep cases, where it is the unpruned sweep of `support`.
 """
 
 import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from gradeq import autodiff as ag
+from gradeq.attacks import pgd
 from gradeq.autodiff import engine, kernels
+from gradeq.models import build_model, input_gradients
+from gradeq.training import igd_loss
+from support import unpruned_grad
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -351,8 +357,12 @@ class TestGuards:
         x = g.var(np.ones((2, 2)))
         c = g.const(np.full((2, 2), 3.0))
         out = ag.sum_all(g.mul(x, c))
-        (gx,) = ag.grad(out, [x])
+        gx, gc = ag.grad(out, [x, c])
         np.testing.assert_allclose(gx, 3.0)
+        assert gc.shape == (2, 2) and np.all(gc == 0.0)
+        gx, gc = ag.grad(out, [x, c], create_graph=True)
+        np.testing.assert_allclose(gx.value, 3.0)
+        assert gc.value.shape == (2, 2) and np.all(gc.value == 0.0)
 
     def test_grad_of_unreached_leaf_is_zero(self):
         g = ag.Graph()
@@ -466,3 +476,99 @@ class TestOneDispatch:
         for out in (kernels.sum_axes(x, ()), g.sum_axes(g.const(x), ()).value):
             assert np.array_equal(np.signbit(out), np.signbit(x))
             assert out is not x
+
+
+class TestPrunedSweep:
+    """`grad` computes only the adjoints on a path to a target. It must
+    return what the unpruned sweep returns, bit for bit, and it must not
+    compute the parameter adjoints an input gradient never reads."""
+
+    SHAPES = {"mlp": ({"kind": "mlp", "in_shape": [1, 32, 32], "hidden": [64, 64],
+                       "classes": 4}, 64),
+              "cnn": ({"kind": "cnn", "in_shape": [3, 32, 32], "channels": [16, 32],
+                       "classes": 4}, 16)}
+    SMALL = {"mlp": ({"kind": "mlp", "in_shape": [1, 8, 8], "hidden": [12, 10],
+                      "classes": 3}, 5),
+             "cnn": ({"kind": "cnn", "in_shape": [2, 8, 8], "channels": [4, 6],
+                      "classes": 3}, 5)}
+
+    @staticmethod
+    def _batch(shapes, kind):
+        cfg, n = shapes[kind]
+        rng = np.random.default_rng(70)
+        x = rng.uniform(0.0, 1.0, size=(n, *cfg["in_shape"]))
+        y = rng.integers(0, cfg["classes"], size=n)
+        return build_model(cfg, seed=1), build_model(cfg, seed=2), x, y
+
+    def _outputs(self, kind):
+        student, teacher, x, y = self._batch(self.SHAPES, kind)
+        adv = pgd(student, x, y, rng=np.random.default_rng(71)).x_adv
+        outs = {"x_adv": adv, "input_gradients": input_gradients(student, x, y)}
+        for lam in (0.0, 2.0):
+            parts = igd_loss(student, teacher, x, adv, y, lam)
+            outs[f"loss lam={lam}"] = np.array([parts.total, parts.ce, parts.cos_mean])
+            outs.update({f"{n} lam={lam}": g for n, g in parts.grads.items()})
+        return outs
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_attack_input_gradients_and_igd_loss_equal_the_oracle(self, kind, monkeypatch):
+        got = self._outputs(kind)
+        monkeypatch.setattr(ag, "grad", unpruned_grad)
+        want = self._outputs(kind)
+        assert set(got) == set(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("create_graph", [False, True])
+    def test_interior_target_gets_the_oracle_adjoint(self, create_graph):
+        x0 = np.random.default_rng(72).normal(size=(3, 4))
+        results = []
+        for sweep in (ag.grad, unpruned_grad):
+            g = ag.Graph()
+            h = g.matmul(g.var(x0), g.var(np.linspace(-1.0, 1.0, 8).reshape(4, 2)))
+            out = ag.sum_all(g.softplus(g.mul(h, g.const(np.full((3, 2), 0.5)))))
+            (got,) = sweep(out, [h], create_graph=create_graph)
+            results.append(got.value if create_graph else got)
+        assert results[0].tobytes() == results[1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_input_gradients_compute_no_parameter_adjoint(self, kind, monkeypatch):
+        model, _, x, y = self._batch(self.SMALL, kind)
+        calls = []
+        for op in ("matmul", "conv2d"):
+            def spy(*args, _op=op, _kernel=getattr(kernels, op)):
+                out = _kernel(*args)
+                calls.append((_op, out.shape))
+                return out
+            monkeypatch.setattr(kernels, op, spy)
+        model.logits(x)
+        forward = Counter(op for op, _ in calls)
+        calls.clear()
+        input_gradients(model, x, y)
+        # the forward once on the tape, then one input adjoint per call
+        assert Counter(op for op, _ in calls) == {op: 2 * n for op, n in forward.items()}
+        param_shapes = {p.shape for p in model.params.values()}
+        assert [c for c in calls if c[1] in param_shapes] == []
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_double_backward_emits_only_what_its_result_needs(self, kind, monkeypatch):
+        """Every node the `create_graph` pass of `igd_loss` adds to the tape
+        feeds the input gradient it returns: none is a parameter adjoint."""
+        student, teacher, x, y = self._batch(self.SMALL, kind)
+        passes = []
+
+        def spy(out, wrts, *, create_graph=False):
+            before = len(out.graph.nodes)
+            result = engine.grad(out, wrts, create_graph=create_graph)
+            if create_graph:
+                passes.append((out.graph.nodes[:], before, result))
+            return result
+
+        monkeypatch.setattr(ag, "grad", spy)
+        igd_loss(student, teacher, x, x, y, 2.0)
+        ((nodes, before, result),) = passes
+        feeds = {r.idx for r in result}
+        for i in range(len(nodes) - 1, before - 1, -1):
+            if i in feeds:
+                feeds.update(nodes[i].args)
+        assert [nodes[i].op for i in range(before, len(nodes)) if i not in feeds] == []

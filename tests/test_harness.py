@@ -3,7 +3,10 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -772,20 +775,56 @@ def test_failed_run_keeps_earlier_outputs_due(tmp_path, monkeypatch):
     assert "stale" not in manifest and manifest["files"] == fixed.files
 
 
-@pytest.mark.parametrize("victim", ["std", "igd2"])
-def test_truncated_checkpoint_is_retrained(tmp_path, capsys, victim):
+def rerun_after(tmp_path, damage) -> str:
+    """Run a small config into two directories, `damage(out, config)` the
+    second, rerun there, and check that every file but log.txt then equals
+    the clean run's; returns the rerun's log."""
     cfg = base_config(tmp_path / "unused", n=48, epochs=1)
     del cfg["attacks"], cfg["theory"], cfg["corrupt"]
     p = write_config(tmp_path / "c.json", cfg)
     clean, cut = tmp_path / "clean", tmp_path / "cut"
     for out in (clean, cut):
         assert cli.main(["evaluate", "--config", str(p), "--out", str(out)]) == 0
-    ckpt = cut / "checkpoints" / f"{load_config(p).tag(victim)}.ckpt"
-    ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+    damage(cut, load_config(p))
     assert cli.main(["evaluate", "--config", str(p), "--out", str(cut)]) == 0
     assert tree_digests(cut) == tree_digests(clean)
-    assert f"{victim} checkpoint unreadable" in (cut / "log.txt").read_text()
+    return (cut / "log.txt").read_text()
+
+
+@pytest.mark.parametrize("victim", ["std", "igd2"])
+def test_truncated_checkpoint_is_retrained(tmp_path, capsys, victim):
+    def truncate(out, config):
+        ckpt = out / "checkpoints" / f"{config.tag(victim)}.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+
+    assert f"{victim} checkpoint unreadable" in rerun_after(tmp_path, truncate)
     capsys.readouterr()
+
+
+def test_checkpoint_without_its_record_is_retrained(tmp_path, capsys):
+    """A run killed between the training record and the checkpoint leaves
+    only the record (it is written first); a checkpoint whose record is
+    gone is not a finished entry, so the rerun retrains it."""
+    def lose_record(out, config):
+        (out / "records" / f"{config.tag('std')}-train.csv").unlink()
+
+    assert "std checkpoint has no record, retraining" in rerun_after(tmp_path, lose_record)
+    capsys.readouterr()
+
+
+def test_run_removes_temp_files_of_dead_writers_only(tmp_path):
+    cfg = base_config(tmp_path / "out", n=48)
+    config = load_config(write_config(tmp_path / "c.json", cfg))
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    (config.out / "checkpoints").mkdir(parents=True)
+    dead = config.out / "checkpoints" / f".std.ckpt.{child.pid}.tmp"
+    live = config.out / f".other.csv.{os.getpid()}.tmp"
+    dead.write_bytes(b"torn")
+    live.write_bytes(b"being written")
+    run(config, stages=("data",))
+    assert not dead.exists() and live.read_bytes() == b"being written"
+    assert f"removed checkpoints/{dead.name}" in (config.out / "log.txt").read_text()
 
 
 def test_igd_student_differs_from_teacher(pipeline):
