@@ -7,7 +7,8 @@ axis. Attribution-guided attacks take a Mask over pixels (all channels
 of a masked pixel are touched). Every stochastic op draws from a caller
 supplied Generator, so identical streams reproduce identical outputs
 bit for bit. Every attack runs on a whole batch; in PGD and IOA a
-sample whose tape goes non-finite is flagged alone (`_live_rows`).
+sample whose tape or its result goes non-finite is flagged alone
+(`_live_rows`).
 """
 
 from __future__ import annotations
@@ -75,19 +76,26 @@ class PgdResult:
 def _live_rows(tape, live: np.ndarray, failed: np.ndarray, shape) -> np.ndarray:
     """Rows `tape(idx)` of samples idx for the live samples, zero rows for
     the rest. One tape covers every live sample; only if it goes
-    non-finite does each live sample get its own, and those that fail
-    alone are flagged in `failed`. The one place an attack queries the
-    model sample by sample."""
+    non-finite, in an op or in the rows it returns, does each live sample
+    get its own, and those that fail alone are flagged in `failed`. The
+    one place an attack queries the model sample by sample."""
+
+    def rows(idx):
+        r = tape(idx)
+        if not np.isfinite(r).all():
+            raise ag.NonFiniteError("tape returned non-finite rows")
+        return r
+
     out = np.zeros(shape)
     try:
         if live.size == len(out):
-            return tape(slice(None))  # all live: the batch itself, no copies
+            return rows(slice(None))  # all live: the batch itself, no copies
         if live.size:
-            out[live] = tape(live)
+            out[live] = rows(live)
     except ag.NonFiniteError:
         for i in live:
             try:
-                out[i] = tape([i])[0]
+                out[i] = rows([i])[0]
             except ag.NonFiniteError:
                 failed[i] = True
     return out
@@ -100,8 +108,17 @@ def pgd(model: Model, x: np.ndarray, y: np.ndarray, eps: float = PGD_EPS,
     """Projected sign-gradient ascent on cross entropy.
 
     Every iterate is projected to the l-inf eps-ball around x intersected
-    with [0,1]. A sample whose gradient goes non-finite is frozen at its
-    last valid iterate and flagged rather than poisoning the batch.
+    with [0,1]. A sample whose forward or input gradient goes non-finite is
+    frozen at its last valid iterate and flagged rather than poisoning the
+    batch.
+
+    The first whole-batch iteration records the loss and its input
+    gradient on one tape (`grad(..., create_graph=True)`) as an
+    `autodiff.Plan`; each later whole-batch iteration replays it, so the
+    work that depends only on the parameters and labels (float64 casts,
+    transposes, bias broadcasts, flipped kernels) is done once per call.
+    Once a sample is flagged, each iteration builds a tape over the live
+    samples. Every route gives the gradient a fresh tape would, bit for bit.
 
     `rng` is one Generator for the whole batch's random start, or one per
     sample; sample i then draws its start from rng[i] alone, exactly as a
@@ -123,12 +140,21 @@ def pgd(model: Model, x: np.ndarray, y: np.ndarray, eps: float = PGD_EPS,
         cur = np.clip(x + start, 0.0, 1.0)
     else:
         cur = x.copy()
+    plan = None
 
     def tape(idx):  # cross-entropy input gradients of samples idx
+        nonlocal plan
+        whole = isinstance(idx, slice)
+        if whole and plan is not None:
+            return plan.run(cur)
         gr = ag.Graph()
         xv = gr.var(cur[idx])
         loss = ag.cross_entropy_mean(model.graph_logits(xv, model.bind(gr)), y[idx])
-        return ag.grad(loss, [xv])[0]
+        if not whole:
+            return ag.grad(loss, [xv])[0]
+        (gx,) = ag.grad(loss, [xv], create_graph=True)
+        plan = ag.Plan(xv, gx)
+        return gx.value
 
     aborted = np.zeros(len(x), dtype=bool)
     for _ in range(iters):
@@ -356,11 +382,12 @@ class AttackSpec:
               rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """Perturbed copies of a batch; sample i draws only from rngs[i].
 
-        Model queries are batched: one PGD tape per iteration, one
-        attribution tape for the whole batch, and one attribution tape and
-        one prediction per IOA step over the samples still running, so a
-        sample's output equals its batch-of-one output up to float
-        rounding. Masks, paint and noise stay per sample.
+        Model queries are batched: one PGD tape per call, replayed by
+        every later iteration, one attribution tape for the whole batch,
+        and one attribution tape and one prediction per IOA step over the
+        samples still running, so a sample's output equals its
+        batch-of-one output up to float rounding. Masks, paint and noise
+        stay per sample.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys)

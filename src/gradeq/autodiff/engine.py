@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation on an append-only op tape.
 
 A Graph records every primitive application as a node holding the op name,
-the argument node ids, any static payload (padding, axes, pooling masks),
-and the eagerly computed float64 value. Node arguments always have smaller
+the argument node ids, any static payload (padding, axes, shapes), and the
+eagerly computed float64 value. Node arguments always have smaller
 ids than the node itself, so the tape is topologically sorted by
 construction and a backward sweep is a single reverse pass.
 
@@ -18,12 +18,19 @@ routes cannot drift apart.
 computation onto the same tape. In the second mode the returned gradients
 are graph values, so differentiating through them again is just another
 `grad` call. Either way the sweep computes only the adjoints on a path
-from the output to a target; a `const` cuts the path, so an attack's
+from the output to a target; a cut op ends the path, so an attack's
 input gradient computes no parameter adjoint and a training step none of
 its input's.
 
-ReLU backward multiplies by a constant activation mask, so its second
-derivative is identically zero; use softplus where curvature matters.
+A `Plan` replays a recorded tape on a new value of one leaf: it recomputes
+on raw arrays only the nodes downstream of that leaf and keeps every other
+value as recorded. So no payload and no `const` may be computed from a
+value: each quantity derived from one is its own op, which `_CUTS` lists
+with `const` because no gradient flows through it. These are the row
+maximum of log-sum-exp (`rowmax`), the ReLU backward mask (`relu_mask`)
+and the 2x2 argmax mask (`pool_mask`), a second input of `maxpool2` and
+`unpool2`. The ReLU mask being a cut makes ReLU's second derivative
+identically zero; use softplus where curvature matters.
 """
 
 from __future__ import annotations
@@ -38,7 +45,13 @@ from .kernels import GraphError
 
 
 class NonFiniteError(FloatingPointError):
-    """An op produced NaN or infinity during forward evaluation."""
+    """An op, or a result read off a tape, holds NaN or infinity."""
+
+
+def _check_finite(op: str, value: np.ndarray) -> np.ndarray:
+    if not np.isfinite(value).all():
+        raise NonFiniteError(f"op '{op}' produced non-finite values")
+    return value
 
 
 class _Node:
@@ -77,8 +90,7 @@ class Graph:
         self.nodes: list[_Node] = []
 
     def _append(self, node: _Node) -> Var:
-        if not np.all(np.isfinite(node.value)):
-            raise NonFiniteError(f"op '{node.op}' produced non-finite values")
+        _check_finite(node.op, node.value)
         self.nodes.append(node)
         return Var(self, len(self.nodes) - 1)
 
@@ -101,10 +113,9 @@ class Graph:
         value = kernel(*vals) if meta is None else kernel(*vals, meta)
         return self._append(_Node(op, tuple(a.idx for a in args), meta, value))
 
-    def maxpool2(self, x: Var, mask: np.ndarray | None = None) -> Var:
-        """2x2 max pool through `mask`, by default the argmax mask of x's
-        value; either way the mask is frozen into the tape at build time."""
-        return self.apply("maxpool2", (x,), kernels.pool_mask(x.value) if mask is None else mask)
+    def maxpool2(self, x: Var, mask: Var | None = None) -> Var:
+        """2x2 max pool through `mask`, by default x's own `pool_mask` node."""
+        return self.apply("maxpool2", (x, self.pool_mask(x) if mask is None else mask))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +179,7 @@ def _vjp_scale(ns, g, xs, vals, out, meta, want):
 
 
 def _vjp_relu(ns, g, xs, vals, out, meta, want):
-    mask = (vals[0] > 0.0).astype(np.float64)
-    return (ns.mul(g, ns.const(mask)),)
+    return (ns.mul(g, ns.relu_mask(xs[0])),)
 
 
 def _vjp_softplus(ns, g, xs, vals, out, meta, want):
@@ -209,19 +219,22 @@ def _vjp_broadcast(ns, g, xs, vals, out, meta, want):
 
 
 def _vjp_maxpool2(ns, g, xs, vals, out, meta, want):
-    return (ns.unpool2(g, meta),)
+    return ns.unpool2(g, xs[1]), None
 
 
 def _vjp_unpool2(ns, g, xs, vals, out, meta, want):
-    return (ns.maxpool2(g, meta),)
+    return ns.maxpool2(g, xs[1]), None
 
 
-# the one list of op names: each maps to its VJP rule `_vjp_<op>`; its
-# forward is `kernels.<op>`
-_OPS = {op: globals()[f"_vjp_{op}"] for op in (
+# ops no gradient flows through: a path to a `grad` target ends at them
+_CUTS = ("const", "rowmax", "relu_mask", "pool_mask")
+
+# the one list of op names: each maps to its VJP rule `_vjp_<op>`, a cut op
+# to None; its forward is `kernels.<op>`
+_OPS = {op: globals().get(f"_vjp_{op}") for op in (
     "matmul", "conv2d", "permute", "flip_hw", "reshape", "add", "mul", "scale",
     "relu", "softplus", "exp", "log", "rsqrt", "reciprocal", "sum_axes",
-    "broadcast", "maxpool2", "unpool2")}
+    "broadcast", "maxpool2", "unpool2", *_CUTS[1:])}
 
 
 def _method(op: str):
@@ -243,10 +256,10 @@ del _op
 
 def _live(nodes: list[_Node], last: int, targets: set[int]) -> list[bool]:
     """Per node up to `last`, whether it lies on a path to a target: it is a
-    target or one of its arguments is live, and it is not a `const`."""
+    target or one of its arguments is live, and it is not a cut."""
     live = []
     for i, node in enumerate(nodes[:last + 1]):
-        live.append(node.op != "const"
+        live.append(node.op not in _CUTS
                     and (i in targets or any(live[j] for j in node.args)))
     return live
 
@@ -258,7 +271,7 @@ def grad(out: Var, wrts: Sequence[Var], *, create_graph: bool = False) -> list:
     ndarrays. With `create_graph=True` the adjoint computation is emitted
     onto the tape and Vars come back, ready for another `grad` call.
     The sweep starts from ones of the output's shape and computes only the
-    adjoints of nodes on a path to a `wrts` entry; a `const` cuts the path,
+    adjoints of nodes on a path to a `wrts` entry; a cut op ends the path,
     and a target no path reaches gets zeros. Every adjoint it computes
     gets the same contributions, in the same order, as a sweep over every
     node would give it. Adjoints accumulate in strict reverse node order,
@@ -296,3 +309,40 @@ def grad(out: Var, wrts: Sequence[Var], *, create_graph: bool = False) -> list:
         adj[w.idx] if w.idx in adj else ns.const(np.zeros_like(nodes[w.idx].value))
         for w in wrts
     ]
+
+
+class Plan:
+    """A recorded tape, replayed on a new value of the leaf `leaf`.
+
+    `run` recomputes, in tape order and with `kernels.<op>`, only the nodes
+    downstream of the leaf, checking each finite as the Graph does, and
+    frees each recomputed value after its last reader. Every other value a
+    recomputed node reads was computed once, when the tape was built, and
+    is kept. Since no payload and no `const` depends on a value, a replay
+    gives bit for bit what a tape built on the new leaf value would hold;
+    `run` returns the value of node `out`.
+    """
+
+    def __init__(self, leaf: Var, out: Var):
+        nodes = leaf.graph.nodes
+        down = {leaf.idx}
+        for i in range(leaf.idx + 1, len(nodes)):
+            if any(j in down for j in nodes[i].args):
+                down.add(i)
+        order = sorted(down - {leaf.idx})
+        last = {j: i for i in order for j in nodes[i].args}  # each value's last reader
+        self.leaf, self.out = leaf.idx, out.idx
+        self.kept = {j: nodes[j].value for j in (*last, out.idx) if j not in down}
+        self.steps = [(i, nodes[i].op, getattr(kernels, nodes[i].op), nodes[i].args,
+                       nodes[i].meta, {j for j in nodes[i].args if last[j] == i} - {out.idx})
+                      for i in order]
+
+    def run(self, x: np.ndarray) -> np.ndarray:
+        vals = dict(self.kept)
+        vals[self.leaf] = _check_finite("var", np.asarray(x, dtype=np.float64))
+        for i, op, kernel, args, meta, free in self.steps:
+            ins = [vals[j] for j in args]
+            vals[i] = _check_finite(op, kernel(*ins) if meta is None else kernel(*ins, meta))
+            for j in free:
+                del vals[j]
+        return vals[self.out]

@@ -5,7 +5,7 @@ VJP rules: the `kernels` module to run on raw arrays, or a `Graph` to
 emit onto its tape. So a model forward runs on either alike.
 Everything else takes and returns graph Vars and records its ops on
 their graph (`x.graph.<op>`); plain arrays enter only as constants
-(one-hot labels, row maxima, frozen reference gradients).
+(one-hot labels, frozen reference gradients).
 """
 
 from __future__ import annotations
@@ -57,14 +57,14 @@ def onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 def logsumexp_rows(logits: Var) -> Var:
     """Row-wise log-sum-exp of [B, K] logits, shape [B, 1].
 
-    The row maximum enters as a constant; the value and gradient are exact
+    The row maximum is a cut (`rowmax`): the value and gradient are exact
     for any fixed shift, the shift only tames the exponentials.
     """
-    m = np.max(logits.value, axis=1, keepdims=True)
     g = logits.graph
-    shifted = g.add(logits, g.const(np.broadcast_to(-m, logits.shape)))
+    m = g.rowmax(logits)
+    shifted = g.add(logits, g.broadcast(g.scale(m, -1.0), logits.shape))
     s = g.sum_axes(g.exp(shifted), (1,))
-    return g.add(g.log(s), g.const(m))
+    return g.add(g.log(s), m)
 
 
 def picked_rows(logits: Var, labels: np.ndarray) -> Var:
@@ -87,6 +87,8 @@ def cosine_rows(u: Var, ref: np.ndarray) -> tuple[Var, np.ndarray]:
     degenerate: they contribute exactly zero, carry zero gradient, and are
     reported in the returned boolean flags. The guard constant keeps the
     inverse square root finite on those rows without perturbing the rest.
+    The guard is computed from u's value, so a tape holding it is not one
+    a `Plan` may replay on a new input.
     """
     ref = np.asarray(ref, dtype=np.float64)
     if ref.shape != u.shape:

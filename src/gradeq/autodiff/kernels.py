@@ -1,10 +1,10 @@
 """Raw numpy kernels for the dense-tensor op set: the raw-array op namespace.
 
-One function per op of the engine's `_OPS`, plus `const` (the identity)
-and `pool_mask`. Each is its op's one forward on both routes: a Graph
-computes every node's value with it, and the non-recording backward pass
-and a model forward on plain arrays run with this module as their op
-namespace. So each kernel checks its own arguments, raising `GraphError`
+One function per op of the engine's `_OPS`, plus `const` (the identity).
+Each is its op's one forward on both routes: a Graph computes every
+node's value with it, and the non-recording backward pass, a replayed
+`Plan` and a model forward on plain arrays run with this module as their
+op namespace. So each kernel checks its own arguments, raising `GraphError`
 where numpy would broadcast or compute silently; where numpy already
 raises, it is left to. All arithmetic is float64.
 """
@@ -86,6 +86,11 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+def relu_mask(x: np.ndarray) -> np.ndarray:
+    """Where relu passes its input: 1.0 where x > 0, else 0.0."""
+    return (x > 0.0).astype(np.float64)
+
+
 def softplus(x: np.ndarray) -> np.ndarray:
     # log(1 + e^x) = max(x, 0) + log1p(e^{-|x|}); stable on both tails
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
@@ -118,6 +123,13 @@ def sum_axes(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return np.sum(x, axis=axes, keepdims=True)
 
 
+def rowmax(x: np.ndarray) -> np.ndarray:
+    """Maximum of each row of a [B, K] array, shape [B, 1]."""
+    if x.ndim != 2:
+        raise GraphError(f"rowmax needs a 2-d array, got shape {x.shape}")
+    return np.max(x, axis=1, keepdims=True)
+
+
 def broadcast(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if x.ndim != len(shape):
         raise GraphError(f"broadcast rank mismatch: {x.shape} -> {shape}")
@@ -142,7 +154,7 @@ def pool_mask(x: np.ndarray) -> np.ndarray:
 
 def maxpool2(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Select each 2x2 window's entry through `mask`, by default x's own
-    argmax mask; with a given mask this is the adjoint of unpool2."""
+    `pool_mask`; with another mask this is the adjoint of unpool2."""
     if mask is None:
         mask = pool_mask(x)
     n, c, h, w = x.shape

@@ -1,8 +1,9 @@
 """Helpers several test modules share and the package itself does not need:
 a single-input class score (the finite-difference oracle), the unpruned
-backward sweep (the oracle of `autodiff.grad`), the writer of
-attribution-map fixture files, and the summary of a `report` run that the
-golden file holds, with its comparison."""
+backward sweep (the oracle of `autodiff.grad`), PGD with a fresh tape every
+iteration (the oracle of `attacks.pgd`), the writer of attribution-map
+fixture files, and the summary of a `report` run that the golden file
+holds, with its comparison."""
 
 import json
 import re
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from gradeq import autodiff as ag
+from gradeq.attacks import PGD_EPS, PGD_ITERS, PGD_STEP, PgdResult, _live_rows
 from gradeq.autodiff import engine, kernels
 from gradeq.models import load_checkpoint
 
@@ -31,7 +34,7 @@ def unpruned_grad(out, wrts, *, create_graph=False) -> list:
     adj = {out.idx: ns.const(np.ones_like(nodes[out.idx].value))}
     for i in range(out.idx, -1, -1):
         node = nodes[i]
-        if i not in adj or node.op in ("var", "const"):
+        if i not in adj or node.op in ("var", *engine._CUTS):
             continue
         vals = tuple(nodes[j].value for j in node.args)
         if create_graph:
@@ -41,10 +44,39 @@ def unpruned_grad(out, wrts, *, create_graph=False) -> list:
         want = (True,) * len(node.args)
         contribs = engine._OPS[node.op](ns, adj[i], xs, vals, out_h, node.meta, want)
         for j, c in zip(node.args, contribs):
-            if nodes[j].op != "const":
+            if nodes[j].op not in engine._CUTS:
                 adj[j] = c if j not in adj else ns.add(adj[j], c)
     return [adj[w.idx] if w.idx in adj else ns.const(np.zeros_like(nodes[w.idx].value))
             for w in wrts]
+
+
+def tape_pgd(model, x, y, eps=PGD_EPS, step=PGD_STEP, iters=PGD_ITERS, rng=None,
+             random_start=True) -> PgdResult:
+    """`attacks.pgd` without its recorded plan: every iteration builds a
+    fresh tape over the live samples and runs the raw backward pass on it.
+    `pgd` must equal it bit for bit in `x_adv` and `aborted`."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    if not random_start:
+        cur = x.copy()
+    elif isinstance(rng, np.random.Generator):
+        cur = np.clip(x + rng.uniform(-eps, eps, size=x.shape), 0.0, 1.0)
+    else:
+        start = np.stack([r.uniform(-eps, eps, size=x.shape[1:]) for r in rng])
+        cur = np.clip(x + start, 0.0, 1.0)
+
+    def tape(idx):
+        gr = ag.Graph()
+        xv = gr.var(cur[idx])
+        loss = ag.cross_entropy_mean(model.graph_logits(xv, model.bind(gr)), y[idx])
+        return ag.grad(loss, [xv])[0]
+
+    aborted = np.zeros(len(x), dtype=bool)
+    for _ in range(iters):
+        g = _live_rows(tape, np.flatnonzero(~aborted), aborted, cur.shape)
+        cur = cur + step * np.sign(g)
+        cur = np.clip(x + np.clip(cur - x, -eps, eps), 0.0, 1.0)
+    return PgdResult(cur, aborted)
 
 
 def write_attribution(values: np.ndarray, method: str, target: int, path) -> None:

@@ -3,6 +3,8 @@ invariants on every iterate, sort oracles for top-k masks, geometry of
 clipped occlusion squares, distributional oracles for the noise ops,
 and the joint-correct error-rate protocol on a hand fixture."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -23,8 +25,11 @@ from gradeq.attacks import (
     pgd,
     rn,
 )
-from gradeq.models import CNN, MLP, LinearScore, predict
+from gradeq.autodiff import kernels
+from gradeq.autodiff.functional import conv_bias
+from gradeq.models import CNN, MLP, LinearScore, build_model, input_gradients, predict
 from gradeq.seeding import seed_stream
+from support import tape_pgd
 
 EPS = 8.0 / 255.0
 STEP = 2.0 / 255.0
@@ -106,6 +111,114 @@ def test_pgd_flags_nonfinite_sample():
     assert bool(res.aborted[0])
     assert not bool(res.aborted[1])
     assert np.isfinite(res.x_adv).all()
+
+
+PGD_ORACLE_MODELS = {
+    "mlp-relu": {"kind": "mlp", "in_shape": [1, 8, 8], "hidden": [64, 64], "classes": 4},
+    "mlp-softplus": {"kind": "mlp", "in_shape": [1, 8, 8], "hidden": [64, 64],
+                     "classes": 4, "activation": "softplus"},
+    "linear": {"kind": "linear", "in_shape": [1, 8, 8]},
+    "cnn": {"kind": "cnn", "in_shape": [3, 8, 8], "channels": [16, 32], "classes": 4},
+}
+
+
+def _pgd_case(name, starts):
+    model = build_model(PGD_ORACLE_MODELS[name], seed=3)
+    rng = seed_stream(11, "pgd-oracle", name)
+    x = rng.uniform(size=(6, *model.in_shape))
+    y = rng.integers(0, model.classes, size=6)
+    kwargs = {"one": {"rng": seed_stream(12, "start")},
+              "per-sample": {"rng": [seed_stream(12, i) for i in range(6)]},
+              "none": {"random_start": False}}[starts]
+    return model, x, y, kwargs
+
+
+@pytest.mark.parametrize("starts", ["one", "per-sample", "none"])
+@pytest.mark.parametrize("iters", [0, 1, 2, 10])
+@pytest.mark.parametrize("name", sorted(PGD_ORACLE_MODELS))
+def test_pgd_equals_the_per_iteration_tape_oracle(name, iters, starts):
+    model, x, y, kwargs = _pgd_case(name, starts)
+    got = pgd(model, x, y, EPS, STEP, iters, **kwargs)
+    _, _, _, kwargs = _pgd_case(name, starts)  # fresh generators for the oracle
+    want = tape_pgd(model, x, y, EPS, STEP, iters, **kwargs)
+    assert got.x_adv.tobytes() == want.x_adv.tobytes()
+    assert got.aborted.tolist() == want.aborted.tolist()
+
+
+def _pool_masks(model, x):
+    """The argmax masks of the CNN's two pooling stages at input x."""
+    p = {k: v.astype(np.float64) for k, v in model.params.items()}
+    h1 = kernels.relu(conv_bias(kernels, x, p["k1"], p["cb1"], 1))
+    h2 = kernels.relu(conv_bias(kernels, kernels.maxpool2(h1), p["k2"], p["cb2"], 1))
+    return kernels.pool_mask(h1), kernels.pool_mask(h2)
+
+
+def test_pgd_oracle_case_moves_a_pool_argmax():
+    """The CNN oracle case fails a plan that froze its pooling masks: an
+    argmax of each pooling stage moves between the first and last iterate."""
+    for starts in ("one", "per-sample", "none"):
+        model, x, y, kwargs = _pgd_case("cnn", starts)
+        first = pgd(model, x, y, EPS, STEP, 0, **kwargs).x_adv
+        _, _, _, kwargs = _pgd_case("cnn", starts)
+        last = pgd(model, x, y, EPS, STEP, 10, **kwargs).x_adv
+        for a, b in zip(_pool_masks(model, first), _pool_masks(model, last)):
+            assert not np.array_equal(a, b)
+
+
+class _CountingGraph(ag.Graph):
+    built = []
+
+    def __init__(self):
+        super().__init__()
+        self.built.append(self)
+
+
+def test_pgd_builds_one_tape_per_call(monkeypatch):
+    model, x, y, kwargs = _pgd_case("mlp-relu", "one")
+    _CountingGraph.built = []
+    monkeypatch.setattr(ag, "Graph", _CountingGraph)
+    res = pgd(model, x, y, EPS, STEP, 10, **kwargs)
+    assert not res.aborted.any()
+    assert len(_CountingGraph.built) == 1
+
+
+def test_pgd_sample_failing_in_a_replay_matches_the_oracle(monkeypatch):
+    # Sample 0 sums to 1.2 and steps down by 0.25 a pixel, so the box
+    # clips it to 0 at the second step and log(0) fails the third
+    # iteration: a replay of the plan the first one recorded.
+    x = np.stack([np.full(3, 0.4), np.full(3, 0.9), np.full(3, 0.8)])
+    y = np.ones(3, dtype=int)
+    _CountingGraph.built = []
+    with monkeypatch.context() as m:
+        m.setattr(ag, "Graph", _CountingGraph)
+        got = pgd(_LogSumModel(), x, y, 0.5, 0.25, 8, random_start=False)
+    want = tape_pgd(_LogSumModel(), x, y, 0.5, 0.25, 8, random_start=False)
+    assert got.aborted.tolist() == want.aborted.tolist() == [True, False, False]
+    assert got.x_adv.tobytes() == want.x_adv.tobytes()
+    # the recording tape, none for the second iteration, one per sample in
+    # the third, then one over the live samples per iteration
+    assert len(_CountingGraph.built) == 1 + len(x) + (8 - 3)
+
+
+def test_pgd_and_ioa_flag_a_nonfinite_input_gradient():
+    # At x = 0 the forward is finite (the logits stay near 1e304 in
+    # float64) and the backward, a product of nine 3e37 weights, overflows:
+    # the sample is flagged before its first step.
+    model = MLP((1, 2, 2), [4] * 8, 2, activation="softplus")
+    for name, w in model.params.items():
+        if name.startswith("w"):
+            w[:] = np.float32(3e37)
+    model.params["w8"][:, 1] = np.float32(-3e37)
+    x, y = np.zeros((1, 1, 2, 2)), np.array([1])
+    assert np.isfinite(model.logits(x)).all()
+    with np.errstate(over="ignore"):  # the overflow is what this test is about
+        assert (input_gradients(model, x, y) == -np.inf).all()
+        for attack, iters in itertools.product((pgd, tape_pgd), (1, 10)):
+            res = attack(model, x, y, EPS, STEP, iters, random_start=False)
+            assert res.aborted.tolist() == [True]
+            assert np.array_equal(res.x_adv, x)
+        (out,) = ioa(model, x, y, 2, 2, 0.5)
+    assert out.aborted and out.steps == () and np.array_equal(out.x_adv, x[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every gradient the tape produces is compared to (f(x+h) - f(x-h)) / 2h
 on float64 inputs; second derivatives are checked the same way on the
 analytic first derivative. Nothing here trusts the engine to test itself
-except the bit-reproducibility cases, where the oracle is repetition, and
-the pruned-sweep cases, where it is the unpruned sweep of `support`.
+except the bit-reproducibility cases, where the oracle is repetition, the
+pruned-sweep cases, where it is the unpruned sweep of `support`, and the
+plan cases, where it is a fresh tape.
 """
 
 import inspect
@@ -431,15 +432,18 @@ class TestOneDispatch:
             "reciprocal": ((pos,), ()),
             "sum_axes": ((x,), ((0, 2),)),
             "broadcast": ((rng.normal(size=(1, 3, 1)),), ((2, 3, 4),)),
-            "maxpool2": ((img,), ()),
-            "unpool2": ((rng.normal(size=(2, 2, 2, 2)),), (kernels.pool_mask(img),)),
+            "maxpool2": ((img, kernels.pool_mask(img)), ()),
+            "unpool2": ((rng.normal(size=(2, 2, 2, 2)), kernels.pool_mask(img)), ()),
+            "rowmax": ((small,), ()),
+            "relu_mask": ((small,), ()),
+            "pool_mask": ((img,), ()),
         }
 
     def test_every_op_has_one_kernel_and_one_emitter(self):
         public = {name for name, f in vars(kernels).items()
                   if inspect.isfunction(f) and f.__module__ == kernels.__name__
                   and not name.startswith("_")}
-        assert public - {"pool_mask", "const"} == set(engine._OPS)
+        assert public - {"const"} == set(engine._OPS)
         assert set(self._cases()) == set(engine._OPS)
         for op in engine._OPS:
             assert callable(getattr(kernels, op)) and callable(getattr(ag.Graph, op))
@@ -572,3 +576,47 @@ class TestPrunedSweep:
             if i in feeds:
                 feeds.update(nodes[i].args)
         assert [nodes[i].op for i in range(before, len(nodes)) if i not in feeds] == []
+
+
+class TestPlan:
+    """A `Plan` recorded at one input and replayed at another returns what a
+    fresh tape at the second input returns, bit for bit: no value derived
+    from the input (a row maximum, a ReLU or pooling mask) stays frozen."""
+
+    MODELS = {"mlp-relu": {"kind": "mlp", "in_shape": [1, 6, 6], "hidden": [16, 8],
+                           "classes": 3},
+              "mlp-softplus": {"kind": "mlp", "in_shape": [1, 6, 6], "hidden": [16, 8],
+                               "classes": 3, "activation": "softplus"},
+              "linear": {"kind": "linear", "in_shape": [1, 6, 6]},
+              "cnn": {"kind": "cnn", "in_shape": [2, 8, 8], "channels": [4, 6],
+                      "classes": 3}}
+
+    @staticmethod
+    def _tape(model, x, y, create_graph):
+        g = ag.Graph()
+        xv = g.var(x)
+        loss = ag.cross_entropy_mean(model.graph_logits(xv, model.bind(g)), y)
+        return xv, ag.grad(loss, [xv], create_graph=create_graph)[0]
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_replay_equals_a_fresh_tape(self, name):
+        model = build_model(self.MODELS[name], seed=4)
+        rng = np.random.default_rng(80)
+        x0, x1 = rng.uniform(size=(2, 5, *model.in_shape))
+        y = rng.integers(0, model.classes, size=5)
+        xv, gx = self._tape(model, x0, y, create_graph=True)
+        plan = ag.Plan(xv, gx)
+        want = self._tape(model, x1, y, create_graph=False)[1]
+        assert plan.run(x1).tobytes() == want.tobytes()
+        assert plan.run(x0).tobytes() == gx.value.tobytes()
+
+    def test_replay_checks_every_op(self):
+        model = build_model(self.MODELS["mlp-relu"], seed=4)
+        x = np.random.default_rng(81).uniform(size=(2, *model.in_shape))
+        plan = ag.Plan(*self._tape(model, x, np.array([0, 1]), create_graph=True))
+        x[1, 0, 0, 0] = np.inf
+        with pytest.raises(ag.NonFiniteError, match="op 'var'"):
+            plan.run(x)
+        x[1] = 1e308  # finite, but the forward overflows
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ag.NonFiniteError):
+            plan.run(x)
