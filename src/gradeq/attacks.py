@@ -81,7 +81,8 @@ def _live_rows(tape, live: np.ndarray, failed: np.ndarray, shape) -> np.ndarray:
     one place an attack queries the model sample by sample."""
 
     def rows(idx):
-        r = tape(idx)
+        with np.errstate(over="ignore", invalid="ignore"):  # flagged below, not warned
+            r = tape(idx)
         if not np.isfinite(r).all():
             raise ag.NonFiniteError("tape returned non-finite rows")
         return r
@@ -112,13 +113,14 @@ def pgd(model: Model, x: np.ndarray, y: np.ndarray, eps: float = PGD_EPS,
     frozen at its last valid iterate and flagged rather than poisoning the
     batch.
 
-    The first whole-batch iteration records the loss and its input
-    gradient on one tape (`grad(..., create_graph=True)`) as an
-    `autodiff.Plan`; each later whole-batch iteration replays it, so the
-    work that depends only on the parameters and labels (float64 casts,
-    transposes, bias broadcasts, flipped kernels) is done once per call.
-    Once a sample is flagged, each iteration builds a tape over the live
-    samples. Every route gives the gradient a fresh tape would, bit for bit.
+    Every input gradient comes from an `autodiff.Plan`: the loss and its
+    input gradient over the live samples, recorded on one tape with
+    `grad(..., create_graph=True)` and replayed by each later iteration
+    while the same samples stay live, so the work that depends only on the
+    parameters and labels (float64 casts, transposes, bias broadcasts,
+    flipped kernels) is done once per live set. A new live set, or a
+    sample that `_live_rows` retries on its own, records a new plan. A
+    replay gives the gradient a fresh tape would, bit for bit.
 
     `rng` is one Generator for the whole batch's random start, or one per
     sample; sample i then draws its start from rng[i] alone, exactly as a
@@ -140,20 +142,18 @@ def pgd(model: Model, x: np.ndarray, y: np.ndarray, eps: float = PGD_EPS,
         cur = np.clip(x + start, 0.0, 1.0)
     else:
         cur = x.copy()
-    plan = None
+    plan, planned = None, None  # the last recorded plan and the samples it covers
 
     def tape(idx):  # cross-entropy input gradients of samples idx
-        nonlocal plan
-        whole = isinstance(idx, slice)
-        if whole and plan is not None:
-            return plan.run(cur)
+        nonlocal plan, planned
+        rows = np.arange(len(x))[idx]
+        if np.array_equal(rows, planned):
+            return plan.run(cur[idx])
         gr = ag.Graph()
         xv = gr.var(cur[idx])
         loss = ag.cross_entropy_mean(model.graph_logits(xv, model.bind(gr)), y[idx])
-        if not whole:
-            return ag.grad(loss, [xv])[0]
         (gx,) = ag.grad(loss, [xv], create_graph=True)
-        plan = ag.Plan(xv, gx)
+        plan, planned = ag.Plan(xv, gx), rows
         return gx.value
 
     aborted = np.zeros(len(x), dtype=bool)
@@ -326,14 +326,15 @@ def corrupt(x: np.ndarray, kind: str, param: float,
 # Declarative specs and the error-rate protocol
 
 
-# kind: (required options, optional options); the others keep their defaults
+# kind: (required options, optional options, label format); the others keep
+# their defaults. A label names a curve and keys the attack's seed streams.
 ATTACK_OPTIONS = {
-    "pgd": (set(), {"eps", "step", "iters"}),
-    "ina1": ({"k"}, {"method"}),
-    "ina2": ({"k"}, {"method"}),
-    "rn": ({"k"}, set()),
-    "ioa": (set(), {"n", "r", "color", "method"}),
-    "corrupt": ({"corrupt_kind", "param"}, set()),
+    "pgd": (set(), {"eps", "step", "iters"}, "pgd(eps={eps:.4g})"),
+    "ina1": ({"k"}, {"method"}, "ina1(k={k})"),
+    "ina2": ({"k"}, {"method"}, "ina2(k={k})"),
+    "rn": ({"k"}, set(), "rn(k={k})"),
+    "ioa": (set(), {"n", "r", "color", "method"}, "ioa(n={n},r={r})"),
+    "corrupt": ({"corrupt_kind", "param"}, set(), "corrupt({corrupt_kind},{param:g})"),
 }
 
 
@@ -364,13 +365,7 @@ class AttackSpec:
         return cls(**entry)
 
     def label(self) -> str:
-        if self.kind == "pgd":
-            return f"pgd(eps={self.eps:.4g})"
-        if self.kind in ("ina1", "ina2", "rn"):
-            return f"{self.kind}(k={self.k})"
-        if self.kind == "ioa":
-            return f"ioa(n={self.n},r={self.r})"
-        return f"corrupt({self.corrupt_kind},{self.param:g})"
+        return ATTACK_OPTIONS[self.kind][2].format(**vars(self))
 
     @property
     def size(self) -> float:
@@ -382,11 +377,11 @@ class AttackSpec:
               rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """Perturbed copies of a batch; sample i draws only from rngs[i].
 
-        Model queries are batched: one PGD tape per call, replayed by
-        every later iteration, one attribution tape for the whole batch,
-        and one attribution tape and one prediction per IOA step over the
-        samples still running, so a sample's output equals its
-        batch-of-one output up to float rounding. Masks, paint and noise
+        Model queries are batched: one PGD plan per set of live samples,
+        replayed while the set stays live, one attribution tape for the
+        whole batch, and one attribution tape and one prediction per IOA
+        step over the samples still running, so a sample's output equals
+        its batch-of-one output up to float rounding. Masks, paint and noise
         stay per sample.
         """
         xs = np.asarray(xs, dtype=np.float64)

@@ -8,10 +8,10 @@ construction and a backward sweep is a single reverse pass.
 
 An op is its kernel, `kernels.<op>`, which checks its arguments, and its
 VJP rule; `_OPS` is the one list of them. `Graph.<op>` (`graph.matmul(a,
-b)`) records an op on the tape through `Graph.apply`, which runs the same
-kernel. Every VJP rule and every model forward takes its op namespace, the
-`kernels` module or a Graph, as an argument, so the raw and the recording
-routes cannot drift apart.
+b)`), generated from `_OPS` for every op, records it on the tape through
+`Graph.apply`, which runs the same kernel. Every VJP rule and every model
+forward takes its op namespace, the `kernels` module or a Graph, as an
+argument, so the raw and the recording routes cannot drift apart.
 
 `grad` runs the backward sweep either on raw arrays through `kernels`
 (fast path) or, with `create_graph=True`, by emitting the adjoint
@@ -28,9 +28,10 @@ value as recorded. So no payload and no `const` may be computed from a
 value: each quantity derived from one is its own op, which `_CUTS` lists
 with `const` because no gradient flows through it. These are the row
 maximum of log-sum-exp (`rowmax`), the ReLU backward mask (`relu_mask`)
-and the 2x2 argmax mask (`pool_mask`), a second input of `maxpool2` and
-`unpool2`. The ReLU mask being a cut makes ReLU's second derivative
-identically zero; use softplus where curvature matters.
+and the 2x2 argmax mask (`pool_mask`), an explicit second input of
+`maxpool2` and `unpool2`: a max pool is `ns.maxpool2(h, ns.pool_mask(h))`
+on either namespace. The ReLU mask being a cut makes ReLU's second
+derivative identically zero; use softplus where curvature matters.
 """
 
 from __future__ import annotations
@@ -112,10 +113,6 @@ class Graph:
         kernel = getattr(kernels, op)
         value = kernel(*vals) if meta is None else kernel(*vals, meta)
         return self._append(_Node(op, tuple(a.idx for a in args), meta, value))
-
-    def maxpool2(self, x: Var, mask: Var | None = None) -> Var:
-        """2x2 max pool through `mask`, by default x's own `pool_mask` node."""
-        return self.apply("maxpool2", (x, self.pool_mask(x) if mask is None else mask))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +246,7 @@ def _method(op: str):
 
 
 for _op in _OPS:
-    if _op not in vars(Graph):
-        setattr(Graph, _op, _method(_op))
+    setattr(Graph, _op, _method(_op))
 del _op
 
 

@@ -152,12 +152,12 @@ def pool_mask(x: np.ndarray) -> np.ndarray:
     return mask  # [n, c, h/2, w/2, 4]
 
 
-def maxpool2(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Select each 2x2 window's entry through `mask`, by default x's own
-    `pool_mask`; with another mask this is the adjoint of unpool2."""
-    if mask is None:
-        mask = pool_mask(x)
+def maxpool2(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Select each 2x2 window's entry through `mask`: the max pool with x's
+    own `pool_mask`, the adjoint of unpool2 with another's."""
     n, c, h, w = x.shape
+    if mask.shape != (n, c, h // 2, w // 2, 4):
+        raise GraphError(f"maxpool2 mask shape {mask.shape} does not fit input {x.shape}")
     win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
     flat = win.reshape(n, c, h // 2, w // 2, 4)
     return np.sum(flat * mask, axis=-1)
@@ -165,6 +165,8 @@ def maxpool2(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
 
 def unpool2(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Scatter pooled gradients back through the recorded argmax mask."""
+    if mask.shape != (*g.shape, 4):
+        raise GraphError(f"unpool2 mask shape {mask.shape} does not fit input {g.shape}")
     n, c, hh, ww, _ = mask.shape
     flat = g[..., None] * mask
     win = flat.reshape(n, c, hh, ww, 2, 2).transpose(0, 1, 2, 4, 3, 5)

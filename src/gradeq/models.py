@@ -65,7 +65,7 @@ def check_keys(d, required: set, optional: set) -> None:
 
 def check_kind(d, kinds: dict) -> str:
     """The "kind" of config object `d`, refusing an unknown kind and a missing
-    or unknown key; `kinds` maps each kind to its (required, optional) keys."""
+    or unknown key; `kinds` maps each kind to its (required, optional, ...) keys."""
     kind = d.get("kind") if isinstance(d, dict) else None
     if kind not in kinds:
         raise ValueError(f"unknown kind {kind!r}")
@@ -212,8 +212,10 @@ class CNN(_OneForward):
 
     def _forward(self, ns, x, p):
         act = getattr(ns, self.activation)
-        h = ns.maxpool2(act(conv_bias(ns, x, p["k1"], p["cb1"], 1)))
-        h = ns.maxpool2(act(conv_bias(ns, h, p["k2"], p["cb2"], 1)))
+        h = x
+        for i in (1, 2):
+            h = act(conv_bias(ns, h, p[f"k{i}"], p[f"cb{i}"], 1))
+            h = ns.maxpool2(h, ns.pool_mask(h))
         return affine(ns, flatten(ns, h), p["w"], p["b"])
 
 

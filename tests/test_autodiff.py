@@ -113,7 +113,7 @@ class TestFirstOrder:
     def test_maxpool_away_from_ties(self):
         rng = np.random.default_rng(18)
         x0 = rng.normal(size=(2, 2, 4, 4))
-        check_grad(lambda g, x: ag.sum_all(g.mul(y := g.maxpool2(x), y)), x0)
+        check_grad(lambda g, x: ag.sum_all(g.mul(y := g.maxpool2(x, g.pool_mask(x)), y)), x0)
 
     def test_affine_and_ce(self):
         rng = np.random.default_rng(19)
@@ -290,7 +290,8 @@ class TestDeterminism:
         x = g.var(rng.normal(size=(2, 1, 8, 8)))
         k = g.var(rng.normal(size=(3, 1, 3, 3)) * 0.5)
         ns = g
-        y = g.maxpool2(g.softplus(ag.conv_bias(ns, x, k, g.var(rng.normal(size=(3,))), 1)))
+        h = g.softplus(ag.conv_bias(ns, x, k, g.var(rng.normal(size=(3,))), 1))
+        y = g.maxpool2(h, g.pool_mask(h))
         z = ag.affine(ns, ag.flatten(ns, y), g.var(rng.normal(size=(48, 4)) * 0.3),
                       g.var(np.zeros(4)))
         loss = ag.cross_entropy_mean(z, np.array([1, 3]))
@@ -447,6 +448,16 @@ class TestOneDispatch:
         assert set(self._cases()) == set(engine._OPS)
         for op in engine._OPS:
             assert callable(getattr(kernels, op)) and callable(getattr(ag.Graph, op))
+
+    def test_every_graph_op_is_the_generated_method(self):
+        for op in engine._OPS:
+            assert getattr(ag.Graph, op).__qualname__ == op
+
+    @pytest.mark.parametrize("op", ["maxpool2", "unpool2"])
+    def test_pool_ops_refuse_a_mask_of_another_shape(self, op):
+        arrays, _ = self._cases()[op]
+        with pytest.raises(ag.GraphError, match="mask shape"):
+            getattr(kernels, op)(arrays[0], arrays[1][:1])
 
     @pytest.mark.parametrize("op", sorted(engine._OPS))
     def test_tape_value_is_the_kernel_result(self, op):
