@@ -117,24 +117,24 @@ class Graph:
 
 # ---------------------------------------------------------------------------
 # VJP rules. Each receives the namespace `ns` (the `kernels` module or the
-# Graph), the upstream adjoint `g`, ns-domain handles of the inputs and
-# output, the recorded input arrays `vals`, the static payload, and `want`,
-# one flag per input that is set when the input lies on a path to a target.
+# Graph), the upstream adjoint `g`, ns-domain handles (each with a `.shape`)
+# of the inputs and output, the static payload, and `want`, one flag per
+# input that is set when the input lies on a path to a target.
 # They return one contribution per input; the sweep drops those of unwanted
 # inputs, so a rule whose contributions cost a kernel call returns None for
 # them instead.
 
 
-def _vjp_matmul(ns, g, xs, vals, out, meta, want):
+def _vjp_matmul(ns, g, xs, out, meta, want):
     a, b = xs
     return (ns.matmul(g, ns.permute(b, (1, 0))) if want[0] else None,
             ns.matmul(ns.permute(a, (1, 0)), g) if want[1] else None)
 
 
-def _vjp_conv2d(ns, g, xs, vals, out, meta, want):
+def _vjp_conv2d(ns, g, xs, out, meta, want):
     x, k = xs
     pad = meta
-    kh = vals[1].shape[2]
+    kh = k.shape[2]
     gx = gk = None
     if want[0]:
         k_flip = ns.flip_hw(ns.permute(k, (1, 0, 2, 3)))
@@ -147,79 +147,79 @@ def _vjp_conv2d(ns, g, xs, vals, out, meta, want):
     return gx, gk
 
 
-def _vjp_permute(ns, g, xs, vals, out, meta, want):
+def _vjp_permute(ns, g, xs, out, meta, want):
     inv = [0] * len(meta)
     for i, a in enumerate(meta):
         inv[a] = i
     return (ns.permute(g, tuple(inv)),)
 
 
-def _vjp_flip_hw(ns, g, xs, vals, out, meta, want):
+def _vjp_flip_hw(ns, g, xs, out, meta, want):
     return (ns.flip_hw(g),)
 
 
-def _vjp_reshape(ns, g, xs, vals, out, meta, want):
-    return (ns.reshape(g, vals[0].shape),)
+def _vjp_reshape(ns, g, xs, out, meta, want):
+    return (ns.reshape(g, xs[0].shape),)
 
 
-def _vjp_add(ns, g, xs, vals, out, meta, want):
+def _vjp_add(ns, g, xs, out, meta, want):
     return g, g
 
 
-def _vjp_mul(ns, g, xs, vals, out, meta, want):
+def _vjp_mul(ns, g, xs, out, meta, want):
     a, b = xs
     return ns.mul(g, b) if want[0] else None, ns.mul(g, a) if want[1] else None
 
 
-def _vjp_scale(ns, g, xs, vals, out, meta, want):
+def _vjp_scale(ns, g, xs, out, meta, want):
     return (ns.scale(g, meta),)
 
 
-def _vjp_relu(ns, g, xs, vals, out, meta, want):
+def _vjp_relu(ns, g, xs, out, meta, want):
     return (ns.mul(g, ns.relu_mask(xs[0])),)
 
 
-def _vjp_softplus(ns, g, xs, vals, out, meta, want):
+def _vjp_softplus(ns, g, xs, out, meta, want):
     (x,) = xs
     # sigmoid(x) = exp(-softplus(-x)), stable on both tails
     sig = ns.exp(ns.scale(ns.softplus(ns.scale(x, -1.0)), -1.0))
     return (ns.mul(g, sig),)
 
 
-def _vjp_exp(ns, g, xs, vals, out, meta, want):
+def _vjp_exp(ns, g, xs, out, meta, want):
     return (ns.mul(g, out),)
 
 
-def _vjp_log(ns, g, xs, vals, out, meta, want):
+def _vjp_log(ns, g, xs, out, meta, want):
     return (ns.mul(g, ns.reciprocal(xs[0])),)
 
 
-def _vjp_reciprocal(ns, g, xs, vals, out, meta, want):
+def _vjp_reciprocal(ns, g, xs, out, meta, want):
     return (ns.scale(ns.mul(g, ns.mul(out, out)), -1.0),)
 
 
-def _vjp_rsqrt(ns, g, xs, vals, out, meta, want):
+def _vjp_rsqrt(ns, g, xs, out, meta, want):
     return (ns.scale(ns.mul(g, ns.mul(out, ns.mul(out, out))), -0.5),)
 
 
-def _vjp_sum_axes(ns, g, xs, vals, out, meta, want):
-    return (ns.broadcast(g, vals[0].shape),)
+def _vjp_sum_axes(ns, g, xs, out, meta, want):
+    return (ns.broadcast(g, xs[0].shape),)
 
 
-def _vjp_broadcast(ns, g, xs, vals, out, meta, want):
+def _vjp_broadcast(ns, g, xs, out, meta, want):
     axes = tuple(
-        i for i, (a, b) in enumerate(zip(vals[0].shape, meta)) if a == 1 and b != 1
+        i for i, (a, b) in enumerate(zip(xs[0].shape, meta)) if a == 1 and b != 1
     )
     if not axes:
         return (g,)
     return (ns.sum_axes(g, axes),)
 
 
-def _vjp_maxpool2(ns, g, xs, vals, out, meta, want):
+def _vjp_maxpool2(ns, g, xs, out, meta, want):
     return ns.unpool2(g, xs[1]), None
 
 
-def _vjp_unpool2(ns, g, xs, vals, out, meta, want):
+def _vjp_unpool2(ns, g, xs, out, meta, want):
     return ns.maxpool2(g, xs[1]), None
 
 
@@ -291,13 +291,12 @@ def grad(out: Var, wrts: Sequence[Var], *, create_graph: bool = False) -> list:
             continue
         g = adj[i] if i in targets else adj.pop(i)  # freed once consumed
         vjp = _OPS[node.op]
-        vals = tuple(nodes[j].value for j in node.args)
         if create_graph:
             xs = tuple(Var(graph, j) for j in node.args)
             out_h = Var(graph, i)
         else:
-            xs, out_h = vals, node.value
-        contribs = vjp(ns, g, xs, vals, out_h, node.meta, want)
+            xs, out_h = tuple(nodes[j].value for j in node.args), node.value
+        contribs = vjp(ns, g, xs, out_h, node.meta, want)
         for j, w, c in zip(node.args, want, contribs):
             if w:
                 adj[j] = c if j not in adj else ns.add(adj[j], c)

@@ -139,16 +139,21 @@ def broadcast(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(np.broadcast_to(x, shape))
 
 
+def _windows(x: np.ndarray) -> np.ndarray:
+    """The 2x2 windows of x: [n, c, h/2, w/2, 4], each row-major."""
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return win.reshape(n, c, h // 2, w // 2, 4)
+
+
 def pool_mask(x: np.ndarray) -> np.ndarray:
     """One-hot argmax mask over each 2x2 window, first max wins on ties."""
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise GraphError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = win.reshape(n, c, h // 2, w // 2, 4)
-    idx = np.argmax(flat, axis=-1)
+    flat = _windows(x)
     mask = np.zeros_like(flat)
-    np.put_along_axis(mask, idx[..., None], 1.0, axis=-1)
+    np.put_along_axis(mask, np.argmax(flat, axis=-1)[..., None], 1.0, axis=-1)
     return mask  # [n, c, h/2, w/2, 4]
 
 
@@ -158,9 +163,7 @@ def maxpool2(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     n, c, h, w = x.shape
     if mask.shape != (n, c, h // 2, w // 2, 4):
         raise GraphError(f"maxpool2 mask shape {mask.shape} does not fit input {x.shape}")
-    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = win.reshape(n, c, h // 2, w // 2, 4)
-    return np.sum(flat * mask, axis=-1)
+    return np.sum(_windows(x) * mask, axis=-1)
 
 
 def unpool2(g: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Image batches: CIFAR binary ingestion, synthetic blobs, cutout.
 
 All pixels live in [0,1]; attacks and attributions consume this space
-directly. A batch carries the scalar pixel mean of its training split,
-which cutout paints its holes with. The arguments of `synth_blobs` and
+directly. A batch carries no statistics of its pixels: cutout paints its
+holes with the fill its caller gives it. The arguments of `synth_blobs` and
 `load_cifar` are the keys of a config's dataset entry, and their
 annotations the types and bounds of its values (`models.check_value`).
 """
@@ -24,7 +24,6 @@ class ImageBatch:
     pixels: np.ndarray  # [N, C, H, W], float64, values in [0, 1]
     labels: np.ndarray  # [N], int64
     classes: int
-    mean: float  # scalar pixel mean of the originating training split
 
     def __post_init__(self):
         if self.pixels.ndim != 4:
@@ -40,7 +39,7 @@ class ImageBatch:
         return len(self.labels)
 
     def subset(self, idx) -> "ImageBatch":
-        """Row selection; inherits this batch's mean."""
+        """Row selection."""
         return replace(self, pixels=self.pixels[idx], labels=self.labels[idx])
 
 
@@ -68,7 +67,7 @@ def load_cifar(path: str,
     if labels.max() >= classes:
         raise ValueError(f"label {labels.max()} out of range for {classes} classes")
     pixels = rows[:, label_bytes:].reshape(-1, 3, IMAGE_SIDE, IMAGE_SIDE).astype(np.float64) / 255.0
-    return ImageBatch(pixels, labels, classes, float(pixels.mean()))
+    return ImageBatch(pixels, labels, classes)
 
 
 def blob_centers(resolution: int, classes: int) -> np.ndarray:
@@ -111,7 +110,7 @@ def synth_blobs(n: Annotated[int, (">=", 1), ("<=", sys.float_info.max)],
     pixels = np.clip(field[:, None, :, :], 0.0, 1.0)
     if channels > 1:
         pixels = np.repeat(pixels, channels, axis=1)
-    return ImageBatch(pixels, labels, classes, float(pixels.mean()))
+    return ImageBatch(pixels, labels, classes)
 
 
 def split_sizes(n: int, val_fraction: float) -> tuple[int, int]:
@@ -124,16 +123,12 @@ def split_sizes(n: int, val_fraction: float) -> tuple[int, int]:
 
 
 def train_val_split(batch: ImageBatch, val_fraction: float, seed: int) -> tuple[ImageBatch, ImageBatch]:
-    """Deterministic shuffle-split; both halves keep the train half's mean."""
+    """Deterministic shuffle-split into (training, validation) halves."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in (0,1), got {val_fraction}")
     order = seed_stream(seed, "split").permutation(len(batch))
     n_val, _ = split_sizes(len(batch), val_fraction)
-    val_idx, train_idx = order[:n_val], order[n_val:]
-    train_px = batch.pixels[train_idx]
-    train = ImageBatch(train_px, batch.labels[train_idx], batch.classes, float(train_px.mean()))
-    val = ImageBatch(batch.pixels[val_idx], batch.labels[val_idx], batch.classes, train.mean)
-    return train, val
+    return batch.subset(order[n_val:]), batch.subset(order[:n_val])
 
 
 def _hole_range(center: int, hole: int, extent: int) -> tuple[int, int]:
@@ -145,9 +140,10 @@ def _hole_range(center: int, hole: int, extent: int) -> tuple[int, int]:
     return max(0, lo), min(extent, lo + hole)
 
 
-def cutout(batch: ImageBatch, hole_size: int, rng: np.random.Generator) -> ImageBatch:
+def cutout(batch: ImageBatch, hole_size: int, fill: float,
+           rng: np.random.Generator) -> ImageBatch:
     """Per image, square hole of side hole_size at a uniform random center,
-    filled with the batch's scalar mean pixel value."""
+    filled with the scalar `fill`."""
     n, c, h, w = batch.pixels.shape
     if not 0 <= hole_size <= min(h, w):
         raise ValueError(f"hole_size must be in [0, {min(h, w)}], got {hole_size}")
@@ -159,5 +155,5 @@ def cutout(batch: ImageBatch, hole_size: int, rng: np.random.Generator) -> Image
     for i in range(n):
         y0, y1 = _hole_range(int(cy[i]), hole_size, h)
         x0, x1 = _hole_range(int(cx[i]), hole_size, w)
-        pixels[i, :, y0:y1, x0:x1] = batch.mean
+        pixels[i, :, y0:y1, x0:x1] = fill
     return replace(batch, pixels=pixels)

@@ -542,8 +542,9 @@ def _stage_theory(state: RunState) -> None:
     sub = state.holdout_subset(theory.limit)
     rows, curves = [], {}
     for name, model in state.models.items():
+        maps = attribution.saliency(model, sub.pixels, sub.labels)
         for sel in theory.selections:
-            pts = sweep_mask_stats(model, sub.pixels, sub.labels, theory.ks, sel,
+            pts = sweep_mask_stats(maps, theory.ks, sel,
                                    seed_stream(cfg.seed, "theory", name, sel),
                                    draws=theory.draws)
             for p in pts:

@@ -12,12 +12,12 @@ S2 = sum(w_{d_i}^2):
 
 Nonlinear models enter through their first-order surrogate at each
 input, so everything downstream of `linearize` is approximate for them.
-A surrogate's weights are the input's saliency map, which both
-`linearize` (one input) and the sweeps (one batched `saliency` call)
-take from `models.input_gradients`. A sweep reads the batch of maps as
-one array, its weights as [N, C, H*W] and its ranking as the
-`attribution.reduced` view, and scores every pick of an input and mask
-size, ranked or drawn, through one gather of pixel columns.
+A surrogate's weights are the input's saliency map: `linearize` takes
+one input's from `models.input_gradients`, and a sweep is handed the
+batch its caller computed once per model with `attribution.saliency`.
+A sweep reads the maps as one array, its weights as [N, C, H*W] and its
+ranking as the `attribution.reduced` view, and scores every pick of an
+input and mask size, ranked or drawn, through one gather of pixel columns.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import topk_flags
-from .attribution import reduced, saliency
-from .models import Model, linearize  # noqa: F401  (re-exported: one input's surrogate)
+from .attribution import reduced
+from .models import linearize  # noqa: F401  (re-exported: one input's surrogate)
 
 NOISE_KINDS = ("additive", "mult_additive", "occlusion")
 SELECTIONS = ("attribution_ranked", "random")
@@ -149,25 +149,24 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))
 
 
-def sweep_mask_stats(model: Model, pixels: np.ndarray, labels: np.ndarray,
-                     ks, selection: str, rng: np.random.Generator,
+def sweep_mask_stats(maps: np.ndarray, ks, selection: str, rng: np.random.Generator,
                      draws: int = 16) -> list[CurvePoint]:
-    """Average S2 and S1^2 over the dataset for each mask size.
+    """Average S2 and S1^2 over a batch of saliency maps for each mask size.
 
     Each input contributes through its linearized score, whose weights
-    are its saliency map: the input gradient of its labeled logit.
+    are its saliency map; a batch with a non-finite entry is refused.
     `random` draws `draws` pixel subsets per input; `attribution_ranked`
     takes the top-k pixels of the map's `attribution.reduced` view, the
-    ranking the inductive attacks use. A pixel selects its column of the [C, H*W]
-    weight view, every channel at once; the picks of one input, [picks, k]
-    pixel indices, are gathered together and each row is summed with
-    `math.fsum`, so a point does not depend on the order of its terms.
+    ranking the inductive attacks use. A pixel selects its column of the
+    [C, H*W] weight view, every channel at once; the picks of one input,
+    not of all (that gather would hold N*draws*k*C floats), are gathered
+    together and each row is summed with `math.fsum`, so a point does not
+    depend on the order of its terms.
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}")
     if selection == "random" and draws < 1:
         raise ValueError("random selection needs draws >= 1")
-    maps = saliency(model, pixels, labels)
     if not np.isfinite(maps).all():
         raise FloatingPointError("non-finite input gradient at linearization point")
     reds = reduced(maps).reshape(len(maps), -1)  # [N, H*W]

@@ -165,6 +165,7 @@ def train(config: TrainConfig, data: ImageBatch,
         raise ValueError("igd needs a teacher model")
     student = build_model(config.model, seed=config.seed)
     tr, val = train_val_split(data, config.val_fraction, config.seed)
+    fill = float(tr.pixels.mean())  # cutout paints its holes with the training mean
 
     velocity = {n: np.zeros_like(p, dtype=np.float64)
                 for n, p in student.params.items()}
@@ -184,7 +185,7 @@ def train(config: TrainConfig, data: ImageBatch,
             idx = order[bi:bi + config.batch_size]
             xb, yb = tr.pixels[idx], tr.labels[idx]
             if config.method == "pgdat_cutout":
-                xb = cutout(tr.subset(idx), config.cutout_hole,
+                xb = cutout(tr.subset(idx), config.cutout_hole, fill,
                             seed_stream(config.seed, "cutout", epoch, bi)).pixels
             try:
                 if config.method == "standard":

@@ -36,13 +36,12 @@ def unpruned_grad(out, wrts, *, create_graph=False) -> list:
         node = nodes[i]
         if i not in adj or node.op in ("var", *engine._CUTS):
             continue
-        vals = tuple(nodes[j].value for j in node.args)
         if create_graph:
             xs, out_h = tuple(engine.Var(graph, j) for j in node.args), engine.Var(graph, i)
         else:
-            xs, out_h = vals, node.value
+            xs, out_h = tuple(nodes[j].value for j in node.args), node.value
         want = (True,) * len(node.args)
-        contribs = engine._OPS[node.op](ns, adj[i], xs, vals, out_h, node.meta, want)
+        contribs = engine._OPS[node.op](ns, adj[i], xs, out_h, node.meta, want)
         for j, c in zip(node.args, contribs):
             if nodes[j].op not in engine._CUTS:
                 adj[j] = c if j not in adj else ns.add(adj[j], c)

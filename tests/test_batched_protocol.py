@@ -26,7 +26,7 @@ from gradeq import theory as th
 from gradeq.attacks import (AttackSpec, IoaOutcome, IoaStep, apply_spec,
                             build_topk_mask, clipped_square, corrupt, error_rate,
                             ina1, ina2, ioa, pgd, rn)
-from gradeq.attribution import attribute, input_gradients, reduced
+from gradeq.attribution import attribute, input_gradients, reduced, saliency
 from gradeq.data import synth_blobs
 from gradeq.models import CNN, MLP, linearize, predict
 from gradeq.seeding import seed_stream
@@ -291,7 +291,7 @@ def test_batched_surrogates_match_linearize(kind):
         w = linearize(model, xs[i], int(labels[i])).w
         np.testing.assert_allclose(grads[i].reshape(-1), w, rtol=0, atol=1e-12)
     for selection in ("attribution_ranked", "random"):
-        got = th.sweep_mask_stats(model, xs[:12], labels[:12], [0, 5, 64], selection,
+        got = th.sweep_mask_stats(saliency(model, xs[:12], labels[:12]), [0, 5, 64], selection,
                                   seed_stream(10, selection), draws=3)
         want = sweep_per_sample(model, xs[:12], labels[:12], [0, 5, 64], selection,
                                 seed_stream(10, selection), draws=3)
@@ -305,14 +305,14 @@ def test_sweep_rejects_nonfinite_gradient():
     xs = np.zeros((2, 1, 2, 2))
     xs[0] = 0.5
     with pytest.raises(FloatingPointError):
-        th.sweep_mask_stats(_LogSumModel(), xs, np.ones(2, dtype=int), [1],
+        th.sweep_mask_stats(saliency(_LogSumModel(), xs, np.ones(2, dtype=int)), [1],
                             "attribution_ranked", seed_stream(11))
 
 
 def test_sweep_rejects_out_of_range_label():
     models, xs, _ = pool("mlp")
     with pytest.raises(ValueError):
-        th.sweep_mask_stats(models[0], xs[:2], np.array([0, 3]), [1],
+        th.sweep_mask_stats(saliency(models[0], xs[:2], np.array([0, 3])), [1],
                             "attribution_ranked", seed_stream(12))
 
 
@@ -342,10 +342,10 @@ bad = [lambda: Mask(np.zeros(5)),
        lambda: synth_blobs(4.5),
        lambda: TrainConfig(method="standard", model={}, epochs=1.5),
        lambda: TrainConfig(method="standard", model={}, lr="0.1"),
-       lambda: ImageBatch(pix * 10, lab, 2, 0.5),  # pixel 5.0
-       lambda: ImageBatch(pix, np.array([0, 7]), 2, 0.5),  # label 7 of 2
-       lambda: ImageBatch(pix[0], lab, 2, 0.5),
-       lambda: ImageBatch(pix, lab[:1], 2, 0.5)]
+       lambda: ImageBatch(pix * 10, lab, 2),  # pixel 5.0
+       lambda: ImageBatch(pix, np.array([0, 7]), 2),  # label 7 of 2
+       lambda: ImageBatch(pix[0], lab, 2),
+       lambda: ImageBatch(pix, lab[:1], 2)]
 for make in bad:
     try:
         make()

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradeq import cli, harness, training
+from gradeq import attribution, cli, harness, training
 from gradeq.attacks import CORRUPT_PARAM, AttackSpec, corrupt
 from gradeq.data import load_cifar, synth_blobs
 from gradeq.harness import (SEVERITY, ConfigError, StageError, confidence_stats,
@@ -133,6 +133,20 @@ def test_student_trains_on_the_teacher_model_the_stage_holds(tmp_path, monkeypat
                                       base_config(tmp_path / "o", n=40, epochs=1)))
     run(config, stages=("data", "train"))
     assert all(config.checkpoint(name).exists() for name, _ in config.train)
+
+
+def test_theory_stage_takes_one_saliency_batch_per_model(tmp_path, monkeypatch):
+    """Every selection of a model's mask sweep reads the same saliency
+    batch, so a cached rerun takes one input-gradient batch per model."""
+    config = load_config(write_config(tmp_path / "c.json",
+                                      base_config(tmp_path / "o", n=40, epochs=1)))
+    run(config, stages=("data", "train", "theory"))
+    calls, real = [], attribution.input_gradients
+    monkeypatch.setattr(attribution, "input_gradients",
+                        lambda *args: calls.append(args) or real(*args))
+    run(config, stages=("data", "train", "theory"))
+    assert len(config.theory.selections) == 2
+    assert len(calls) == len(config.train) == 2
 
 
 def test_unknown_attack_kind(tmp_path):

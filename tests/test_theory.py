@@ -9,7 +9,7 @@ import pytest
 from gradeq import inequality as ineq
 from gradeq import theory as th
 from gradeq.attacks import Mask, topk_flags
-from gradeq.attribution import input_gradients
+from gradeq.attribution import input_gradients, saliency
 from gradeq.models import CNN, MLP, LinearScore
 from gradeq.seeding import seed_stream
 
@@ -173,7 +173,7 @@ class TestSweep:
         y = np.array([0, 1, 2, 1, 0])
         pix_n = int(np.prod(shape[-2:])) if len(shape) == 3 else shape[0]
         ks = [0, 1, 7, pix_n]
-        got = th.sweep_mask_stats(model, x, y, ks, selection,
+        got = th.sweep_mask_stats(saliency(model, x, y), ks, selection,
                                   seed_stream(44, kind, selection), draws=3)
         want = sweep_with_masks(model, x, y, ks, selection,
                                 seed_stream(44, kind, selection), draws=3)
@@ -183,7 +183,7 @@ class TestSweep:
         w = seed_stream(5, "w").normal(size=24)
         model = LinearScore.from_arrays(w, 0.0)
         x = seed_stream(6, "x").uniform(size=(1, 24))
-        pts = th.sweep_mask_stats(model, x, np.ones(1, dtype=int), [0, 24],
+        pts = th.sweep_mask_stats(saliency(model, x, np.ones(1, dtype=int)), [0, 24],
                                   "random", seed_stream(7, "s"), draws=8)
         assert pts[0].mean_sum_sq == 0.0 and pts[0].mean_sum2 == 0.0
         assert pts[1].mean_sum_sq == pytest.approx(float(w @ w), rel=1e-12)
@@ -196,7 +196,7 @@ class TestSweep:
         w = seed_stream(8, "w").normal(size=n)
         model = LinearScore.from_arrays(w, 0.0)
         x = seed_stream(9, "x").uniform(size=(1, n))
-        pts = th.sweep_mask_stats(model, x, np.ones(1, dtype=int), [k],
+        pts = th.sweep_mask_stats(saliency(model, x, np.ones(1, dtype=int)), [k],
                                   "random", seed_stream(10, "s"), draws=10_000)
         want = k / n * float(w @ w)
         assert abs(pts[0].mean_sum_sq - want) <= 3 * pts[0].stderr_sum_sq
@@ -207,7 +207,7 @@ class TestSweep:
         model = LinearScore.from_arrays(w, 0.0)
         x = seed_stream(12, "x").uniform(size=(1, n))
         for k in (1, 3, 7):
-            pts = th.sweep_mask_stats(model, x, np.ones(1, dtype=int), [k],
+            pts = th.sweep_mask_stats(saliency(model, x, np.ones(1, dtype=int)), [k],
                                       "attribution_ranked", seed_stream(13, "s"))
             best = max(sum(w[i] ** 2 for i in c)
                        for c in itertools.combinations(range(n), k))
@@ -217,7 +217,7 @@ class TestSweep:
         model = CNN((1, 8, 8), [2, 3], 2, seed=30)
         x = seed_stream(14, "x").uniform(size=(3, 1, 8, 8))
         y = np.zeros(3, dtype=int)
-        pts = th.sweep_mask_stats(model, x, y, [0, 4, 16, 64],
+        pts = th.sweep_mask_stats(saliency(model, x, y), [0, 4, 16, 64],
                                   "attribution_ranked", seed_stream(15, "s"))
         ss = [p.mean_sum_sq for p in pts]
         assert ss == sorted(ss)  # supersets only add nonnegative terms
@@ -228,10 +228,10 @@ class TestSweep:
         model = LinearScore.from_arrays(np.ones(4), 0.0)
         x = np.zeros((1, 4))
         with pytest.raises(ValueError):
-            th.sweep_mask_stats(model, x, np.ones(1, int), [1], "best",
+            th.sweep_mask_stats(saliency(model, x, np.ones(1, int)), [1], "best",
                                 seed_stream(16, "s"))
         with pytest.raises(ValueError):
-            th.sweep_mask_stats(model, x, np.ones(1, int), [9], "random",
+            th.sweep_mask_stats(saliency(model, x, np.ones(1, int)), [9], "random",
                                 seed_stream(17, "s"))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from gradeq import attribution
 from gradeq import training as tr
-from gradeq.data import synth_blobs
+from gradeq.data import synth_blobs, train_val_split
 from gradeq.models import MLP, LinearScore, build_model
 from gradeq.seeding import seed_stream
 
@@ -214,6 +214,16 @@ class TestTrain:
                                              cutout_hole=3), blobs())
         assert not record.aborted
         assert len(record.rows) == 2
+
+    def test_cutout_fills_holes_with_the_training_mean(self, monkeypatch):
+        cfg = blob_config("pgdat_cutout", epochs=1, cutout_hole=3)
+        data = blobs()
+        fills, real = [], tr.cutout
+        monkeypatch.setattr(tr, "cutout", lambda batch, hole, fill, rng:
+                            fills.append(fill) or real(batch, hole, fill, rng))
+        tr.train(cfg, data)
+        want = float(train_val_split(data, cfg.val_fraction, cfg.seed)[0].pixels.mean())
+        assert fills and all(f.hex() == want.hex() for f in fills)
 
     def test_divergence_aborts(self):
         cfg = blob_config("standard", epochs=4, lr=1e12, batch_size=8)
