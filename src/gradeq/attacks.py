@@ -159,8 +159,18 @@ def pgd(model: Model, x: np.ndarray, y: np.ndarray, eps: float = PGD_EPS,
     aborted = np.zeros(len(x), dtype=bool)
     for _ in range(iters):
         g = _live_rows(tape, np.flatnonzero(~aborted), aborted, cur.shape)
-        cur = cur + step * np.sign(g)
-        cur = np.clip(x + np.clip(cur - x, -eps, eps), 0.0, 1.0)
+        # cur = clip(x + clip(cur + step*sign(g) - x, -eps, eps), 0, 1), in
+        # place: cur is this call's own array, never x, and g may be a value
+        # the plan keeps, so neither is written. The step's temporary is
+        # freed before the next backward pass, which would otherwise hold it.
+        t = np.sign(g)
+        t *= step
+        cur += t
+        del t
+        cur -= x
+        np.clip(cur, -eps, eps, out=cur)
+        cur += x
+        np.clip(cur, 0.0, 1.0, out=cur)
     return PgdResult(cur, aborted)
 
 

@@ -7,6 +7,16 @@ node's value with it, and the non-recording backward pass, a replayed
 op namespace. So each kernel checks its own arguments, raising `GraphError`
 where numpy would broadcast or compute silently; where numpy already
 raises, it is left to. All arithmetic is float64.
+
+`conv2d` is the GEMM that `np.einsum(..., optimize=True)` makes of it, step
+for step, so its values and strides are einsum's bit for bit; only its
+im2col copy goes to `_im2col`, one module-level float64 workspace that grows
+to the largest copy seen and is reused, not allocated and page-faulted anew
+on every call. The workspace never escapes `conv2d`: the matmul writes a
+fresh result, and nothing else reads it. One workspace serves the process
+because gradeq runs no threads. The 2x2 pool kernels read the four corners
+of each window as strided views of the input, row-major, and allocate only
+their outputs.
 """
 
 from __future__ import annotations
@@ -30,10 +40,36 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+_im2col = np.empty(0)  # conv2d's im2col workspace, see the module docstring
+
+
+def _gemm_operand(bt: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """`np.reshape(bt, shape)`, with the copy it makes where no view exists
+    written into the `_im2col` workspace instead: the same C-order values,
+    the same strides."""
+    global _im2col
+    try:
+        return bt.reshape(shape, copy=False)
+    except ValueError:  # no view: np.reshape would copy
+        pass
+    if bt.dtype != _im2col.dtype:
+        return np.reshape(bt, shape)
+    if _im2col.size < bt.size:
+        _im2col = np.empty(bt.size)
+    ws = _im2col[:bt.size].reshape(bt.shape)
+    np.copyto(ws, bt)
+    return ws.reshape(shape)
+
+
 def conv2d(x: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
     """Stride-1 cross-correlation with symmetric zero padding.
 
     x: [N, C, H, W], k: [O, C, kh, kw] -> [N, O, H + 2*pad - kh + 1, ...].
+    Computed the way `np.einsum("nchwuv,ocuv->nohw", windows, k,
+    optimize=True)` computes it: one matmul of k as [O, C*kh*kw] with the
+    windows as [C*kh*kw, N*Ho*Wo], whose [O, N, Ho, Wo] product is returned
+    as a transposed view. Where N, C, kh, Ho or Wo is 1, einsum drops that
+    axis and lays the GEMM out otherwise, so those calls go to einsum itself.
     """
     n, c, h, w = x.shape
     o, c2, kh, kw = k.shape
@@ -46,9 +82,16 @@ def conv2d(x: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise GraphError("conv2d kernel larger than padded input")
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad:pad + h, pad:pad + w] = x
+        x = xp
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))  # [n, c, ho, wo, kh, kw]
-    return np.einsum("nchwuv,ocuv->nohw", win, k, optimize=True)
+    ho, wo = win.shape[2:4]
+    if 1 in (n, c, kh, ho, wo):  # einsum drops these size-1 axes first
+        return np.einsum("nchwuv,ocuv->nohw", win, k, optimize=True)
+    b = _gemm_operand(win.transpose(1, 4, 5, 0, 2, 3), (c * kh * kw, n * ho * wo))
+    ab = np.matmul(np.reshape(k, (o, c * kh * kw)), b)
+    return ab.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
 
 
 def permute(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -139,31 +182,42 @@ def broadcast(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(np.broadcast_to(x, shape))
 
 
-def _windows(x: np.ndarray) -> np.ndarray:
-    """The 2x2 windows of x: [n, c, h/2, w/2, 4], each row-major."""
-    n, c, h, w = x.shape
-    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return win.reshape(n, c, h // 2, w // 2, 4)
+def _corners(x: np.ndarray) -> list[np.ndarray]:
+    """The four entries of every 2x2 window of x, row-major, as strided
+    views [n, c, h/2, w/2]."""
+    return [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+
+
+def _even(x: np.ndarray) -> None:
+    h, w = x.shape[2:]
+    if h % 2 or w % 2:
+        raise GraphError(f"maxpool2 needs even spatial dims, got {h}x{w}")
 
 
 def pool_mask(x: np.ndarray) -> np.ndarray:
     """One-hot argmax mask over each 2x2 window, first max wins on ties."""
-    n, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise GraphError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    flat = _windows(x)
-    mask = np.zeros_like(flat)
-    np.put_along_axis(mask, np.argmax(flat, axis=-1)[..., None], 1.0, axis=-1)
+    _even(x)
+    win = np.stack(_corners(x), axis=-1)
+    mask = np.zeros_like(win)
+    np.put_along_axis(mask, np.argmax(win, axis=-1)[..., None], 1.0, axis=-1)
     return mask  # [n, c, h/2, w/2, 4]
 
 
 def maxpool2(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Select each 2x2 window's entry through `mask`: the max pool with x's
-    own `pool_mask`, the adjoint of unpool2 with another's."""
+    own `pool_mask`, the adjoint of unpool2 with another's.
+
+    The sum starts from zeros and adds the corners in row-major order, as
+    `np.sum` over the window axis does, so a window of -0.0 gives +0.0.
+    """
     n, c, h, w = x.shape
+    _even(x)
     if mask.shape != (n, c, h // 2, w // 2, 4):
         raise GraphError(f"maxpool2 mask shape {mask.shape} does not fit input {x.shape}")
-    return np.sum(_windows(x) * mask, axis=-1)
+    out = np.zeros(mask.shape[:-1])
+    for t, corner in enumerate(_corners(x)):
+        out += corner * mask[..., t]
+    return out
 
 
 def unpool2(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -171,6 +225,7 @@ def unpool2(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if mask.shape != (*g.shape, 4):
         raise GraphError(f"unpool2 mask shape {mask.shape} does not fit input {g.shape}")
     n, c, hh, ww, _ = mask.shape
-    flat = g[..., None] * mask
-    win = flat.reshape(n, c, hh, ww, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(win.reshape(n, c, hh * 2, ww * 2))
+    out = np.empty((n, c, 2 * hh, 2 * ww))
+    for t, corner in enumerate(_corners(out)):
+        np.multiply(g, mask[..., t], out=corner)
+    return out

@@ -1,7 +1,9 @@
 """Helpers several test modules share and the package itself does not need:
 a single-input class score (the finite-difference oracle), the unpruned
 backward sweep (the oracle of `autodiff.grad`), PGD with a fresh tape every
-iteration (the oracle of `attacks.pgd`), the writer of attribution-map
+iteration (the oracle of `attacks.pgd`), conv2d as one `einsum` and the
+2x2 pool through a copied window array (the oracles of `kernels.conv2d`,
+`pool_mask`, `maxpool2` and `unpool2`), the writer of attribution-map
 fixture files, and the summary of a `report` run that the golden file
 holds, with its comparison."""
 
@@ -10,6 +12,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gradeq import autodiff as ag
 from gradeq.attacks import PGD_EPS, PGD_ITERS, PGD_STEP, PgdResult, _live_rows
@@ -76,6 +79,43 @@ def tape_pgd(model, x, y, eps=PGD_EPS, step=PGD_STEP, iters=PGD_ITERS, rng=None,
         cur = cur + step * np.sign(g)
         cur = np.clip(x + np.clip(cur - x, -eps, eps), 0.0, 1.0)
     return PgdResult(cur, aborted)
+
+
+def einsum_conv2d(x: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
+    """Stride-1 cross-correlation as one `einsum` over the padded input's
+    windows. `kernels.conv2d` must equal it in bytes and in strides."""
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    kh, kw = k.shape[2:]
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))  # [n, c, ho, wo, kh, kw]
+    return np.einsum("nchwuv,ocuv->nohw", win, k, optimize=True)
+
+
+def window_array(x: np.ndarray) -> np.ndarray:
+    """The 2x2 windows of x copied out: [n, c, h/2, w/2, 4], each row-major."""
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return win.reshape(n, c, h // 2, w // 2, 4)
+
+
+def window_pool_mask(x: np.ndarray) -> np.ndarray:
+    """One-hot argmax over each row of `window_array(x)`: the oracle of `kernels.pool_mask`."""
+    flat = window_array(x)
+    mask = np.zeros_like(flat)
+    np.put_along_axis(mask, np.argmax(flat, axis=-1)[..., None], 1.0, axis=-1)
+    return mask
+
+
+def window_maxpool2(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The oracle of `kernels.maxpool2`: `np.sum` of the masked windows."""
+    return np.sum(window_array(x) * mask, axis=-1)
+
+
+def window_unpool2(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The oracle of `kernels.unpool2`: the masked gradients folded back into windows."""
+    n, c, hh, ww, _ = mask.shape
+    win = (g[..., None] * mask).reshape(n, c, hh, ww, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return np.ascontiguousarray(win.reshape(n, c, hh * 2, ww * 2))
 
 
 def write_attribution(values: np.ndarray, method: str, target: int, path) -> None:

@@ -145,6 +145,15 @@ def test_pgd_equals_the_per_iteration_tape_oracle(name, iters, starts):
     assert got.aborted.tolist() == want.aborted.tolist()
 
 
+@pytest.mark.parametrize("starts", ["one", "per-sample", "none"])
+def test_pgd_leaves_its_input_unchanged(starts):
+    model, x, y, kwargs = _pgd_case("mlp-relu", starts)  # float64: pgd gets this very array
+    before = x.copy()
+    out = pgd(model, x, y, EPS, STEP, 3, **kwargs)
+    assert x.tobytes() == before.tobytes()
+    assert not np.shares_memory(out.x_adv, x)
+
+
 def _pool_masks(model, x):
     """The argmax masks of the CNN's two pooling stages at input x."""
     p = {k: v.astype(np.float64) for k, v in model.params.items()}

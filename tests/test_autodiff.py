@@ -4,11 +4,14 @@ Every gradient the tape produces is compared to (f(x+h) - f(x-h)) / 2h
 on float64 inputs; second derivatives are checked the same way on the
 analytic first derivative. Nothing here trusts the engine to test itself
 except the bit-reproducibility cases, where the oracle is repetition, the
-pruned-sweep cases, where it is the unpruned sweep of `support`, and the
-plan cases, where it is a fresh tape.
+pruned-sweep cases, where it is the unpruned sweep of `support`, the
+plan cases, where it is a fresh tape, and the conv and pool kernel cases,
+where it is the einsum and copied-window kernels of `support`.
 """
 
 import inspect
+import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -19,7 +22,13 @@ from gradeq.attacks import pgd
 from gradeq.autodiff import engine, kernels
 from gradeq.models import build_model, input_gradients
 from gradeq.training import igd_loss
-from support import unpruned_grad
+from support import (
+    einsum_conv2d,
+    unpruned_grad,
+    window_maxpool2,
+    window_pool_mask,
+    window_unpool2,
+)
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -403,6 +412,132 @@ class TestKernelAdjoints:
         )
         np.testing.assert_allclose(gx, rhs_probe, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(np.sum(gx * x0), lhs, rtol=1e-10)
+
+
+def _same(got, want):
+    """Equal shape, strides and bytes."""
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+class TestKernelOracles:
+    """`conv2d` equals one `einsum` and the pool kernels the copied-window
+    array, in bytes and in strides; see `support`."""
+
+    @pytest.mark.parametrize("kh", [1, 3, 5])
+    @pytest.mark.parametrize("n,c", [(1, 1), (1, 3), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("hw", [(5, 5), (7, 5), (6, 9)])
+    def test_conv2d_is_the_einsum(self, kh, n, c, hw):
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(n, c, *hw))
+        for o, pad in itertools.product((1, 4), range(kh)):
+            k = rng.normal(size=(o, c, kh, kh))
+            _same(kernels.conv2d(x, k, pad), einsum_conv2d(x, k, pad))
+            # the kernel gradient's shapes, on a square input: the output
+            # adjoint is the kernel, nearly as large as the input
+            s = min(hw)
+            xs = np.ascontiguousarray(x[:, :, :s, :s].transpose(1, 0, 2, 3))
+            gs = rng.normal(size=(o, n, s + 2 * pad - kh + 1, s + 2 * pad - kh + 1))
+            _same(kernels.conv2d(xs, gs, pad), einsum_conv2d(xs, gs, pad))
+
+    def test_conv2d_is_the_einsum_on_strided_operands(self):
+        rng = np.random.default_rng(62)
+        x = rng.normal(size=(3, 2, 7, 6))
+        k = rng.normal(size=(4, 2, 3, 3))
+        y = einsum_conv2d(x, k, 1)  # a transposed view, as every conv2d returns
+        for kk in (np.asfortranarray(k), k[:, :, ::-1, ::-1], k.transpose(0, 1, 3, 2)):
+            assert not kk.flags.c_contiguous
+            _same(kernels.conv2d(x, kk, 1), einsum_conv2d(x, kk, 1))
+        k2 = rng.normal(size=(2, 4, 3, 3))
+        for pad in (0, 1, 2):
+            _same(kernels.conv2d(y, k2, pad), einsum_conv2d(y, k2, pad))
+
+    @staticmethod
+    def _pool_inputs():
+        rng = np.random.default_rng(63)
+        shape = (2, 3, 4, 6)
+        return {
+            "normal": rng.normal(size=shape),
+            "ties": rng.integers(-1, 2, size=shape).astype(np.float64),
+            "signed-zeros": rng.choice([0.0, -0.0], size=shape),
+            "all-negative-zero": np.full(shape, -0.0),
+            "inf": rng.choice([-np.inf, np.inf, 0.0, -0.0, 1.0], size=shape),
+            "nan": rng.choice([np.nan, -np.nan, np.inf, -np.inf, -0.0, 1.0], size=shape),
+        }
+
+    @pytest.mark.parametrize("case", ["normal", "ties", "signed-zeros",
+                                      "all-negative-zero", "inf", "nan"])
+    def test_pool_kernels_are_the_window_array(self, case):
+        rng = np.random.default_rng(64)
+        x = self._pool_inputs()[case]
+        mask = kernels.pool_mask(x)
+        _same(mask, window_pool_mask(x))
+        g = rng.choice([0.0, -0.0, 1.5, -2.0, -3.0], size=mask.shape[:-1])
+        up = kernels.unpool2(g, mask)
+        _same(up, window_unpool2(g, mask))
+        _same(kernels.maxpool2(up, mask), window_maxpool2(up, mask))
+        with np.errstate(invalid="ignore"):  # inf * 0 in the masked product
+            got, want = kernels.maxpool2(x, mask), window_maxpool2(x, mask)
+        if case != "nan":
+            _same(got, want)
+        else:
+            # which NaN a sum of two NaNs keeps, and so its sign bit, is left
+            # to the compiled add loop; every other value must match exactly
+            nan = np.isnan(want)
+            assert nan.any() and np.array_equal(np.isnan(got), nan)
+            assert got.strides == want.strides
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_a_window_of_negative_zeros_pools_to_positive_zero(self):
+        x = np.full((1, 1, 2, 2), -0.0)
+        assert not np.signbit(kernels.maxpool2(x, kernels.pool_mask(x))).any()
+
+    @pytest.mark.parametrize("op", ["pool_mask", "maxpool2"])
+    def test_pool_refuses_odd_spatial_dims(self, op):
+        x = np.ones((1, 1, 4, 3))
+        args = (x,) if op == "pool_mask" else (x, np.ones((1, 1, 2, 1, 4)))
+        with pytest.raises(ag.GraphError, match="even spatial dims"):
+            getattr(kernels, op)(*args)
+
+
+class TestKernelWorkspace:
+    """conv2d's im2col copy goes to one reused workspace that no result
+    shares; the pool kernels allocate only their outputs."""
+
+    def test_results_share_no_memory_with_the_workspace(self):
+        rng = np.random.default_rng(65)
+        x, k = rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(4, 3, 3, 3))
+        first = kernels.conv2d(x, k, 1)
+        kept = first.copy()
+        assert not np.shares_memory(first, kernels._im2col)
+        big = kernels.conv2d(rng.normal(size=(4, 3, 16, 16)), k, 1)  # grows the workspace
+        assert kernels._im2col.size >= 4 * 3 * 9 * 16 * 16
+        assert not np.shares_memory(big, kernels._im2col)
+        assert first.tobytes() == kept.tobytes()
+
+    def test_a_repeated_conv2d_allocates_less_than_its_im2col(self):
+        rng = np.random.default_rng(66)
+        x, k = rng.normal(size=(4, 8, 16, 16)), rng.normal(size=(8, 8, 3, 3))
+        im2col = x.size * 9 * 8  # bytes of the [C*kh*kw, N*H*W] copy
+        kernels.conv2d(x, k, 1)  # the workspace now holds this size
+        tracemalloc.start()
+        try:
+            kernels.conv2d(x, k, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < im2col
+
+    def test_maxpool2_peak_is_below_its_input(self):
+        x = np.random.default_rng(67).normal(size=(4, 8, 16, 16))
+        mask = kernels.pool_mask(x)
+        tracemalloc.start()
+        try:
+            kernels.maxpool2(x, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
 
 
 class TestOneDispatch:
