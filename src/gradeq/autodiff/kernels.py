@@ -8,15 +8,15 @@ op namespace. So each kernel checks its own arguments, raising `GraphError`
 where numpy would broadcast or compute silently; where numpy already
 raises, it is left to. All arithmetic is float64.
 
-`conv2d` is the GEMM that `np.einsum(..., optimize=True)` makes of it, step
-for step, so its values and strides are einsum's bit for bit; only its
-im2col copy goes to `_im2col`, one module-level float64 workspace that grows
-to the largest copy seen and is reused, not allocated and page-faulted anew
-on every call. The workspace never escapes `conv2d`: the matmul writes a
-fresh result, and nothing else reads it. One workspace serves the process
-because gradeq runs no threads. The 2x2 pool kernels read the four corners
-of each window as strided views of the input, row-major, and allocate only
-their outputs.
+`conv2d` has one route for every shape: an im2col copy and one GEMM. The
+copy goes to `_im2col`, one module-level float64 workspace that grows to the
+largest copy seen and is reused, not allocated and page-faulted anew on
+every call. The workspace never escapes `conv2d`: the matmul writes a fresh
+result, and nothing else reads it. One workspace serves the process because
+gradeq runs no threads. `np.einsum(..., optimize=True)` makes the same GEMM
+where no axis is 1, so the tests keep an einsum conv as the oracle. The 2x2
+pool kernels read the four corners of each window as strided views of the
+input, row-major, and allocate only their outputs.
 """
 
 from __future__ import annotations
@@ -43,34 +43,15 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _im2col = np.empty(0)  # conv2d's im2col workspace, see the module docstring
 
 
-def _gemm_operand(bt: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """`np.reshape(bt, shape)`, with the copy it makes where no view exists
-    written into the `_im2col` workspace instead: the same C-order values,
-    the same strides."""
-    global _im2col
-    try:
-        return bt.reshape(shape, copy=False)
-    except ValueError:  # no view: np.reshape would copy
-        pass
-    if bt.dtype != _im2col.dtype:
-        return np.reshape(bt, shape)
-    if _im2col.size < bt.size:
-        _im2col = np.empty(bt.size)
-    ws = _im2col[:bt.size].reshape(bt.shape)
-    np.copyto(ws, bt)
-    return ws.reshape(shape)
-
-
 def conv2d(x: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
     """Stride-1 cross-correlation with symmetric zero padding.
 
     x: [N, C, H, W], k: [O, C, kh, kw] -> [N, O, H + 2*pad - kh + 1, ...].
-    Computed the way `np.einsum("nchwuv,ocuv->nohw", windows, k,
-    optimize=True)` computes it: one matmul of k as [O, C*kh*kw] with the
-    windows as [C*kh*kw, N*Ho*Wo], whose [O, N, Ho, Wo] product is returned
-    as a transposed view. Where N, C, kh, Ho or Wo is 1, einsum drops that
-    axis and lays the GEMM out otherwise, so those calls go to einsum itself.
+    One matmul of k as [O, C*kh*kw] with the windows copied into `_im2col`
+    as [C*kh*kw, N*Ho*Wo], whose [O, N, Ho, Wo] product is returned as a
+    transposed view; every shape, size-1 axes included, takes this route.
     """
+    global _im2col
     n, c, h, w = x.shape
     o, c2, kh, kw = k.shape
     if c != c2:
@@ -87,10 +68,12 @@ def conv2d(x: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
         x = xp
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))  # [n, c, ho, wo, kh, kw]
     ho, wo = win.shape[2:4]
-    if 1 in (n, c, kh, ho, wo):  # einsum drops these size-1 axes first
-        return np.einsum("nchwuv,ocuv->nohw", win, k, optimize=True)
-    b = _gemm_operand(win.transpose(1, 4, 5, 0, 2, 3), (c * kh * kw, n * ho * wo))
-    ab = np.matmul(np.reshape(k, (o, c * kh * kw)), b)
+    size = c * kh * kw * n * ho * wo
+    if _im2col.size < size:
+        _im2col = np.empty(size)
+    cols = _im2col[:size].reshape(c, kh, kw, n, ho, wo)
+    np.copyto(cols, win.transpose(1, 4, 5, 0, 2, 3))
+    ab = np.matmul(np.reshape(k, (o, c * kh * kw)), cols.reshape(c * kh * kw, n * ho * wo))
     return ab.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
 
 

@@ -21,8 +21,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
+import csv
 import hashlib
 import inspect
+import io
 import json
 import math
 import time
@@ -299,12 +301,14 @@ def confidence_stats(model: Model, pixels: np.ndarray, labels: np.ndarray) -> tu
 
 def csv_text(header: list[str], rows: list[list]) -> str:
     """Deterministic CSV: floats, numpy's included, as the repr of a Python
-    float (shortest round-trip); no quoting needed because no field ever
-    contains a comma."""
-    lines = [",".join(header)]
-    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
-    return "\n".join(lines) + "\n"
+    float (shortest round-trip); minimal quoting, so only a cell holding a
+    comma or a quote, such as the label `ioa(n=2,r=1)`, is quoted."""
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(header)
+    out.writerows([repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+                  for row in rows)
+    return buf.getvalue()
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",

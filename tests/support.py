@@ -4,16 +4,22 @@ backward sweep (the oracle of `autodiff.grad`), PGD with a fresh tape every
 iteration (the oracle of `attacks.pgd`), conv2d as one `einsum` and the
 2x2 pool through a copied window array (the oracles of `kernels.conv2d`,
 `pool_mask`, `maxpool2` and `unpool2`), the writer of attribution-map
-fixture files, and the summary of a `report` run that the golden file
-holds, with its comparison."""
+fixture files, the check that every CSV a run wrote parses, the recorder
+of the arrays a run computes but does not write, and the summary of a
+`report` run that the golden files hold, with its comparison."""
 
+import csv
+import hashlib
 import json
 import re
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from gradeq import attacks, models
 from gradeq import autodiff as ag
 from gradeq.attacks import PGD_EPS, PGD_ITERS, PGD_STEP, PgdResult, _live_rows
 from gradeq.autodiff import engine, kernels
@@ -83,7 +89,12 @@ def tape_pgd(model, x, y, eps=PGD_EPS, step=PGD_STEP, iters=PGD_ITERS, rng=None,
 
 def einsum_conv2d(x: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
     """Stride-1 cross-correlation as one `einsum` over the padded input's
-    windows. `kernels.conv2d` must equal it in bytes and in strides."""
+    windows, the oracle of `kernels.conv2d`. Where no batch, channel,
+    kernel or output side is 1, einsum makes conv2d's GEMM, and conv2d must
+    equal it in bytes and in strides. Where one is, einsum drops that axis
+    and lays its GEMM out otherwise, so conv2d must equal it in value: in
+    bytes, and in the strides of every axis longer than 1, on the 3x3,
+    pad-1 calls a CNN makes, and within a relative 1e-12 elsewhere."""
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     kh, kw = k.shape[2:]
@@ -129,6 +140,69 @@ def write_attribution(values: np.ndarray, method: str, target: int, path) -> Non
         json.dump(sidecar, f, sort_keys=True)
 
 
+def read_csv(path) -> list[list[str]]:
+    """The rows of a CSV file as `csv.reader` parses them."""
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+def csv_faults(out, seed: int, digest: str) -> list[str]:
+    """What is wrong with the CSV files under `out`, each parsed with
+    `csv.reader`: a header without `seed` and `config`, a row whose field
+    count is not the header's, or a `seed` or `config` cell that is not
+    this run's."""
+    faults = []
+    for p in sorted(Path(out).rglob("*.csv")):
+        header, *rows = read_csv(p)
+        if not {"seed", "config"} <= set(header):
+            faults.append(f"{p}: header {header} lacks seed or config")
+            continue
+        si, ci = header.index("seed"), header.index("config")
+        for i, row in enumerate(rows, 2):
+            if len(row) != len(header):
+                faults.append(f"{p}:{i}: {len(row)} fields under {len(header)}: {row}")
+            elif (row[si], row[ci]) != (str(seed), digest):
+                faults.append(f"{p}:{i}: seed {row[si]}, config {row[ci]}")
+    return faults
+
+
+@contextmanager
+def recorded_arrays():
+    """While open, every `attacks.pgd`, `models.input_gradients` and
+    `kernels.conv2d` call goes through a recorder, under every name a
+    gradeq module binds it to. Yields a dict that collects, in call order,
+    the sha256 of each PGD `x_adv` ("pgd") and of each input-gradient batch
+    ("input_gradients"), and the input shape of each conv2d ("conv2d")."""
+    originals = {"pgd": attacks.pgd, "input_gradients": models.input_gradients,
+                 "conv2d": kernels.conv2d}
+    record = {"pgd": lambda args, out: _sha256(out.x_adv),
+              "input_gradients": lambda args, out: _sha256(out),
+              "conv2d": lambda args, out: args[0].shape}
+    seen = {name: [] for name in originals}
+
+    def recorder(name):
+        def call(*args, **kwargs):
+            out = originals[name](*args, **kwargs)
+            seen[name].append(record[name](args, out))
+            return out
+        return call
+
+    patched = [(m, name) for m in list(sys.modules.values())
+               if getattr(m, "__name__", "").startswith("gradeq")
+               for name in originals if getattr(m, name, None) is originals[name]]
+    try:
+        for m, name in patched:
+            setattr(m, name, recorder(name))
+        yield seen
+    finally:
+        for m, name in patched:
+            setattr(m, name, originals[name])
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
 GOLDEN_TOLERANCE = 1e-9
 
 
@@ -139,7 +213,7 @@ def report_summary(out) -> dict:
     included) and, per parameter, its shape and float64 sum and sum of
     squares."""
     out = Path(out)
-    csvs = {str(p.relative_to(out)): [ln.split(",") for ln in p.read_text().splitlines()]
+    csvs = {str(p.relative_to(out)): read_csv(p)
             for d in ("tables", "curves", "records") for p in sorted((out / d).glob("*.csv"))}
     checkpoints = {}
     for p in sorted((out / "checkpoints").glob("*.ckpt")):

@@ -420,25 +420,73 @@ def _same(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+CONV_KH, CONV_NC, CONV_HW = [1, 3, 5], [(1, 1), (1, 3), (2, 1), (3, 2)], [(5, 5), (7, 5), (6, 9)]
+
+
+def _grid_calls(kh, n, c, hw):
+    """conv2d arguments over pads and output channels: a forward on x, and
+    the kernel gradient's shapes on a square crop of it, whose output
+    adjoint is the kernel, nearly as large as the input."""
+    rng = np.random.default_rng(61)
+    x = rng.normal(size=(n, c, *hw))
+    for o, pad in itertools.product((1, 4), range(kh)):
+        yield x, rng.normal(size=(o, c, kh, kh)), pad
+        s = min(hw)
+        xs = np.ascontiguousarray(x[:, :, :s, :s].transpose(1, 0, 2, 3))
+        yield xs, rng.normal(size=(o, n, s + 2 * pad - kh + 1, s + 2 * pad - kh + 1)), pad
+
+
+def _model_calls():
+    """The conv2d calls a CNN makes, 3x3 kernels with pad 1: forward, input
+    adjoint and kernel adjoint as `engine._vjp_conv2d` lays them out, for
+    every batch of 1, 2 and 5, channel count of 1 and 3, output count of 1
+    and 4, and side from 2 to 32."""
+    rng = np.random.default_rng(68)
+    for n, c, o, side in itertools.product((1, 2, 5), (1, 3), (1, 4), (2, 4, 8, 16, 32)):
+        x, g = rng.normal(size=(n, c, side, side)), rng.normal(size=(n, o, side, side))
+        k = rng.normal(size=(o, c, 3, 3))
+        yield x, k, 1
+        yield g, kernels.flip_hw(kernels.permute(k, (1, 0, 2, 3))), 1
+        yield kernels.permute(x, (1, 0, 2, 3)), kernels.permute(g, (1, 0, 2, 3)), 1
+
+
 class TestKernelOracles:
     """`conv2d` equals one `einsum` and the pool kernels the copied-window
-    array, in bytes and in strides; see `support`."""
+    array, in bytes and in strides; see `support`. On a conv2d call with a
+    batch, channel, kernel or output side of 1, einsum drops that axis and
+    lays its GEMM out otherwise, so there it is the oracle of the values
+    alone."""
 
-    @pytest.mark.parametrize("kh", [1, 3, 5])
-    @pytest.mark.parametrize("n,c", [(1, 1), (1, 3), (2, 1), (3, 2)])
-    @pytest.mark.parametrize("hw", [(5, 5), (7, 5), (6, 9)])
+    @pytest.mark.parametrize("kh", CONV_KH)
+    @pytest.mark.parametrize("n,c", CONV_NC)
+    @pytest.mark.parametrize("hw", CONV_HW)
     def test_conv2d_is_the_einsum(self, kh, n, c, hw):
-        rng = np.random.default_rng(61)
-        x = rng.normal(size=(n, c, *hw))
-        for o, pad in itertools.product((1, 4), range(kh)):
-            k = rng.normal(size=(o, c, kh, kh))
-            _same(kernels.conv2d(x, k, pad), einsum_conv2d(x, k, pad))
-            # the kernel gradient's shapes, on a square input: the output
-            # adjoint is the kernel, nearly as large as the input
-            s = min(hw)
-            xs = np.ascontiguousarray(x[:, :, :s, :s].transpose(1, 0, 2, 3))
-            gs = rng.normal(size=(o, n, s + 2 * pad - kh + 1, s + 2 * pad - kh + 1))
-            _same(kernels.conv2d(xs, gs, pad), einsum_conv2d(xs, gs, pad))
+        for x, k, pad in _grid_calls(kh, n, c, hw):
+            got, want = kernels.conv2d(x, k, pad), einsum_conv2d(x, k, pad)
+            if 1 in (*x.shape[:2], k.shape[2], *want.shape[2:]):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-12)
+            else:
+                _same(got, want)
+
+    def test_model_shaped_conv2d_is_the_einsum(self):
+        """On every call a model makes, a batch or channel of 1 included:
+        einsum's bytes, and its strides on every axis longer than 1."""
+        for x, k, pad in _model_calls():
+            got, want = kernels.conv2d(x, k, pad), einsum_conv2d(x, k, pad)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert [s for s, d in zip(got.strides, got.shape) if d > 1] == \
+                [s for s, d in zip(want.strides, want.shape) if d > 1]
+
+    def test_conv2d_result_is_the_transposed_gemm_product(self):
+        """Every result, size-1 axes included, is laid out as the [O, N, Ho,
+        Wo] product seen as [N, O, Ho, Wo]."""
+        calls = [call for kh, (n, c), hw in itertools.product(CONV_KH, CONV_NC, CONV_HW)
+                 for call in _grid_calls(kh, n, c, hw)]
+        for x, k, pad in calls + list(_model_calls()):
+            got = kernels.conv2d(x, k, pad)
+            n, o, ho, wo = got.shape
+            assert got.strides == np.empty((o, n, ho, wo)).transpose(1, 0, 2, 3).strides
 
     def test_conv2d_is_the_einsum_on_strided_operands(self):
         rng = np.random.default_rng(62)
@@ -517,16 +565,17 @@ class TestKernelWorkspace:
 
     def test_a_repeated_conv2d_allocates_less_than_its_im2col(self):
         rng = np.random.default_rng(66)
-        x, k = rng.normal(size=(4, 8, 16, 16)), rng.normal(size=(8, 8, 3, 3))
-        im2col = x.size * 9 * 8  # bytes of the [C*kh*kw, N*H*W] copy
-        kernels.conv2d(x, k, 1)  # the workspace now holds this size
-        tracemalloc.start()
-        try:
-            kernels.conv2d(x, k, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < im2col
+        for c, o in [(8, 8), (1, 2)]:  # a one-channel input too
+            x, k = rng.normal(size=(4, c, 16, 16)), rng.normal(size=(o, c, 3, 3))
+            im2col = x.size * 9 * 8  # bytes of the [C*kh*kw, N*H*W] copy
+            kernels.conv2d(x, k, 1)  # the workspace now holds this size
+            tracemalloc.start()
+            try:
+                kernels.conv2d(x, k, 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < im2col, (c, o)
 
     def test_maxpool2_peak_is_below_its_input(self):
         x = np.random.default_rng(67).normal(size=(4, 8, 16, 16))

@@ -22,9 +22,12 @@ from gradeq.inequality import gini_exact
 from gradeq.models import LinearScore, atomic_write, check_value, load_checkpoint
 from gradeq.seeding import seed_stream
 from gradeq.training import mean_saliency_gini
-from support import report_summary, summary_mismatches, write_attribution
+from support import (csv_faults, read_csv, recorded_arrays, report_summary,
+                     summary_mismatches, write_attribution)
 
 GOLDEN = Path(__file__).with_name("golden") / "pipeline_report.json"
+CNN_GOLDEN = GOLDEN.with_name("cnn_report.json")
+CNN_ARRAYS = GOLDEN.with_name("cnn_arrays.json")
 
 
 def base_config(out, n=96, epochs=2):
@@ -60,6 +63,47 @@ def base_config(out, n=96, epochs=2):
 def write_config(path, cfg):
     path.write_text(json.dumps(cfg, indent=1))
     return path
+
+
+def cnn_config(out):
+    """One-channel CNNs whose runs reach conv2d with a channel or a batch of
+    1: the first layer, the kernel gradient of the input, and the last
+    training batch, which holds 1 of the 96 training samples."""
+    def cnn(activation):
+        return {"kind": "cnn", "in_shape": [1, 8, 8], "channels": [4, 8], "classes": 2,
+                "activation": activation}
+
+    return {
+        "seed": 7,
+        "out": str(out),
+        "dataset": {"kind": "blobs", "n": 160, "resolution": 8, "classes": 2,
+                    "noise": 0.05, "spread": 1.5},
+        "eval_fraction": 0.25,
+        "train": [
+            {"name": "std", "method": "standard", "model": cnn("relu"),
+             "epochs": 3, "batch_size": 19, "val_fraction": 0.2, "pgd_iters": 2},
+            {"name": "igd2", "method": "igd", "teacher": "std", "lam": 2,
+             "model": cnn("softplus"),
+             "epochs": 3, "batch_size": 19, "val_fraction": 0.2, "pgd_iters": 2},
+        ],
+        "attacks": [
+            {"name": "pgd2", "kind": "pgd", "iters": 2},
+            {"name": "occlude", "kind": "ioa", "n": 2, "r": 1},
+            {"name": "smooth4", "kind": "ina2", "k": 4, "method": "smoothgrad"},
+        ],
+        "gini": {"region": 4, "method": "input_x_gradient"},
+        "theory": {"ks": [2, 8], "draws": 4, "limit": 6},
+        "corrupt": {"kinds": ["gaussian"], "severities": [1, 3], "limit": 8},
+    }
+
+
+def cnn_golden_run(root):
+    """A `report` run of `cnn_config` under `support.recorded_arrays`: its
+    loaded config and what the recorder saw."""
+    config = load_config(write_config(root / "cfg.json", cnn_config(root / "out")))
+    with recorded_arrays() as seen:
+        run(config)
+    return config, seen
 
 
 @pytest.fixture(scope="module")
@@ -357,7 +401,9 @@ def leaf_paths(node, path=()):
 def test_every_config_runs_or_is_refused_at_load(tmp_path, capsys):
     """Each leaf of a config, replaced in turn by each of FUZZ_VALUES, either
     runs `report` to the end (exit 0) or is refused at load (exit 2); a stage
-    may fail (exit 3) only for a cause in DATA_DEPENDENT."""
+    may fail (exit 3) only for a cause in DATA_DEPENDENT. Every CSV a run
+    writes parses, with this run's seed and digest in every row; the `ioa`
+    and `corrupt` labels hold commas."""
     base = base_config(tmp_path / "unused", n=32, epochs=1)
     base["attacks"] += [{"name": "occlude", "kind": "ioa", "n": 2, "r": 2},
                         {"name": "shot", "kind": "corrupt", "corrupt_kind": "shot",
@@ -372,10 +418,15 @@ def test_every_config_runs_or_is_refused_at_load(tmp_path, capsys):
                 target = target[key]
             target[path[-1]] = value
         p = write_config(tmp_path / "c.json", cfg)
-        code = cli.main(["report", "--config", str(p), "--out", str(tmp_path / str(i))])
+        out = tmp_path / str(i)
+        code = cli.main(["report", "--config", str(p), "--out", str(out)])
         err = capsys.readouterr().err
         if code not in (0, 2) and not (code == 3 and any(m in err for m in DATA_DEPENDENT)):
             bad.append(f"{path} = {value!r}: exit {code}: {err.strip()}")
+        if code in (0, 3):
+            config = load_config(p)
+            bad += [f"{path} = {value!r}: {f}"
+                    for f in csv_faults(out, config.seed, config.digest)]
     assert bad == []
 
 
@@ -566,10 +617,10 @@ def test_csv_roundtrips_floats():
 
 
 def test_csv_is_deterministic():
-    rows = [["m", 0.25, 7], ["n", float("nan"), 8]]
+    rows = [["m", 0.25, 7], ["n", float("nan"), 8], ["ioa(n=2,r=1)", 'a"b', 9]]
     text = csv_text(["x", "y", "z"], rows)
     assert text == csv_text(["x", "y", "z"], rows)
-    assert text == "x,y,z\nm,0.25,7\nn,nan,8\n"
+    assert text == 'x,y,z\nm,0.25,7\nn,nan,8\n"ioa(n=2,r=1)","a""b",9\n'
 
 
 def test_atomic_write_keeps_old_file_on_failure(tmp_path):
@@ -624,14 +675,8 @@ def test_every_row_carries_seed_and_digest(pipeline):
     for rel in ["tables/gini.csv", "tables/l1.csv", "tables/confidence.csv",
                 "curves/error_rate.csv", "curves/mask_stats.csv",
                 "curves/corrupt.csv"]:
-        lines = (config.out / rel).read_text().splitlines()
-        header = lines[0].split(",")
-        si, ci = header.index("seed"), header.index("config")
-        assert len(lines) > 1, rel
-        for ln in lines[1:]:
-            cells = ln.split(",")
-            assert cells[si] == str(config.seed)
-            assert cells[ci] == config.digest
+        assert len(read_csv(config.out / rel)) > 1, rel
+    assert csv_faults(config.out, config.seed, config.digest) == []
 
 
 def test_checkpoints_carry_provenance(pipeline):
@@ -666,6 +711,33 @@ def test_report_matches_the_golden_file(pipeline):
     _, config, _ = pipeline
     want = json.loads(GOLDEN.read_text())
     assert summary_mismatches(report_summary(config.out), want) == []
+
+
+@pytest.fixture(scope="module")
+def cnn_pipeline(tmp_path_factory):
+    return cnn_golden_run(tmp_path_factory.mktemp("cnn"))
+
+
+def test_cnn_run_reaches_conv2d_with_a_channel_and_a_batch_of_one(cnn_pipeline):
+    """The golden CNN config must keep the conv2d calls with a size-1 axis
+    that it was chosen to guard."""
+    _, seen = cnn_pipeline
+    assert any(c == 1 for _, c, _, _ in seen["conv2d"])
+    assert any(n == 1 for n, _, _, _ in seen["conv2d"])
+
+
+def test_cnn_report_matches_the_golden_files(cnn_pipeline):
+    """A one-channel CNN report matches `golden/cnn_report.json` by the rule
+    of `golden/pipeline_report.json`, and every PGD `x_adv` and every
+    input-gradient batch it computed has the sha256 in
+    `golden/cnn_arrays.json`, so a change to a conv or pool kernel that
+    moves no written number still shows."""
+    config, seen = cnn_pipeline
+    assert csv_faults(config.out, config.seed, config.digest) == []
+    want = json.loads(CNN_GOLDEN.read_text())
+    assert summary_mismatches(report_summary(config.out), want) == []
+    arrays = json.loads(CNN_ARRAYS.read_text())
+    assert {name: seen[name] for name in arrays} == arrays
 
 
 @pytest.mark.parametrize("got,want,ok", [
