@@ -8,15 +8,13 @@ op namespace. So each kernel checks its own arguments, raising `GraphError`
 where numpy would broadcast or compute silently; where numpy already
 raises, it is left to. All arithmetic is float64.
 
-`conv2d` has one route for every shape: an im2col copy and one GEMM. The
-copy goes to `_im2col`, one module-level float64 workspace that grows to the
-largest copy seen and is reused, not allocated and page-faulted anew on
-every call. The workspace never escapes `conv2d`: the matmul writes a fresh
-result, and nothing else reads it. One workspace serves the process because
-gradeq runs no threads. `np.einsum(..., optimize=True)` makes the same GEMM
-where no axis is 1, so the tests keep an einsum conv as the oracle. The 2x2
-pool kernels read the four corners of each window as strided views of the
-input, row-major, and allocate only their outputs.
+`conv2d` is im2col and GEMM over tiles of images for every shape: each
+tile's windows go to a fresh buffer of at most `_TILE_COLS` columns (or one
+wider image), so the module keeps no state. Splitting the columns leaves
+each output element's reduction as one GEMM computes it, and `np.einsum(...,
+optimize=True)` makes that GEMM where no axis is 1: the tests keep it as the
+oracle. The 2x2 pool kernels read each window's four corners as strided
+views of the input, row-major, and allocate only their outputs.
 """
 
 from __future__ import annotations
@@ -40,18 +38,18 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-_im2col = np.empty(0)  # conv2d's im2col workspace, see the module docstring
+_TILE_COLS = 2048  # GEMM columns per conv2d tile, not bytes: a kernel adjoint stays one GEMM
 
 
 def conv2d(x: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
     """Stride-1 cross-correlation with symmetric zero padding.
 
     x: [N, C, H, W], k: [O, C, kh, kw] -> [N, O, H + 2*pad - kh + 1, ...].
-    One matmul of k as [O, C*kh*kw] with the windows copied into `_im2col`
-    as [C*kh*kw, N*Ho*Wo], whose [O, N, Ho, Wo] product is returned as a
-    transposed view; every shape, size-1 axes included, takes this route.
+    Each tile of `max(1, _TILE_COLS // (Ho*Wo))` images (the last maybe
+    partial) has its windows copied into its own [C*kh*kw, nb*Ho*Wo] buffer;
+    one matmul of k as [O, C*kh*kw] writes them into a view (never a copy)
+    of the tile's columns of an [O, N, Ho, Wo] result, returned transposed.
     """
-    global _im2col
     n, c, h, w = x.shape
     o, c2, kh, kw = k.shape
     if c != c2:
@@ -68,13 +66,15 @@ def conv2d(x: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
         x = xp
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))  # [n, c, ho, wo, kh, kw]
     ho, wo = win.shape[2:4]
-    size = c * kh * kw * n * ho * wo
-    if _im2col.size < size:
-        _im2col = np.empty(size)
-    cols = _im2col[:size].reshape(c, kh, kw, n, ho, wo)
-    np.copyto(cols, win.transpose(1, 4, 5, 0, 2, 3))
-    ab = np.matmul(np.reshape(k, (o, c * kh * kw)), cols.reshape(c * kh * kw, n * ho * wo))
-    return ab.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
+    km = np.reshape(k, (o, c * kh * kw))
+    out = np.empty((o, n, ho, wo))
+    nb = max(1, _TILE_COLS // (ho * wo))
+    for lo in range(0, n, nb):
+        m = min(nb, n - lo)
+        cols = win[lo:lo + m].transpose(1, 4, 5, 0, 2, 3)  # copied below, freed after the call
+        np.matmul(km, np.ascontiguousarray(cols).reshape(c * kh * kw, m * ho * wo),
+                  out=out[:, lo:lo + m].reshape(o, m * ho * wo, copy=False))
+    return out.transpose(1, 0, 2, 3)
 
 
 def permute(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:

@@ -171,19 +171,22 @@ def recorded_arrays():
     """While open, every `attacks.pgd`, `models.input_gradients` and
     `kernels.conv2d` call goes through a recorder, under every name a
     gradeq module binds it to. Yields a dict that collects, in call order,
-    the sha256 of each PGD `x_adv` ("pgd") and of each input-gradient batch
-    ("input_gradients"), and the input shape of each conv2d ("conv2d")."""
+    the sha256 of each PGD `x_adv` ("pgd"), of each input-gradient batch
+    ("input_gradients") and of each conv2d result ("conv2d"), and the
+    input and result shapes of each conv2d ("conv2d_shapes")."""
     originals = {"pgd": attacks.pgd, "input_gradients": models.input_gradients,
                  "conv2d": kernels.conv2d}
-    record = {"pgd": lambda args, out: _sha256(out.x_adv),
-              "input_gradients": lambda args, out: _sha256(out),
-              "conv2d": lambda args, out: args[0].shape}
-    seen = {name: [] for name in originals}
+    record = {"pgd": lambda args, out: {"pgd": _sha256(out.x_adv)},
+              "input_gradients": lambda args, out: {"input_gradients": _sha256(out)},
+              "conv2d": lambda args, out: {"conv2d": _sha256(out),
+                                           "conv2d_shapes": (args[0].shape, out.shape)}}
+    seen = {key: [] for key in ("pgd", "input_gradients", "conv2d", "conv2d_shapes")}
 
     def recorder(name):
         def call(*args, **kwargs):
             out = originals[name](*args, **kwargs)
-            seen[name].append(record[name](args, out))
+            for key, value in record[name](args, out).items():
+                seen[key].append(value)
             return out
         return call
 

@@ -420,6 +420,13 @@ def _same(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def _same_values(got, want):
+    """Equal shape and bytes, and equal strides on every axis longer than 1."""
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert [s for s, d in zip(got.strides, got.shape) if d > 1] == \
+        [s for s, d in zip(want.strides, want.shape) if d > 1]
+
+
 CONV_KH, CONV_NC, CONV_HW = [1, 3, 5], [(1, 1), (1, 3), (2, 1), (3, 2)], [(5, 5), (7, 5), (6, 9)]
 
 
@@ -473,10 +480,44 @@ class TestKernelOracles:
         """On every call a model makes, a batch or channel of 1 included:
         einsum's bytes, and its strides on every axis longer than 1."""
         for x, k, pad in _model_calls():
-            got, want = kernels.conv2d(x, k, pad), einsum_conv2d(x, k, pad)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert [s for s, d in zip(got.strides, got.shape) if d > 1] == \
-                [s for s, d in zip(want.strides, want.shape) if d > 1]
+            _same_values(kernels.conv2d(x, k, pad), einsum_conv2d(x, k, pad))
+
+    @pytest.mark.parametrize("n,side", [(5, 32), (3, 48)])
+    def test_tiled_conv2d_is_the_einsum(self, n, side):
+        """Over tiles of images whose last one is partial (2 of 32x32 to a
+        tile), and over one image per tile (48x48 is wider than a tile):
+        forward and input adjoint."""
+        nb = max(1, kernels._TILE_COLS // side ** 2)
+        assert n > nb and (n % nb or nb == 1)
+        rng = np.random.default_rng(69)
+        x, g = rng.normal(size=(n, 3, side, side)), rng.normal(size=(n, 4, side, side))
+        k = rng.normal(size=(4, 3, 3, 3))
+        _same(kernels.conv2d(x, k, 1), einsum_conv2d(x, k, 1))
+        kf = kernels.flip_hw(kernels.permute(k, (1, 0, 2, 3)))
+        _same(kernels.conv2d(g, kf, 1), einsum_conv2d(g, kf, 1))
+
+    @pytest.mark.parametrize("in_shape,channels,n", [([1, 8, 8], [4, 8], 40),
+                                                     ([3, 16, 16], [8, 16], 24)])
+    def test_igd_training_conv2d_is_the_einsum(self, in_shape, channels, n, monkeypatch):
+        """Every conv2d call of one `igd_loss` step, its kernel adjoints and
+        double backward included, by the rule of the model-shaped calls."""
+        cfg = {"kind": "cnn", "in_shape": in_shape, "channels": channels, "classes": 2}
+        student = build_model({**cfg, "activation": "softplus"}, seed=1)
+        teacher = build_model(cfg, seed=2)
+        rng = np.random.default_rng(73)
+        x, y = rng.uniform(size=(n, *in_shape)), rng.integers(0, 2, size=n)
+        calls = []
+
+        def spy(*args, _conv=kernels.conv2d):
+            calls.append(args)
+            return _conv(*args)
+
+        monkeypatch.setattr(kernels, "conv2d", spy)
+        igd_loss(student, teacher, x, x, y, 2.0)
+        monkeypatch.undo()
+        assert any(k.shape[2] == in_shape[1] for _, k, _ in calls)  # a kernel adjoint
+        for args in calls:
+            _same_values(kernels.conv2d(*args), einsum_conv2d(*args))
 
     def test_conv2d_result_is_the_transposed_gemm_product(self):
         """Every result, size-1 axes included, is laid out as the [O, N, Ho,
@@ -549,33 +590,38 @@ class TestKernelOracles:
 
 
 class TestKernelWorkspace:
-    """conv2d's im2col copy goes to one reused workspace that no result
-    shares; the pool kernels allocate only their outputs."""
+    """conv2d keeps no state: each tile of images gets its own im2col
+    buffer, no result shares memory with another, and a call over many
+    tiles peaks far below its whole im2col. The pool kernels allocate only
+    their outputs."""
 
-    def test_results_share_no_memory_with_the_workspace(self):
+    def test_kernels_hold_no_module_level_array(self):
+        assert [name for name, v in vars(kernels).items() if isinstance(v, np.ndarray)] == []
+
+    def test_results_share_no_memory_and_survive_a_later_call(self):
         rng = np.random.default_rng(65)
         x, k = rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(4, 3, 3, 3))
         first = kernels.conv2d(x, k, 1)
         kept = first.copy()
-        assert not np.shares_memory(first, kernels._im2col)
-        big = kernels.conv2d(rng.normal(size=(4, 3, 16, 16)), k, 1)  # grows the workspace
-        assert kernels._im2col.size >= 4 * 3 * 9 * 16 * 16
-        assert not np.shares_memory(big, kernels._im2col)
+        big = kernels.conv2d(rng.normal(size=(4, 3, 16, 16)), k, 1)
+        assert not np.shares_memory(first, big)
         assert first.tobytes() == kept.tobytes()
 
-    def test_a_repeated_conv2d_allocates_less_than_its_im2col(self):
+    def test_a_tiled_conv2d_peaks_below_half_its_im2col_and_result(self):
         rng = np.random.default_rng(66)
+        n, side = 16, 32
+        assert n // max(1, kernels._TILE_COLS // side ** 2) >= 8  # 8 tiles at least
         for c, o in [(8, 8), (1, 2)]:  # a one-channel input too
-            x, k = rng.normal(size=(4, c, 16, 16)), rng.normal(size=(o, c, 3, 3))
-            im2col = x.size * 9 * 8  # bytes of the [C*kh*kw, N*H*W] copy
-            kernels.conv2d(x, k, 1)  # the workspace now holds this size
+            x, k = rng.normal(size=(n, c, side, side)), rng.normal(size=(o, c, 3, 3))
+            im2col = x.size * 9 * 8  # bytes of the whole [C*kh*kw, N*H*W] copy
+            result = o * n * side ** 2 * 8
             tracemalloc.start()
             try:
                 kernels.conv2d(x, k, 1)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < im2col, (c, o)
+            assert peak < (im2col + result) / 2, (c, o)
 
     def test_maxpool2_peak_is_below_its_input(self):
         x = np.random.default_rng(67).normal(size=(4, 8, 16, 16))

@@ -14,6 +14,7 @@ import pytest
 
 from gradeq import attribution, cli, harness, training
 from gradeq.attacks import CORRUPT_PARAM, AttackSpec, corrupt
+from gradeq.autodiff import kernels
 from gradeq.data import load_cifar, synth_blobs
 from gradeq.harness import (SEVERITY, ConfigError, StageError, confidence_stats,
                             config_digest, csv_text, load_config, run,
@@ -68,7 +69,8 @@ def write_config(path, cfg):
 def cnn_config(out):
     """One-channel CNNs whose runs reach conv2d with a channel or a batch of
     1: the first layer, the kernel gradient of the input, and the last
-    training batch, which holds 1 of the 96 training samples."""
+    training batch, which holds 1 of the 96 training samples. The 40-image
+    holdout spans conv2d tiles of 32 images, the last one partial."""
     def cnn(activation):
         return {"kind": "cnn", "in_shape": [1, 8, 8], "channels": [4, 8], "classes": 2,
                 "activation": activation}
@@ -719,17 +721,22 @@ def cnn_pipeline(tmp_path_factory):
 
 
 def test_cnn_run_reaches_conv2d_with_a_channel_and_a_batch_of_one(cnn_pipeline):
-    """The golden CNN config must keep the conv2d calls with a size-1 axis
-    that it was chosen to guard."""
+    """The golden CNN config must keep the conv2d calls that it was chosen
+    to guard: with a size-1 axis, and over more than one tile of images
+    with a partial last tile."""
     _, seen = cnn_pipeline
-    assert any(c == 1 for _, c, _, _ in seen["conv2d"])
-    assert any(n == 1 for n, _, _, _ in seen["conv2d"])
+    inputs = [x for x, _ in seen["conv2d_shapes"]]
+    assert any(c == 1 for _, c, _, _ in inputs)
+    assert any(n == 1 for n, _, _, _ in inputs)
+    tiles = [(n, max(1, kernels._TILE_COLS // (ho * wo)))
+             for _, (n, _, ho, wo) in seen["conv2d_shapes"]]
+    assert any(n > nb and n % nb for n, nb in tiles)
 
 
 def test_cnn_report_matches_the_golden_files(cnn_pipeline):
     """A one-channel CNN report matches `golden/cnn_report.json` by the rule
-    of `golden/pipeline_report.json`, and every PGD `x_adv` and every
-    input-gradient batch it computed has the sha256 in
+    of `golden/pipeline_report.json`, and every PGD `x_adv`, input-gradient
+    batch and conv2d result it computed has the sha256 in
     `golden/cnn_arrays.json`, so a change to a conv or pool kernel that
     moves no written number still shows."""
     config, seen = cnn_pipeline
