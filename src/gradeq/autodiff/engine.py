@@ -20,7 +20,8 @@ are graph values, so differentiating through them again is just another
 `grad` call. Either way the sweep computes only the adjoints on a path
 from the output to a target; a cut op ends the path, so an attack's
 input gradient computes no parameter adjoint and a training step none of
-its input's.
+its input's. `reaches(out, w)` tells whether such a path leads from `w` to
+`out`, so whether the sweep gives `w` an adjoint or zeros.
 
 A `Plan` replays a recorded tape on a new value of one leaf: it recomputes
 on raw arrays only the nodes downstream of that leaf and keeps every other
@@ -258,6 +259,14 @@ def _live(nodes: list[_Node], last: int, targets: set[int]) -> list[bool]:
         live.append(node.op not in _CUTS
                     and (i in targets or any(live[j] for j in node.args)))
     return live
+
+
+def reaches(out: Var, w: Var) -> bool:
+    """Whether a path without a cut op leads from `w` to `out`: exactly when
+    `grad(out, [..., w, ...])` gives `w` an adjoint rather than zeros."""
+    if w.graph is not out.graph:
+        raise GraphError("grad target lives on a different graph")
+    return _live(out.graph.nodes, out.idx, {w.idx})[out.idx]
 
 
 def grad(out: Var, wrts: Sequence[Var], *, create_graph: bool = False) -> list:

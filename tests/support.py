@@ -1,6 +1,7 @@
 """Helpers several test modules share and the package itself does not need:
 a single-input class score (the finite-difference oracle), the unpruned
-backward sweep (the oracle of `autodiff.grad`), PGD with a fresh tape every
+backward sweep (the oracle of `autodiff.grad`), the IGD objective on one
+tape (the oracle of `training.igd_loss`), PGD with a fresh tape every
 iteration (the oracle of `attacks.pgd`), conv2d as one `einsum` and the
 2x2 pool through a copied window array (the oracles of `kernels.conv2d`,
 `pool_mask`, `maxpool2` and `unpool2`), the writer of attribution-map
@@ -24,6 +25,7 @@ from gradeq import autodiff as ag
 from gradeq.attacks import PGD_EPS, PGD_ITERS, PGD_STEP, PgdResult, _live_rows
 from gradeq.autodiff import engine, kernels
 from gradeq.models import load_checkpoint
+from gradeq.training import LossParts
 
 
 def class_score(model, x: np.ndarray, y: int) -> float:
@@ -56,6 +58,34 @@ def unpruned_grad(out, wrts, *, create_graph=False) -> list:
                 adj[j] = c if j not in adj else ns.add(adj[j], c)
     return [adj[w.idx] if w.idx in adj else ns.const(np.zeros_like(nodes[w.idx].value))
             for w in wrts]
+
+
+def one_tape_igd_loss(student, teacher, x, x_adv, y, lam) -> LossParts:
+    """`training.igd_loss` with both terms on one tape and one sweep of
+    their sum for every parameter. `igd_loss` must equal it bit for bit
+    in every field and every gradient."""
+    y = np.asarray(y)
+    g = ag.Graph()
+    pv = student.bind(g)
+    xa = g.const(np.asarray(x_adv, dtype=np.float64))
+    ce = ag.cross_entropy_mean(student.graph_logits(xa, pv), y)
+    if lam == 0.0:
+        total = ce
+        cos_val = 0.0
+        flags = np.zeros(len(y), dtype=bool)
+    else:
+        if teacher is None:
+            raise ValueError("gradient alignment needs a teacher model")
+        ref = models.input_gradients(teacher, x, y).reshape(len(y), -1)
+        xv = g.var(np.asarray(x, dtype=np.float64))
+        (gx,) = ag.grad(models.label_score(student, xv, pv, y), [xv], create_graph=True)
+        cos, flags = ag.cosine_rows(ag.flatten(g, gx), ref)
+        cmean = ag.mean_all(cos)
+        total = g.add(ce, g.scale(cmean, -lam))
+        cos_val = float(cmean.value)
+    names = list(pv)
+    grads = dict(zip(names, ag.grad(total, [pv[n] for n in names])))
+    return LossParts(float(total.value), float(ce.value), cos_val, flags, grads)
 
 
 def tape_pgd(model, x, y, eps=PGD_EPS, step=PGD_STEP, iters=PGD_ITERS, rng=None,

@@ -776,6 +776,17 @@ class TestPrunedSweep:
             results.append(got.value if create_graph else got)
         assert results[0].tobytes() == results[1].tobytes()
 
+    def test_reaches_is_whether_the_sweep_gives_an_adjoint(self):
+        g = ag.Graph()
+        a, b, c = (g.var(np.full((2, 2), v)) for v in (1.5, 0.5, 2.0))
+        out = ag.sum_all(g.mul(g.relu(g.mul(a, b)), g.relu_mask(c)))  # c only through a cut
+        late = g.var(np.ones(2))  # recorded after out
+        assert [ag.reaches(out, w) for w in (a, b, c, out, late)] == [True, True, False, True, False]
+        ga, gb, gc, gl = ag.grad(out, [a, b, c, late])
+        assert ga.all() and gb.all() and not gc.any() and not gl.any()
+        with pytest.raises(ag.GraphError, match="different graph"):
+            ag.reaches(out, ag.Graph().var(np.ones(2)))
+
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
     def test_input_gradients_compute_no_parameter_adjoint(self, kind, monkeypatch):
         model, _, x, y = self._batch(self.SMALL, kind)
