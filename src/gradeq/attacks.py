@@ -52,9 +52,8 @@ def topk_flags(values: np.ndarray, k: int) -> np.ndarray:
     if not 0 <= k <= flat.size:
         raise ValueError(f"k must be in [0, {flat.size}], got {k}")
     m = np.zeros(flat.size, dtype=bool)
-    if k:
-        order = np.argsort(-flat, kind="stable")  # stable: earlier index wins ties
-        m[order[:k]] = True
+    order = np.argsort(-flat, kind="stable")  # stable: earlier index wins ties
+    m[order[:k]] = True
     return m
 
 
@@ -183,9 +182,8 @@ def ina1(x: np.ndarray, mask: Mask, rng: np.random.Generator) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     out = x.copy()
     ys, xs = np.nonzero(mask.m)
-    if len(ys):
-        noise = rng.normal(size=(x.shape[0], len(ys)))  # one draw per channel
-        out[:, ys, xs] = np.clip(out[:, ys, xs] + noise, 0.0, 1.0)
+    noise = rng.normal(size=(x.shape[0], len(ys)))  # one draw per channel
+    out[:, ys, xs] = np.clip(out[:, ys, xs] + noise, 0.0, 1.0)
     return out
 
 
@@ -194,8 +192,7 @@ def ina2(x: np.ndarray, mask: Mask, rng: np.random.Generator) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     out = x.copy()
     ys, xs = np.nonzero(mask.m)
-    if len(ys):
-        out[:, ys, xs] = np.clip(rng.normal(size=(x.shape[0], len(ys))), 0.0, 1.0)
+    out[:, ys, xs] = np.clip(rng.normal(size=(x.shape[0], len(ys))), 0.0, 1.0)
     return out
 
 
@@ -318,8 +315,6 @@ def corrupt(x: np.ndarray, kind: str, param: float,
     check_value("param", CORRUPT_PARAM[kind], param)
     x = np.asarray(x, dtype=np.float64)
     if kind == "gaussian":
-        if param == 0:
-            return x.copy()
         return np.clip(x + rng.normal(0.0, param, size=x.shape), 0.0, 1.0)
     if kind == "shot":
         return np.clip(rng.poisson(x * param) / param, 0.0, 1.0)

@@ -211,8 +211,6 @@ def _vjp_broadcast(ns, g, xs, out, meta, want):
     axes = tuple(
         i for i, (a, b) in enumerate(zip(xs[0].shape, meta)) if a == 1 and b != 1
     )
-    if not axes:
-        return (g,)
     return (ns.sum_axes(g, axes),)
 
 

@@ -60,11 +60,9 @@ def conv2d(x: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
         raise GraphError(f"conv2d pad must lie in [0, {kh - 1}], got {pad}")
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise GraphError("conv2d kernel larger than padded input")
-    if pad:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        xp[:, :, pad:pad + h, pad:pad + w] = x
-        x = xp
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))  # [n, c, ho, wo, kh, kw]
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # [n, c, ho, wo, kh, kw]
     ho, wo = win.shape[2:4]
     km = np.reshape(k, (o, c * kh * kw))
     out = np.empty((o, n, ho, wo))

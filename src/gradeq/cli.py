@@ -6,13 +6,14 @@ Commands map to pipeline stages; `report` runs everything. A successful
 command deletes the tables, curves and plots the previous `bundle.json`
 listed, as written or as stale, and it did not write. Exit codes:
 0 success, 2 config problem, 3 a stage failed partway (partial outputs
-and the failing stage id are left in the output directory).
+and the failing stage id are left in the output directory) or a write to
+the output directory outside a stage failed (one stderr line names the path).
 """
 
 import argparse
 import sys
 
-from .harness import ConfigError, StageError, load_config, run
+from .harness import STAGES, ConfigError, StageError, load_config, run
 
 _COMMAND_STAGES = {
     "train": ("data", "train"),
@@ -21,7 +22,7 @@ _COMMAND_STAGES = {
     "attack": ("data", "train", "attack"),
     "theory": ("data", "train", "theory"),
     "corrupt": ("data", "train", "corrupt"),
-    "report": ("data", "train", "tables", "attack", "theory", "corrupt", "plots"),
+    "report": STAGES,
 }
 
 
@@ -47,6 +48,9 @@ def main(argv=None) -> int:
         bundle = run(config, _COMMAND_STAGES[args.command])
     except StageError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except OSError as e:  # the output directory, outside every stage
+        print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
         return 3
     print(f"{config.digest[:12]} seed={config.seed} -> {bundle.out} "
           f"({len(bundle.files)} files)")

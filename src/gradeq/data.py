@@ -147,8 +147,6 @@ def cutout(batch: ImageBatch, hole_size: int, fill: float,
     n, c, h, w = batch.pixels.shape
     if not 0 <= hole_size <= min(h, w):
         raise ValueError(f"hole_size must be in [0, {min(h, w)}], got {hole_size}")
-    if hole_size == 0:
-        return batch
     pixels = batch.pixels.copy()
     cy = rng.integers(0, h, size=n)
     cx = rng.integers(0, w, size=n)

@@ -58,9 +58,6 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-STAGES = ("data", "train", "tables", "attack", "theory", "corrupt", "plots")
-
-
 # --------------------------------------------------------------------------
 # config: parsed once, at load, into the objects the stages run
 
@@ -110,9 +107,6 @@ def _loaders() -> dict:
     the benchmark's tracer does) is the one that runs."""
     return {"blobs": synth_blobs, "cifar": load_cifar,
             "attribution_file": attribution.load_attribution}
-
-
-_TRAIN_OPTIONAL = {f.name for f in fields(TrainConfig)} - {"method", "model", "seed"}
 
 
 def _section(given: dict, section: str | None) -> SimpleNamespace:
@@ -199,7 +193,7 @@ def _named(entries: list, section: str, parse) -> tuple:
 def _train_entry(entry: dict, earlier: list, seed: int) -> TrainConfig:
     """An igd entry's `teacher` names an earlier entry, whose model the train
     stage hands to `train`; `_check_image_bounds` builds the model."""
-    check_keys(entry, {"method", "model"}, _TRAIN_OPTIONAL)
+    check_keys(entry, *signature_keys(TrainConfig, {"seed"}))
     teacher = entry.get("teacher")
     if entry["method"] == "igd":
         if not isinstance(teacher, str) or teacher not in earlier:
@@ -615,6 +609,7 @@ _STAGE_FNS = {
     "corrupt": _stage_corrupt,
     "plots": _stage_plots,
 }
+STAGES = tuple(_STAGE_FNS)  # in pipeline order
 
 
 # the directories a run writes, relative to its output directory

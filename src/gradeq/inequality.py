@@ -185,10 +185,7 @@ def monotonic_reduce(weights, recipient: int, donor: int, delta) -> ReduceTrace:
         # endpoint values and each transfer closes the gap by twice itself,
         # so a == b cannot happen while mass is left to move.
         assert a < b and w[a] < w[b]
-        if a + 1 == b:
-            amount = remaining
-        else:
-            amount = min(w[a + 1] - w[a], w[b] - w[b - 1], remaining)
+        amount = min(w[a + 1] - w[a], w[b] - w[b - 1], remaining)
         w[a] += amount
         w[b] -= amount
         remaining -= amount

@@ -325,13 +325,16 @@ def atomic_write(path, *chunks: bytes) -> None:
     it: a run cut off midway leaves the old file or the new one, never a torn
     one. Chunks are written in turn, so a payload is never copied to join it.
     A killed writer leaves its temp file behind; `remove_orphan_temps`
-    deletes it."""
+    deletes it. A failed write raises an OSError that names `path`, not
+    the temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
             f.writelines(chunks)
         os.replace(tmp, path)
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, str(path)) from e
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -93,13 +93,10 @@ def mask_stats(w: np.ndarray, mask) -> MaskStats:
 def predicted_deviation(model, mask, spec: NoiseSpec) -> float:
     """Closed-form E{(y'-y)^2} for a linear score under the masked noise."""
     st = mask_stats(model.w, mask)
-    s1sq, s2 = st.sum ** 2, st.sum_sq
-    if spec.kind == "additive":
-        return spec.mu_delta ** 2 * s1sq + spec.sigma_delta ** 2 * s2
-    shift = (spec.mu_delta - spec.mu_x) ** 2 * s1sq
-    if spec.kind == "mult_additive":
-        return shift + (spec.sigma_delta ** 2 + spec.sigma_x ** 2) * s2
-    return shift + spec.sigma_x ** 2 * s2  # occlusion
+    # one form for all kinds: additive has mu_x = sd_x = 0, occlusion sd_d = 0; +0.0 moves no bit
+    mu_x, sd_x = (0.0, 0.0) if spec.kind == "additive" else (spec.mu_x, spec.sigma_x)
+    return ((spec.mu_delta - mu_x) ** 2 * st.sum ** 2
+            + (spec.sigma_delta ** 2 + sd_x ** 2) * st.sum_sq)
 
 
 def monte_carlo_deviation(model, mask, spec: NoiseSpec, samples: int,

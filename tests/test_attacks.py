@@ -299,6 +299,15 @@ def test_ina1_zero_k_is_identity():
     assert np.array_equal(out, x)
 
 
+@pytest.mark.parametrize("noise", [ina1, ina2], ids=["ina1", "ina2"])
+def test_empty_mask_changes_nothing_and_draws_nothing(noise):
+    x = seed_stream(13, "x").uniform(size=(3, 5, 5))
+    rng = seed_stream(14, "n")
+    out = noise(x, Mask(np.zeros((5, 5), dtype=bool)), rng)
+    assert out.tobytes() == x.tobytes()
+    assert rng.random() == seed_stream(14, "n").random()
+
+
 def test_ina1_variance_matches_direct_simulation():
     # Masked pixels of a 0.5 image follow clip(0.5 + N(0,1)); compare the
     # sample variance against an independent direct simulation.

@@ -331,6 +331,8 @@ class TestGuards:
         b = g2.var(np.ones((2, 2)))
         with pytest.raises(ag.GraphError):
             g1.add(a, b)
+        with pytest.raises(ag.GraphError, match="different graph"):
+            ag.grad(ag.sum_all(a), [b])
 
     def test_shape_mismatch_raises(self):
         g = ag.Graph()

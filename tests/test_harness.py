@@ -1,4 +1,5 @@
 import copy
+import errno
 import hashlib
 import inspect
 import json
@@ -634,6 +635,13 @@ def test_atomic_write_keeps_old_file_on_failure(tmp_path):
     assert [x.name for x in tmp_path.iterdir()] == ["f.bin"]
 
 
+def test_atomic_write_failure_names_the_file_not_its_temp(tmp_path):
+    p = tmp_path / "gone" / "f.bin"
+    with pytest.raises(FileNotFoundError) as e:
+        atomic_write(p, b"new")
+    assert e.value.filename == str(p)
+
+
 def test_svg_chart_basics():
     svg = svg_line_chart("t<itle", "k", "rate",
                          [("a&b", [1.0, 2.0, 3.0], [0.1, 0.4, 0.2])])
@@ -1084,6 +1092,46 @@ def test_cli_stage_failure_exit_3(tmp_path, capsys):
     p = write_config(tmp_path / "c.json", cfg)
     assert cli.main(["evaluate", "--config", str(p)]) == 3
     assert "stage 'data'" in capsys.readouterr().err
+
+
+def test_cli_out_naming_a_file_exit_3(tmp_path, capsys):
+    cfg = {"dataset": {"kind": "blobs", "n": 16, "resolution": 8, "classes": 2}}
+    p = write_config(tmp_path / "c.json", cfg)
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    assert cli.main(["train", "--config", str(p), "--out", str(taken)]) == 3
+    assert capsys.readouterr().err == f"error: cannot write {taken}: File exists\n"
+    assert taken.read_text() == "a file"
+
+
+@pytest.mark.parametrize("name", ["bundle.json", "log.txt"])
+def test_cli_failed_write_after_the_stages_exit_3(tmp_path, capsys, monkeypatch, name):
+    """A full disk on a write after the stage loop ends in exit 3 and one
+    stderr line naming the file, not in a traceback; the clean run's
+    bundle.json keeps its bytes and no temp file is left."""
+    cfg = base_config(tmp_path / "out", n=48, epochs=1)
+    cfg["train"] = cfg["train"][:1]
+    cfg["attacks"] = cfg["attacks"][:1]
+    del cfg["theory"], cfg["corrupt"]
+    p = write_config(tmp_path / "c.json", cfg)
+    assert cli.main(["report", "--config", str(p)]) == 0
+    bundle = (tmp_path / "out" / "bundle.json").read_bytes()
+    capsys.readouterr()
+    real = harness.atomic_write
+
+    def full_disk(path, *chunks):
+        if Path(path).name == name:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        real(path, *chunks)
+
+    monkeypatch.setattr(harness, "atomic_write", full_disk)
+    assert cli.main(["report", "--config", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: cannot write {tmp_path / 'out' / name}: "
+                            f"{os.strerror(errno.ENOSPC)}\n")
+    assert captured.out == ""
+    assert (tmp_path / "out" / "bundle.json").read_bytes() == bundle
+    assert not list((tmp_path / "out").rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**32), "1" + "0" * 300],

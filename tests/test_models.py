@@ -1,6 +1,7 @@
 """Model forwards, linearization, and checkpoint round trips."""
 
 import functools
+import hashlib
 import json
 import struct
 from typing import Annotated
@@ -357,6 +358,21 @@ class TestMalformedCheckpoints:
                        [dict(recs[0], shape=[2, 6])] + recs[1:], "w0", [1, 2, 3, 4]):
             with pytest.raises(md.IntegrityError):
                 self.load_bytes(tmp_path, frame(dict(header, params=params), payload))
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda header, payload: (dict(header, extra=[]), payload),
+         "extra is not an object"),
+        (lambda header, payload: (
+            dict(header, payload_sha256=hashlib.sha256(payload + bytes(4)).hexdigest()),
+            payload + bytes(4)),
+         "payload length does not match"),
+    ], ids=["extra-a-list", "payload-4-bytes-long"])
+    def test_refused_behind_a_matching_digest(self, tmp_path, edit, match):
+        """A file whose payload digest holds is still refused by the checks
+        after it."""
+        header, payload = split_checkpoint(saved_bytes(tmp_path, _SAMPLE))
+        with pytest.raises(md.IntegrityError, match=match):
+            self.load_bytes(tmp_path, frame(*edit(header, payload)))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

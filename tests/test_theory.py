@@ -85,6 +85,23 @@ class TestPredictedDeviation:
         want = 0.25 * 1.0 + 0.09 * 5.0
         assert th.predicted_deviation(model, full_mask(2), spec) == pytest.approx(want, rel=1e-12)
 
+    def test_each_kinds_closed_form_bit_for_bit(self):
+        """The module docstring's formula of each kind, as written there."""
+        rng = seed_stream(8, "kinds")
+        for _ in range(20):
+            model, m = LinearScore.from_arrays(rng.normal(size=6), 0.0), rng.random(6) < 0.5
+            st = th.mask_stats(model.w, m)
+            s1sq, s2 = st.sum ** 2, st.sum_sq
+            mu_d, sd_d, mu_x, sd_x = rng.uniform(-1, 1, size=4)
+            want = {"additive": mu_d ** 2 * s1sq + sd_d ** 2 * s2,
+                    "mult_additive": (mu_d - mu_x) ** 2 * s1sq + (sd_d ** 2 + sd_x ** 2) * s2,
+                    "occlusion": (mu_d - mu_x) ** 2 * s1sq + sd_x ** 2 * s2}
+            for kind, value in want.items():
+                spec = th.NoiseSpec(kind, mu_d, 0.0 if kind == "occlusion" else abs(sd_d),
+                                    mu_x, abs(sd_x))
+                got = th.predicted_deviation(model, m, spec)
+                assert got.hex() == value.hex(), kind
+
 
 class TestMonteCarlo:
     def test_zero_sigma_additive_exact(self):
@@ -233,6 +250,9 @@ class TestSweep:
         with pytest.raises(ValueError):
             th.sweep_mask_stats(saliency(model, x, np.ones(1, int)), [9], "random",
                                 seed_stream(17, "s"))
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            th.sweep_mask_stats(np.array([[[np.nan, 1.0]]]), [1], "random",
+                                seed_stream(18, "s"))
 
 
 class TestEqualizingTransfer:

@@ -346,6 +346,9 @@ class TestTrain:
     def test_igd_requires_teacher(self):
         with pytest.raises(ValueError):
             tr.train(blob_config("igd", lam=1.0), blobs())
+        x = np.zeros((2, 4))
+        with pytest.raises(ValueError, match="needs a teacher"):
+            tr.igd_loss(MLP((4,), [3], 2, seed=1), None, x, x, np.array([0, 1]), 0.5)
 
     def test_cutout_method_trains(self):
         model, record = tr.train(blob_config("pgdat_cutout", epochs=2,
@@ -380,6 +383,29 @@ class TestTrain:
         assert record.aborted
         assert len(record.rows) == 1 and record.best_epoch == 0
         assert all(np.isfinite(p).all() for p in model.params.values())
+
+    def test_nonfinite_loss_aborts_with_finite_parameters(self, monkeypatch):
+        """A loss tape that goes non-finite while every parameter is still
+        finite aborts the run at that batch and keeps the best epoch so far:
+        here the first batch of epoch 1, so epoch 0's parameters."""
+        cfg, data = blob_config("standard", epochs=3), blobs()
+        want, _ = tr.train(blob_config("standard", epochs=1), data)
+        pool = len(train_val_split(data, cfg.val_fraction, cfg.seed)[0])
+        per_epoch = -(-pool // cfg.batch_size)
+        calls, real = [], tr.igd_loss
+
+        def spy(*args):
+            calls.append(args)
+            if len(calls) == per_epoch + 1:
+                raise ag.NonFiniteError("op 'exp' produced non-finite values")
+            return real(*args)
+
+        monkeypatch.setattr(tr, "igd_loss", spy)
+        model, record = tr.train(cfg, data)
+        assert record.aborted and len(calls) == per_epoch + 1
+        assert len(record.rows) == 1 and record.best_epoch == 0
+        for n, p in want.params.items():
+            assert model.params[n].tobytes() == p.tobytes()
 
     def test_igd_records_cosine(self):
         data = blobs()
