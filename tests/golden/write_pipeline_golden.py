@@ -5,8 +5,8 @@
 - `cnn_report.json`, the summary of the one-channel CNN run
   (`tests/test_harness.py::cnn_config`, seed 7), and beside it
   `cnn_arrays.json`, the sha256 of every PGD `x_adv`, every
-  input-gradient batch and every conv2d result that run computed, in call
-  order.
+  input-gradient batch and every conv2d, maxpool2 and unpool2 result that
+  run computed, each list in call order.
 
 The summaries are compared with a float tolerance, the digests byte for
 byte. The digests were written with numpy 2.4.6 on OpenBLAS 0.3.31
@@ -43,7 +43,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         config, seen = cnn_golden_run(Path(tmp))
         write_json(CNN_GOLDEN, report_summary(config.out))
-        write_json(CNN_ARRAYS, {k: seen[k] for k in ("pgd", "input_gradients", "conv2d")})
+        write_json(CNN_ARRAYS, {k: seen[k] for k in ("pgd", "input_gradients", "conv2d",
+                                                    "maxpool2", "unpool2")})
 
 
 if __name__ == "__main__":

@@ -198,19 +198,25 @@ def csv_faults(out, seed: int, digest: str) -> list[str]:
 
 @contextmanager
 def recorded_arrays():
-    """While open, every `attacks.pgd`, `models.input_gradients` and
-    `kernels.conv2d` call goes through a recorder, under every name a
-    gradeq module binds it to. Yields a dict that collects, in call order,
-    the sha256 of each PGD `x_adv` ("pgd"), of each input-gradient batch
-    ("input_gradients") and of each conv2d result ("conv2d"), and the
-    input and result shapes of each conv2d ("conv2d_shapes")."""
+    """While open, every `attacks.pgd`, `models.input_gradients`,
+    `kernels.conv2d`, `kernels.maxpool2` and `kernels.unpool2` call goes
+    through a recorder, under every name a gradeq module binds it to.
+    Yields a dict that collects, in call order, the sha256 of each PGD
+    `x_adv` ("pgd"), of each input-gradient batch ("input_gradients"), of
+    each conv2d result ("conv2d") and of each maxpool2 and unpool2 result
+    ("maxpool2", "unpool2"), and the input and result shapes of each conv2d
+    ("conv2d_shapes")."""
     originals = {"pgd": attacks.pgd, "input_gradients": models.input_gradients,
-                 "conv2d": kernels.conv2d}
+                 "conv2d": kernels.conv2d, "maxpool2": kernels.maxpool2,
+                 "unpool2": kernels.unpool2}
     record = {"pgd": lambda args, out: {"pgd": _sha256(out.x_adv)},
               "input_gradients": lambda args, out: {"input_gradients": _sha256(out)},
               "conv2d": lambda args, out: {"conv2d": _sha256(out),
-                                           "conv2d_shapes": (args[0].shape, out.shape)}}
-    seen = {key: [] for key in ("pgd", "input_gradients", "conv2d", "conv2d_shapes")}
+                                           "conv2d_shapes": (args[0].shape, out.shape)},
+              "maxpool2": lambda args, out: {"maxpool2": _sha256(out)},
+              "unpool2": lambda args, out: {"unpool2": _sha256(out)}}
+    seen = {key: [] for key in ("pgd", "input_gradients", "conv2d", "conv2d_shapes",
+                                "maxpool2", "unpool2")}
 
     def recorder(name):
         def call(*args, **kwargs):

@@ -744,8 +744,8 @@ def test_cnn_run_reaches_conv2d_with_a_channel_and_a_batch_of_one(cnn_pipeline):
 def test_cnn_report_matches_the_golden_files(cnn_pipeline):
     """A one-channel CNN report matches `golden/cnn_report.json` by the rule
     of `golden/pipeline_report.json`, and every PGD `x_adv`, input-gradient
-    batch and conv2d result it computed has the sha256 in
-    `golden/cnn_arrays.json`, so a change to a conv or pool kernel that
+    batch, conv2d, maxpool2 and unpool2 result it computed has the sha256
+    in `golden/cnn_arrays.json`, so a change to a conv or pool kernel that
     moves no written number still shows."""
     config, seen = cnn_pipeline
     assert csv_faults(config.out, config.seed, config.digest) == []
