@@ -176,12 +176,31 @@ def _even(x: np.ndarray) -> None:
 
 
 def pool_mask(x: np.ndarray) -> np.ndarray:
-    """One-hot argmax mask over each 2x2 window, first max wins on ties."""
+    """One-hot argmax mask over each 2x2 window, first max wins on ties:
+    [4, n, c, h/2, w/2], one contiguous plane per corner, row-major.
+
+    The corners are first copied into the mask's planes, so the comparisons
+    read contiguous memory; then each plane becomes its corner's flag.
+    Corner 0 wins where it is >= the other three, corner 1 where 0 does not
+    and it is >= 2 and 3, corner 2 where neither does and it is >= 3,
+    corner 3 elsewhere. That is argmax's choice on every window without NaN,
+    ties, +-inf and signed zeros included. A NaN fails every comparison
+    where argmax takes the window's first NaN, so input holding one goes
+    through argmax.
+    """
     _even(x)
-    win = np.stack(_corners(x), axis=-1)
-    mask = np.zeros_like(win)
-    np.put_along_axis(mask, np.argmax(win, axis=-1)[..., None], 1.0, axis=-1)
-    return mask  # [n, c, h/2, w/2, 4]
+    mask = np.array(_corners(x))  # a list, so C order whatever the views' strides
+    if np.isnan(np.max(mask, initial=-np.inf)):
+        first = np.argmax(mask, axis=0)
+        for t in range(4):
+            mask[t] = first == t
+        return mask
+    c0, c1, c2, c3 = mask
+    a = (c0 >= c1) & (c0 >= c2) & (c0 >= c3)
+    b = ~a & (c1 >= c2) & (c1 >= c3)
+    c = ~(a | b) & (c2 >= c3)
+    mask[0], mask[1], mask[2], mask[3] = a, b, c, ~(a | b | c)
+    return mask
 
 
 def maxpool2(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -189,24 +208,24 @@ def maxpool2(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     own `pool_mask`, the adjoint of unpool2 with another's.
 
     The sum starts from zeros and adds the corners in row-major order, as
-    `np.sum` over the window axis does, so a window of -0.0 gives +0.0.
+    `np.sum` over a window does, so a window of -0.0 gives +0.0.
     """
     n, c, h, w = x.shape
     _even(x)
-    if mask.shape != (n, c, h // 2, w // 2, 4):
+    if mask.shape != (4, n, c, h // 2, w // 2):
         raise GraphError(f"maxpool2 mask shape {mask.shape} does not fit input {x.shape}")
-    out = np.zeros(mask.shape[:-1])
-    for t, corner in enumerate(_corners(x)):
-        out += corner * mask[..., t]
+    out = np.zeros(mask.shape[1:])
+    for corner, m in zip(_corners(x), mask):
+        out += corner * m
     return out
 
 
 def unpool2(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Scatter pooled gradients back through the recorded argmax mask."""
-    if mask.shape != (*g.shape, 4):
+    if mask.shape != (4, *g.shape):
         raise GraphError(f"unpool2 mask shape {mask.shape} does not fit input {g.shape}")
-    n, c, hh, ww, _ = mask.shape
+    _, n, c, hh, ww = mask.shape
     out = np.empty((n, c, 2 * hh, 2 * ww))
-    for t, corner in enumerate(_corners(out)):
-        np.multiply(g, mask[..., t], out=corner)
+    for corner, m in zip(_corners(out), mask):
+        np.multiply(g, m, out=corner)
     return out

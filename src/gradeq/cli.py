@@ -7,7 +7,8 @@ command deletes the tables, curves and plots the previous `bundle.json`
 listed, as written or as stale, and it did not write. Exit codes:
 0 success, 2 config problem, 3 a stage failed partway (partial outputs
 and the failing stage id are left in the output directory) or a write to
-the output directory outside a stage failed (one stderr line names the path).
+the output directory outside a stage failed (one stderr line names the path;
+after a failed stage it follows the stage's own line).
 """
 
 import argparse
@@ -48,6 +49,8 @@ def main(argv=None) -> int:
         bundle = run(config, _COMMAND_STAGES[args.command])
     except StageError as e:
         print(f"error: {e}", file=sys.stderr)
+        for w in e.unwritten:
+            print(f"error: cannot write {w.filename}: {w.strerror}", file=sys.stderr)
         return 3
     except OSError as e:  # the output directory, outside every stage
         print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)

@@ -52,10 +52,15 @@ class ConfigError(ValueError):
 
 
 class StageError(RuntimeError):
-    def __init__(self, stage: str, cause: BaseException):
+    """A stage failed; `unwritten` holds the OSErrors of the `bundle.json`
+    and `log.txt` writes that failed after it, so neither hides the other."""
+
+    def __init__(self, stage: str, cause: BaseException,
+                 unwritten: tuple[OSError, ...] = ()):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+        self.unwritten = unwritten
 
 
 # --------------------------------------------------------------------------
@@ -635,7 +640,10 @@ def run(config: ExperimentConfig, stages=STAGES) -> ReportBundle:
     and a StageError carrying the same id is raised. A successful run
     deletes the untagged outputs the previous manifest listed and it did
     not write; a failed run lists them as `stale` instead, so they stay due.
-    A file no manifest listed is never touched."""
+    A file no manifest listed is never touched. `bundle.json` and `log.txt`
+    are each attempted whatever became of the other; after a failed stage
+    the StageError carries a failed write's OSError, else the first is
+    raised."""
     for s in stages:
         if s not in STAGES:
             raise ConfigError(f"unknown stage {s!r}")
@@ -668,10 +676,16 @@ def run(config: ExperimentConfig, stages=STAGES) -> ReportBundle:
                 "stages": list(ordered)}
     if failed is not None:
         manifest["stale"] = stale  # for the next successful run to delete
-    atomic_write(config.out / "bundle.json",
-                 (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
-    # timestamps live here and only here; bundle.json stays byte-stable
-    atomic_write(config.out / "log.txt", ("\n".join(state.log_lines) + "\n").encode())
+    unwritten = []
+    # timestamps live in log.txt and only there; bundle.json stays byte-stable
+    for name, body in (("bundle.json", json.dumps(manifest, indent=2, sort_keys=True)),
+                       ("log.txt", "\n".join(state.log_lines))):
+        try:
+            atomic_write(config.out / name, (body + "\n").encode())
+        except OSError as e:  # each write is tried; the first failure is raised
+            unwritten.append(e)
     if failed is not None:
-        raise StageError(failed, error)
+        raise StageError(failed, error, tuple(unwritten))
+    if unwritten:
+        raise unwritten[0]
     return ReportBundle(digest=config.digest, seed=config.seed, out=config.out, files=files)

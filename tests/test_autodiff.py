@@ -544,6 +544,15 @@ class TestKernelOracles:
             _same(kernels.conv2d(y, k2, pad), einsum_conv2d(y, k2, pad))
 
     @staticmethod
+    def _every_window(values):
+        """Each 4-tuple of `values` as one 2x2 window, row-major, of a
+        [2, 2, 2s, 2s] input (len(values) ** 4 == 4 * s * s windows)."""
+        windows = np.array(list(itertools.product(values, repeat=4)))
+        s = int(np.sqrt(len(windows) // 4))
+        win = windows.reshape(2, 2, s, s, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        return np.ascontiguousarray(win.reshape(2, 2, 2 * s, 2 * s))
+
+    @staticmethod
     def _pool_inputs():
         rng = np.random.default_rng(63)
         shape = (2, 3, 4, 6)
@@ -554,22 +563,30 @@ class TestKernelOracles:
             "all-negative-zero": np.full(shape, -0.0),
             "inf": rng.choice([-np.inf, np.inf, 0.0, -0.0, 1.0], size=shape),
             "nan": rng.choice([np.nan, -np.nan, np.inf, -np.inf, -0.0, 1.0], size=shape),
+            "every-window": TestKernelOracles._every_window(
+                [-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]),
+            "every-window-nan": TestKernelOracles._every_window(
+                [np.nan, -np.inf, -0.0, 0.0, 1.0, np.inf]),
         }
 
-    @pytest.mark.parametrize("case", ["normal", "ties", "signed-zeros",
-                                      "all-negative-zero", "inf", "nan"])
+    @pytest.mark.parametrize("case", ["normal", "ties", "signed-zeros", "all-negative-zero",
+                                      "inf", "nan", "every-window", "every-window-nan"])
     def test_pool_kernels_are_the_window_array(self, case):
+        """The oracles keep the [..., 4] window layout; the kernels' mask is
+        corner first, one C-contiguous plane per corner."""
         rng = np.random.default_rng(64)
         x = self._pool_inputs()[case]
         mask = kernels.pool_mask(x)
-        _same(mask, window_pool_mask(x))
-        g = rng.choice([0.0, -0.0, 1.5, -2.0, -3.0], size=mask.shape[:-1])
+        _same(mask, np.ascontiguousarray(np.moveaxis(window_pool_mask(x), -1, 0)))
+        assert all(plane.flags.c_contiguous for plane in mask)
+        windows = np.moveaxis(mask, 0, -1)
+        g = rng.choice([0.0, -0.0, 1.5, -2.0, -3.0], size=mask.shape[1:])
         up = kernels.unpool2(g, mask)
-        _same(up, window_unpool2(g, mask))
-        _same(kernels.maxpool2(up, mask), window_maxpool2(up, mask))
+        _same(up, window_unpool2(g, windows))
+        _same(kernels.maxpool2(up, mask), window_maxpool2(up, windows))
         with np.errstate(invalid="ignore"):  # inf * 0 in the masked product
-            got, want = kernels.maxpool2(x, mask), window_maxpool2(x, mask)
-        if case != "nan":
+            got, want = kernels.maxpool2(x, mask), window_maxpool2(x, windows)
+        if "nan" not in case:
             _same(got, want)
         else:
             # which NaN a sum of two NaNs keeps, and so its sign bit, is left
@@ -586,7 +603,7 @@ class TestKernelOracles:
     @pytest.mark.parametrize("op", ["pool_mask", "maxpool2"])
     def test_pool_refuses_odd_spatial_dims(self, op):
         x = np.ones((1, 1, 4, 3))
-        args = (x,) if op == "pool_mask" else (x, np.ones((1, 1, 2, 1, 4)))
+        args = (x,) if op == "pool_mask" else (x, np.ones((4, 1, 1, 2, 1)))
         with pytest.raises(ag.GraphError, match="even spatial dims"):
             getattr(kernels, op)(*args)
 
@@ -594,8 +611,8 @@ class TestKernelOracles:
 class TestKernelWorkspace:
     """conv2d keeps no state: each tile of images gets its own im2col
     buffer, no result shares memory with another, and a call over many
-    tiles peaks far below its whole im2col. The pool kernels allocate only
-    their outputs."""
+    tiles peaks far below its whole im2col. The pool kernels allocate
+    little beyond their outputs."""
 
     def test_kernels_hold_no_module_level_array(self):
         assert [name for name, v in vars(kernels).items() if isinstance(v, np.ndarray)] == []
@@ -635,6 +652,16 @@ class TestKernelWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes
+
+    def test_pool_mask_peak_is_near_its_output(self):
+        x = np.random.default_rng(68).normal(size=(4, 8, 16, 16))
+        tracemalloc.start()
+        try:
+            mask = kernels.pool_mask(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * mask.nbytes
 
 
 class TestOneDispatch:

@@ -1117,6 +1117,36 @@ def test_cli_failed_write_after_the_stages_exit_3(tmp_path, capsys, monkeypatch,
     assert cli.main(["report", "--config", str(p)]) == 0
     bundle = (tmp_path / "out" / "bundle.json").read_bytes()
     capsys.readouterr()
+    _fill_disk_for(monkeypatch, name)
+    assert cli.main(["report", "--config", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: cannot write {tmp_path / 'out' / name}: "
+                            f"{os.strerror(errno.ENOSPC)}\n")
+    assert captured.out == ""
+    assert (tmp_path / "out" / "bundle.json").read_bytes() == bundle
+    assert not list((tmp_path / "out").rglob("*.tmp"))
+
+
+def test_cli_failed_bundle_write_after_a_failed_stage_keeps_both_errors(
+        tmp_path, capsys, monkeypatch):
+    """A full disk on `bundle.json` after a failed stage hides neither
+    error: stderr holds the stage's line, then the write's, the exit code
+    stays 3, and log.txt is still written."""
+    cfg = {"out": str(tmp_path / "out"),
+           "dataset": {"kind": "cifar", "path": str(tmp_path / "gone")}}
+    p = write_config(tmp_path / "c.json", cfg)
+    _fill_disk_for(monkeypatch, "bundle.json")
+    assert cli.main(["evaluate", "--config", str(p)]) == 3
+    stage_line, write_line = capsys.readouterr().err.splitlines()
+    assert stage_line.startswith("error: stage 'data' failed: ")
+    assert write_line == (f"error: cannot write {tmp_path / 'out' / 'bundle.json'}: "
+                          f"{os.strerror(errno.ENOSPC)}")
+    assert "data: FAILED" in (tmp_path / "out" / "log.txt").read_text()
+    assert not (tmp_path / "out" / "bundle.json").exists()
+
+
+def _fill_disk_for(monkeypatch, name):
+    """Make `harness.atomic_write` raise ENOSPC for the file called `name`."""
     real = harness.atomic_write
 
     def full_disk(path, *chunks):
@@ -1125,13 +1155,6 @@ def test_cli_failed_write_after_the_stages_exit_3(tmp_path, capsys, monkeypatch,
         real(path, *chunks)
 
     monkeypatch.setattr(harness, "atomic_write", full_disk)
-    assert cli.main(["report", "--config", str(p)]) == 3
-    captured = capsys.readouterr()
-    assert captured.err == (f"error: cannot write {tmp_path / 'out' / name}: "
-                            f"{os.strerror(errno.ENOSPC)}\n")
-    assert captured.out == ""
-    assert (tmp_path / "out" / "bundle.json").read_bytes() == bundle
-    assert not list((tmp_path / "out").rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**32), "1" + "0" * 300],
