@@ -14,7 +14,11 @@ wider image), so the module keeps no state. Splitting the columns leaves
 each output element's reduction as one GEMM computes it, and `np.einsum(...,
 optimize=True)` makes that GEMM where no axis is 1: the tests keep it as the
 oracle. The 2x2 pool kernels read each window's four corners as strided
-views of the input, row-major, and allocate only their outputs.
+views of the input, row-major. Their mask is corner first, [4, n, c, h/2,
+w/2]: `pool_mask` copies the corners into its planes and builds the one-hot
+from comparisons there (argmax only for input holding NaN), and `maxpool2`
+and `unpool2` read one contiguous plane per corner. It stays float64, since
+numpy would cast a boolean mask on every multiply.
 """
 
 from __future__ import annotations
@@ -186,7 +190,8 @@ def pool_mask(x: np.ndarray) -> np.ndarray:
     corner 3 elsewhere. That is argmax's choice on every window without NaN,
     ties, +-inf and signed zeros included. A NaN fails every comparison
     where argmax takes the window's first NaN, so input holding one goes
-    through argmax.
+    through argmax. Only a raw forward (`model.logits`) can hand it one: a
+    tape checks the pool's input finite before it gets here.
     """
     _even(x)
     mask = np.array(_corners(x))  # a list, so C order whatever the views' strides

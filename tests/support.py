@@ -140,7 +140,9 @@ def window_array(x: np.ndarray) -> np.ndarray:
 
 
 def window_pool_mask(x: np.ndarray) -> np.ndarray:
-    """One-hot argmax over each row of `window_array(x)`: the oracle of `kernels.pool_mask`."""
+    """One-hot argmax over each row of `window_array(x)`: the oracle of
+    `kernels.pool_mask`, whose corner-first mask is this one with its last
+    axis moved first. The pool oracles keep the [..., 4] window layout."""
     flat = window_array(x)
     mask = np.zeros_like(flat)
     np.put_along_axis(mask, np.argmax(flat, axis=-1)[..., None], 1.0, axis=-1)
