@@ -158,18 +158,8 @@ def pgd(model: Model, x: np.ndarray, y: np.ndarray, eps: float = PGD_EPS,
     aborted = np.zeros(len(x), dtype=bool)
     for _ in range(iters):
         g = _live_rows(tape, np.flatnonzero(~aborted), aborted, cur.shape)
-        # cur = clip(x + clip(cur + step*sign(g) - x, -eps, eps), 0, 1), in
-        # place: cur is this call's own array, never x, and g may be a value
-        # the plan keeps, so neither is written. The step's temporary is
-        # freed before the next backward pass, which would otherwise hold it.
-        t = np.sign(g)
-        t *= step
-        cur += t
-        del t
-        cur -= x
-        np.clip(cur, -eps, eps, out=cur)
-        cur += x
-        np.clip(cur, 0.0, 1.0, out=cur)
+        # one expression: numpy reuses its large temporaries in place
+        cur = np.clip(x + np.clip(cur + step * np.sign(g) - x, -eps, eps), 0.0, 1.0)
     return PgdResult(cur, aborted)
 
 
@@ -177,23 +167,23 @@ def pgd(model: Model, x: np.ndarray, y: np.ndarray, eps: float = PGD_EPS,
 # Inductive noise attacks
 
 
-def ina1(x: np.ndarray, mask: Mask, rng: np.random.Generator) -> np.ndarray:
-    """Additive standard-normal noise on masked pixels, clipped to [0,1]."""
+def _masked_noise(x: np.ndarray, mask: Mask, rng: np.random.Generator, additive: bool) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     out = x.copy()
     ys, xs = np.nonzero(mask.m)
     noise = rng.normal(size=(x.shape[0], len(ys)))  # one draw per channel
-    out[:, ys, xs] = np.clip(out[:, ys, xs] + noise, 0.0, 1.0)
+    out[:, ys, xs] = np.clip(out[:, ys, xs] + noise if additive else noise, 0.0, 1.0)
     return out
+
+
+def ina1(x: np.ndarray, mask: Mask, rng: np.random.Generator) -> np.ndarray:
+    """Additive standard-normal noise on masked pixels, clipped to [0,1]."""
+    return _masked_noise(x, mask, rng, additive=True)
 
 
 def ina2(x: np.ndarray, mask: Mask, rng: np.random.Generator) -> np.ndarray:
     """Masked pixels replaced by clipped standard-normal draws."""
-    x = np.asarray(x, dtype=np.float64)
-    out = x.copy()
-    ys, xs = np.nonzero(mask.m)
-    out[:, ys, xs] = np.clip(rng.normal(size=(x.shape[0], len(ys))), 0.0, 1.0)
-    return out
+    return _masked_noise(x, mask, rng, additive=False)
 
 
 def rn(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -249,12 +249,12 @@ for _op in _OPS:
 del _op
 
 
-def _live(nodes: list[_Node], last: int, targets: set[int]) -> list[bool]:
+def _live(nodes: list[_Node], last: int, targets: set[int], cuts: tuple[str, ...]) -> list[bool]:
     """Per node up to `last`, whether it lies on a path to a target: it is a
-    target or one of its arguments is live, and it is not a cut."""
+    target or one of its arguments is live, and its op is not in `cuts`."""
     live = []
     for i, node in enumerate(nodes[:last + 1]):
-        live.append(node.op not in _CUTS
+        live.append(node.op not in cuts
                     and (i in targets or any(live[j] for j in node.args)))
     return live
 
@@ -264,7 +264,7 @@ def reaches(out: Var, w: Var) -> bool:
     `grad(out, [..., w, ...])` gives `w` an adjoint rather than zeros."""
     if w.graph is not out.graph:
         raise GraphError("grad target lives on a different graph")
-    return _live(out.graph.nodes, out.idx, {w.idx})[out.idx]
+    return _live(out.graph.nodes, out.idx, {w.idx}, _CUTS)[out.idx]
 
 
 def grad(out: Var, wrts: Sequence[Var], *, create_graph: bool = False) -> list:
@@ -287,7 +287,7 @@ def grad(out: Var, wrts: Sequence[Var], *, create_graph: bool = False) -> list:
             raise GraphError("grad target lives on a different graph")
     ns = graph if create_graph else kernels
     targets = {w.idx for w in wrts}
-    live = _live(nodes, out.idx, targets)
+    live = _live(nodes, out.idx, targets, _CUTS)
     adj: dict[int, Any] = {out.idx: ns.const(np.ones_like(nodes[out.idx].value))}
     for i in range(out.idx, -1, -1):
         if i not in adj:
@@ -317,24 +317,22 @@ class Plan:
     """A recorded tape, replayed on a new value of the leaf `leaf`.
 
     `run` recomputes, in tape order and with `kernels.<op>`, only the nodes
-    downstream of the leaf, checking each finite as the Graph does, and
-    frees each recomputed value after its last reader. Every other value a
-    recomputed node reads was computed once, when the tape was built, and
-    is kept. Since no payload and no `const` depends on a value, a replay
-    gives bit for bit what a tape built on the new leaf value would hold;
-    `run` returns the value of node `out`.
+    downstream of the leaf: those `_live` finds from it with no cuts, since
+    a replay recomputes cut ops too. It checks each finite as the Graph
+    does, and frees each recomputed value after its last reader. Every
+    other value a recomputed node reads was computed once, when the tape
+    was built, and is kept. Since no payload and no `const` depends on a
+    value, a replay gives bit for bit what a tape built on the new leaf
+    value would hold; `run` returns the value of node `out`.
     """
 
     def __init__(self, leaf: Var, out: Var):
         nodes = leaf.graph.nodes
-        down = {leaf.idx}
-        for i in range(leaf.idx + 1, len(nodes)):
-            if any(j in down for j in nodes[i].args):
-                down.add(i)
-        order = sorted(down - {leaf.idx})
+        down = _live(nodes, len(nodes) - 1, {leaf.idx}, ())
+        order = [i for i in range(leaf.idx + 1, len(nodes)) if down[i]]
         last = {j: i for i in order for j in nodes[i].args}  # each value's last reader
         self.leaf, self.out = leaf.idx, out.idx
-        self.kept = {j: nodes[j].value for j in (*last, out.idx) if j not in down}
+        self.kept = {j: nodes[j].value for j in (*last, out.idx) if not down[j]}
         self.steps = [(i, nodes[i].op, getattr(kernels, nodes[i].op), nodes[i].args,
                        nodes[i].meta, {j for j in nodes[i].args if last[j] == i} - {out.idx})
                       for i in order]

@@ -320,18 +320,17 @@ class IntegrityError(ValueError):
     """Checkpoint bytes do not match their recorded digest or framing."""
 
 
-def atomic_write(path, *chunks: bytes) -> None:
-    """Write `chunks` to a temp file in the same directory, then `os.replace`
+def atomic_write(path, data: bytes) -> None:
+    """Write `data` to a temp file in the same directory, then `os.replace`
     it: a run cut off midway leaves the old file or the new one, never a torn
-    one. Chunks are written in turn, so a payload is never copied to join it.
-    A killed writer leaves its temp file behind; `remove_orphan_temps`
+    one. A killed writer leaves its temp file behind; `remove_orphan_temps`
     deletes it. A failed write raises an OSError that names `path`, not
     the temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.writelines(chunks)
+            f.write(data)
         os.replace(tmp, path)
     except OSError as e:
         raise OSError(e.errno, e.strerror, str(path)) from e
@@ -377,7 +376,7 @@ def save_checkpoint(path, model: Model, extra: dict | None = None) -> None:
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    atomic_write(path, _MAGIC, struct.pack("<IQ", _VERSION, len(blob)), blob, payload)
+    atomic_write(path, _MAGIC + struct.pack("<IQ", _VERSION, len(blob)) + blob + payload)
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:

@@ -116,17 +116,12 @@ def monte_carlo_deviation(model, mask, spec: NoiseSpec, samples: int,
     done = 0
     while done < samples:
         c = min(chunk, samples - done)
-        if spec.kind == "additive":
-            dev = rng.normal(spec.mu_delta, spec.sigma_delta, (c, k)) @ wm
-        elif spec.kind == "mult_additive":
-            x = rng.normal(spec.mu_x, spec.sigma_x, (c, k))
-            dev = (rng.normal(spec.mu_delta, spec.sigma_delta, (c, k)) - x) @ wm
-        else:
-            x = rng.normal(spec.mu_x, spec.sigma_x, (c, k))
-            dev = (spec.mu_delta - x) @ wm
-        sq[done:done + c] = dev ** 2
+        x = 0.0 if spec.kind == "additive" else rng.normal(spec.mu_x, spec.sigma_x, (c, k))
+        delta = (spec.mu_delta if spec.kind == "occlusion"
+                 else rng.normal(spec.mu_delta, spec.sigma_delta, (c, k)))
+        sq[done:done + c] = ((delta - x) @ wm) ** 2
         done += c
-    return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(samples))
+    return _mean_stderr(sq)
 
 
 @dataclass(frozen=True)

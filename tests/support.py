@@ -6,12 +6,14 @@ iteration (the oracle of `attacks.pgd`), conv2d as one `einsum` and the
 2x2 pool through a copied window array (the oracles of `kernels.conv2d`,
 `pool_mask`, `maxpool2` and `unpool2`), the writer of attribution-map
 fixture files, the check that every CSV a run wrote parses, the recorder
-of the arrays a run computes but does not write, and the summary of a
-`report` run that the golden files hold, with its comparison."""
+of the arrays a run computes but does not write, the fault injector at
+the N-th `os.replace` of a run, and the summary of a `report` run that
+the golden files hold, with its comparison."""
 
 import csv
 import hashlib
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -238,6 +240,32 @@ def recorded_arrays():
     finally:
         for m, name in patched:
             setattr(m, name, originals[name])
+
+
+@contextmanager
+def faulty_replace(out, n: int = 0, when: str = "before", fault=None):
+    """While open, `os.replace` lists, in call order, the path relative to
+    `out` of each file it moves into the directory `out`, and yields that
+    list. At the n-th (from 1) it calls `fault()` just "before" or just
+    "after" the move; a fault that raises stops the move. The temp file
+    exists when the fault fires."""
+    real, moved, root = os.replace, [], os.path.join(os.path.abspath(out), "")
+
+    def replace(src, dst, *args, **kwargs):
+        if not os.path.abspath(dst).startswith(root):
+            return real(src, dst, *args, **kwargs)
+        moved.append(os.path.relpath(dst, root))
+        if len(moved) == n and when == "before":
+            fault()
+        real(src, dst, *args, **kwargs)
+        if len(moved) == n and when == "after":
+            fault()
+
+    os.replace = replace
+    try:
+        yield moved
+    finally:
+        os.replace = real
 
 
 def _sha256(a: np.ndarray) -> str:

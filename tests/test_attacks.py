@@ -542,6 +542,34 @@ def test_attack_spec_validation():
             AttackSpec(kind="ioa", **bad)
 
 
+_IMG = np.full((1, 1, 4, 4), 0.5)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: pgd(small_mlp(in_shape=(1, 4, 4)), _IMG, [0], eps=-1.0),
+                 "eps, step, iters must be nonnegative", id="pgd-eps"),
+    pytest.param(lambda: pgd(small_mlp(in_shape=(1, 4, 4)), _IMG, [0], step=-1.0),
+                 "eps, step, iters must be nonnegative", id="pgd-step"),
+    pytest.param(lambda: pgd(small_mlp(in_shape=(1, 4, 4)), _IMG, [0], iters=-1),
+                 "eps, step, iters must be nonnegative", id="pgd-iters"),
+    pytest.param(lambda: pgd(small_mlp(in_shape=(1, 4, 4)), _IMG, [0]),
+                 "random_start needs an rng", id="pgd-no-rng"),
+    pytest.param(lambda: rn(_IMG[0], 17, seed_stream(0, "rn")),
+                 r"k must be in \[0, 16\], got 17", id="rn-k"),
+    pytest.param(lambda: ioa(small_mlp(in_shape=(1, 4, 4)), _IMG, [0], 0, 1, 0.0),
+                 "need n_max >= 1 and r_max >= 1", id="ioa-n"),
+    pytest.param(lambda: ioa(small_mlp(in_shape=(1, 4, 4)), _IMG, [0], 1, 0, 0.0),
+                 "need n_max >= 1 and r_max >= 1", id="ioa-r"),
+    pytest.param(lambda: ioa(small_mlp(in_shape=(1, 4, 4)), _IMG, [0], 1, 1, 1.5),
+                 r"color must be in \[0,1\], got 1.5", id="ioa-color"),
+    pytest.param(lambda: error_rate([], AttackSpec(kind="rn", k=0), _IMG, [0], seed=0),
+                 "need at least one model", id="error-rate-no-model"),
+])
+def test_attacks_refuse_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_attack_spec_parse():
     assert AttackSpec.parse({"kind": "ina2", "k": 3, "method": "smoothgrad"}) == \
         AttackSpec(kind="ina2", k=3, method="smoothgrad")

@@ -129,6 +129,17 @@ class TestProperties:
         with pytest.raises(ValueError):
             at.integrated_gradients(model, np.zeros((1, 4)), np.array([0]), steps=4)
 
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(lambda m: at.integrated_gradients(m, np.zeros((1, 4)), np.array([0]),
+                                                       baseline=np.zeros((2, 4))),
+                     r"baseline shape \(2, 4\) does not match \(1, 4\)", id="ig-baseline"),
+        pytest.param(lambda m: at.smoothgrad(m, np.zeros((1, 4)), np.array([0]), samples=0),
+                     "need at least one sample, got 0", id="smoothgrad-samples"),
+    ])
+    def test_refuses_bad_arguments(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(md.MLP((4,), [3], 2, seed=0))
+
     def test_smoothgrad_zero_sigma_equals_saliency(self):
         model = md.CNN((1, 8, 8), [2, 3], 3, seed=13)
         x = np.random.default_rng(14).uniform(0, 1, size=(2, 1, 8, 8))

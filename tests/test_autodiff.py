@@ -162,6 +162,8 @@ class TestFirstOrder:
         )
         np.testing.assert_allclose(cos.value[:, 0], want, rtol=1e-12)
         assert not degen.any()
+        with pytest.raises(ValueError, match=r"reference shape \(5, 6\) does not match \(5, 7\)"):
+            ag.cosine_rows(u, ref[:, :6])
 
     def test_cosine_rows_gradient(self):
         rng = np.random.default_rng(22)
@@ -346,23 +348,33 @@ class TestGuards:
         with pytest.raises(ag.GraphError):
             g.conv2d(x, k, 3)
 
-    @pytest.mark.parametrize("op,arrays,payload", [
-        ("add", (np.ones((3, 4)), np.ones((1, 4))), ()),
-        ("mul", (np.ones((3, 4)), np.ones((3, 1))), ()),
-        ("matmul", (np.ones(3), np.ones((3, 2))), ()),
-        ("matmul", (np.ones((2, 3)), np.ones((4, 2))), ()),
-        ("conv2d", (np.ones((1, 1, 4, 4)), np.ones((1, 1, 3, 3))), (3,)),
-        ("conv2d", (np.ones((1, 1, 4, 4)), np.ones((1, 1, 2, 3))), (1,)),
+    @pytest.mark.parametrize("op,arrays,payload,match", [
+        ("add", (np.ones((3, 4)), np.ones((1, 4))), (), "add shape mismatch"),
+        ("mul", (np.ones((3, 4)), np.ones((3, 1))), (), "mul shape mismatch"),
+        ("matmul", (np.ones(3), np.ones((3, 2))), (), "matmul needs 2-d operands"),
+        ("matmul", (np.ones((2, 3)), np.ones((4, 2))), (), "matmul needs 2-d operands"),
+        ("conv2d", (np.ones((1, 1, 4, 4)), np.ones((1, 1, 3, 3))), (3,),
+         r"conv2d pad must lie in \[0, 2\], got 3"),
+        ("conv2d", (np.ones((1, 1, 4, 4)), np.ones((1, 1, 2, 3))), (1,),
+         "conv2d kernels must be square, got 2x3"),
+        ("conv2d", (np.ones((1, 1, 2, 2)), np.ones((1, 1, 3, 3))), (0,),
+         "conv2d kernel larger than padded input"),
+        ("rowmax", (np.ones(3),), (), r"rowmax needs a 2-d array, got shape \(3,\)"),
+        ("broadcast", (np.ones((2, 1)),), ((2, 2, 2),),
+         r"broadcast rank mismatch: \(2, 1\) -> \(2, 2, 2\)"),
+        ("broadcast", (np.ones((2, 3)),), ((2, 2),),
+         r"broadcast shape mismatch: \(2, 3\) -> \(2, 2\)"),
     ], ids=["add-shape", "mul-shape", "matmul-1d", "matmul-inner", "conv2d-pad3",
-            "conv2d-2x3"])
-    def test_bad_arguments_raise_on_both_routes(self, op, arrays, payload):
+            "conv2d-2x3", "conv2d-larger", "rowmax-1d", "broadcast-rank",
+            "broadcast-shape"])
+    def test_bad_arguments_raise_on_both_routes(self, op, arrays, payload, match):
         """The kernel is the one place an op checks its arguments, so the raw
         route refuses what the tape refuses, where numpy would broadcast or
         compute silently."""
-        with pytest.raises(ag.GraphError):
+        with pytest.raises(ag.GraphError, match=match):
             getattr(kernels, op)(*arrays, *payload)
         g = ag.Graph()
-        with pytest.raises(ag.GraphError):
+        with pytest.raises(ag.GraphError, match=match):
             getattr(g, op)(*(g.const(a) for a in arrays), *payload)
 
     def test_const_blocks_gradient(self):

@@ -130,6 +130,12 @@ class TestCutout:
         out = dt.cutout(batch, 0, 0.5, seed_stream(0, "cutout"))
         assert np.array_equal(out.pixels, batch.pixels)
 
+    @pytest.mark.parametrize("hole", [-1, 17])
+    def test_hole_out_of_range_raises(self, hole):
+        batch = dt.synth_blobs(2, resolution=16, seed=1)
+        with pytest.raises(ValueError, match=rf"hole_size must be in \[0, 16\], got {hole}"):
+            dt.cutout(batch, hole, 0.5, seed_stream(0, "cutout"))
+
     def test_corner_hole_is_clipped(self):
         # Force a corner center; the painted area must be under hole^2.
         batch = dt.synth_blobs(1, resolution=16, seed=3, noise=0.3)
@@ -174,6 +180,12 @@ class TestBatchOps:
         # an empty training half has no mean: the split refuses it up front
         batch = dt.synth_blobs(n, resolution=8, classes=2, seed=3)
         with pytest.raises(ValueError, match=f"batch of {n} .* {fraction}"):
+            dt.train_val_split(batch, fraction, seed=0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_split_fraction_outside_the_open_interval_raises(self, fraction):
+        batch = dt.synth_blobs(4, resolution=8, classes=2, seed=3)
+        with pytest.raises(ValueError, match=rf"val_fraction must be in \(0,1\), got {fraction}"):
             dt.train_val_split(batch, fraction, seed=0)
 
     def test_subset_keeps_stats(self):

@@ -21,11 +21,12 @@ from gradeq.harness import (SEVERITY, ConfigError, StageError, confidence_stats,
                             config_digest, csv_text, load_config, run,
                             svg_line_chart)
 from gradeq.inequality import gini_exact
-from gradeq.models import LinearScore, atomic_write, check_value, load_checkpoint
+from gradeq.models import (LinearScore, atomic_write, check_value, load_checkpoint,
+                           remove_orphan_temps)
 from gradeq.seeding import seed_stream
 from gradeq.training import mean_saliency_gini
-from support import (csv_faults, read_csv, recorded_arrays, report_summary,
-                     summary_mismatches, write_attribution)
+from support import (csv_faults, faulty_replace, read_csv, recorded_arrays,
+                     report_summary, summary_mismatches, write_attribution)
 
 GOLDEN = Path(__file__).with_name("golden") / "pipeline_report.json"
 CNN_GOLDEN = GOLDEN.with_name("cnn_report.json")
@@ -509,11 +510,15 @@ def test_k_above_cifar_pixels_rejected_at_load(tmp_path):
         load_config(write_config(tmp_path / "c.json", cfg))
 
 
+def readme_config() -> dict:
+    """The quick-start config in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(re.search(r"cat > exp.json <<'EOF'\n(.*?)\nEOF\n", readme, re.S).group(1))
+
+
 def test_readme_quick_start_loads(tmp_path):
     """The quick-start config in README.md is one this version accepts."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    text = re.search(r"cat > exp.json <<'EOF'\n(.*?)\nEOF\n", readme, re.S).group(1)
-    config = load_config(write_config(tmp_path / "exp.json", json.loads(text)))
+    config = load_config(write_config(tmp_path / "exp.json", readme_config()))
     assert [name for name, _ in config.train] == ["std", "pgdat", "igd2"]
     assert [spec.label() for _, spec in config.attacks] == [
         "ina1(k=16)", "ina1(k=64)", f"pgd(eps={8 / 255:.4g})"]
@@ -928,6 +933,32 @@ def test_run_removes_temp_files_of_dead_writers_only(tmp_path):
     assert f"removed checkpoints/{dead.name}" in (config.out / "log.txt").read_text()
 
 
+def test_orphan_cleanup_keeps_the_temp_file_of_another_users_writer(tmp_path, monkeypatch):
+    """A pid that may not be signalled names a running process of another
+    user, so its temp file is being written."""
+    live = tmp_path / f".f.csv.{os.getpid()}.tmp"
+    live.write_bytes(b"being written")
+
+    def kill(pid, sig):
+        raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+    monkeypatch.setattr(os, "kill", kill)
+    assert remove_orphan_temps(tmp_path) == []
+    assert live.read_bytes() == b"being written"
+
+
+@pytest.mark.parametrize("command", ["report", "evaluate"])
+def test_a_run_with_no_trained_models_writes_only_its_manifest_and_log(
+        tmp_path, capsys, command):
+    p = write_config(tmp_path / "c.json", dict(readme_config(), train=[]))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(p), "--out", str(out)]) == 0
+    assert json.loads((out / "bundle.json").read_text())["files"] == []
+    assert sorted(str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()) == [
+        "bundle.json", "log.txt"]
+    capsys.readouterr()
+
+
 def test_igd_student_differs_from_teacher(pipeline):
     _, config, _ = pipeline
     std, _ = load_checkpoint(config.out / "checkpoints" /
@@ -1149,12 +1180,86 @@ def _fill_disk_for(monkeypatch, name):
     """Make `harness.atomic_write` raise ENOSPC for the file called `name`."""
     real = harness.atomic_write
 
-    def full_disk(path, *chunks):
+    def full_disk(path, data):
         if Path(path).name == name:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-        real(path, *chunks)
+        real(path, data)
 
     monkeypatch.setattr(harness, "atomic_write", full_disk)
+
+
+# --------------------------------------------------------------------------
+# a fault at every write of a run, then a rerun
+
+KILLED = 17  # exit status of a child stopped at a write
+
+# A child `report` run that `os._exit`s just before or just after its n-th
+# write into its output directory: argv is config, out, n and "before" or
+# "after".
+_KILL_AT_WRITE = f"""
+import os, sys
+from gradeq import cli
+from support import faulty_replace
+config, out, n, when = sys.argv[1:]
+with faulty_replace(out, int(n), when, lambda: os._exit({KILLED})):
+    cli.main(["report", "--config", config, "--out", out])
+"""
+
+
+@pytest.fixture(scope="module")
+def fault_run(tmp_path_factory):
+    """A clean `report` of a one-epoch config without theory or corrupt
+    sections: its config file, the digests of what it wrote and the files
+    it moved into place, in order."""
+    root = tmp_path_factory.mktemp("faults")
+    cfg = base_config(root / "clean", n=32, epochs=1)
+    del cfg["theory"], cfg["corrupt"]
+    p = write_config(root / "c.json", cfg)
+    with faulty_replace(root / "clean") as moved:
+        assert cli.main(["report", "--config", str(p)]) == 0
+    return p, tree_digests(root / "clean"), moved
+
+
+def assert_rerun_recovers(fault_run, out, n):
+    """A rerun in `out` without a fault exits 0 and writes, log.txt aside,
+    the clean run's bytes and no temp file."""
+    p, clean, _ = fault_run
+    assert cli.main(["report", "--config", str(p), "--out", str(out)]) == 0, n
+    assert not list(out.rglob("*.tmp")), n
+    assert tree_digests(out) == clean, n
+
+
+def test_a_full_disk_at_any_write_exits_3_and_a_rerun_recovers(fault_run, tmp_path, capsys):
+    p, _, moved = fault_run
+    assert len(moved) == 11 and moved[-2:] == ["bundle.json", "log.txt"]
+
+    def full_disk():
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    for n, name in enumerate(moved, 1):
+        out = tmp_path / str(n)
+        with faulty_replace(out, n, "before", full_disk):
+            assert cli.main(["report", "--config", str(p), "--out", str(out)]) == 3, n
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out / name) in err, (n, err)
+        assert os.strerror(errno.ENOSPC) in err, (n, err)
+        assert not list(out.rglob("*.tmp")), n
+        assert_rerun_recovers(fault_run, out, n)
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_a_run_killed_at_any_write_is_recovered_by_a_rerun(fault_run, tmp_path, capsys, when):
+    p, _, moved = fault_run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(harness.__file__).parents[1]), str(Path(__file__).parent)]))
+    for n in range(1, len(moved) + 1):
+        out = tmp_path / str(n)
+        child = subprocess.run([sys.executable, "-c", _KILL_AT_WRITE, str(p), str(out),
+                                str(n), when], env=env, capture_output=True)
+        assert child.returncode == KILLED, (n, child.stderr)
+        assert_rerun_recovers(fault_run, out, n)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**32), "1" + "0" * 300],

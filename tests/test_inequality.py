@@ -61,12 +61,13 @@ class TestGini:
         assert ineq.gini(phi) == pytest.approx(ineq.gini(np.sort(phi)[::-1]), abs=1e-12)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            ineq.gini([])
-        with pytest.raises(ValueError):
-            ineq.gini([1.0, -0.5])
-        with pytest.raises(ValueError):
-            ineq.gini([0.0, 0.0])
+        for gini in (ineq.gini, ineq.gini_exact):
+            with pytest.raises(ValueError, match="gini of an empty collection"):
+                gini([])
+            with pytest.raises(ValueError, match="gini requires nonnegative values"):
+                gini([1.0, -0.5])
+            with pytest.raises(ValueError, match="gini undefined when all values are zero"):
+                gini([0.0, 0.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
@@ -114,6 +115,8 @@ class TestRegional:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             ineq.block_sums(np.ones((2, 2, 2)), 1)
+        with pytest.raises(ValueError, match="region size must be positive, got 0"):
+            ineq.block_sums(np.ones((2, 2)), 0)
 
 
 class TestMeanGini:
@@ -207,6 +210,10 @@ class TestMonotonicReduce:
             ineq.monotonic_reduce([3.0, 1.0], 0, 1, 0.1)
         with pytest.raises(ValueError):
             ineq.monotonic_reduce([1.0, 2.0], 1, 1, 0.1)
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            ineq.monotonic_reduce([-1.0, 2.0], 0, 1, 0.1)
+        with pytest.raises(ValueError, match="delta must be nonnegative"):
+            ineq.monotonic_reduce([1.0, 2.0], 0, 1, -0.1)
 
     def test_sum_sq_identity_per_step(self):
         rng = np.random.default_rng(12)

@@ -141,6 +141,8 @@ class TestForwardRoutes:
     def test_cnn_rejects_odd_dims(self):
         with pytest.raises(ValueError):
             md.CNN((3, 30, 30), [4, 8], 10)
+        with pytest.raises(ValueError, match="expected exactly two conv stages"):
+            md.CNN((1, 8, 8), [4], 2)
 
 
 class TestClassScore:
@@ -220,6 +222,17 @@ class TestLinearize:
             m.params[k] = np.zeros_like(m.params[k])
         lin = md.linearize(m, np.ones(4), 1)
         assert np.all(lin.w == 0.0) and lin.b == 0.0
+
+    def test_non_finite_gradient_refused(self):
+        # the forward stays finite (x = 0 skips the first weight), the
+        # input gradient's product of ten 1e35 weights does not
+        m = md.MLP((1,), [1] * 9, 2, seed=0)
+        for k in m.params:
+            m.params[k][...] = 1e35 if k.startswith("w") else 0.0
+        m.params["b0"][...] = 1e-40
+        with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError, match="non-finite input gradient at linearization point"):
+            md.linearize(m, np.zeros(1), 1)
 
     def test_cnn_taylor_agreement(self):
         rng = np.random.default_rng(5)

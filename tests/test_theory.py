@@ -133,6 +133,12 @@ class TestMonteCarlo:
                     model, m, spec, 20_000, seed_stream(3, "mc", trial, kind))
                 assert abs(mean - pred) <= 3 * err + 1e-12, (kind, trial)
 
+    def test_needs_two_samples(self):
+        model = LinearScore.from_arrays(np.array([1.0, 2.0]), 0.0)
+        with pytest.raises(ValueError, match="need at least two samples for a standard error"):
+            th.monte_carlo_deviation(model, full_mask(2), th.NoiseSpec("additive"), 1,
+                                     seed_stream(1, "mc"))
+
     def test_deterministic(self):
         model = LinearScore.from_arrays(np.array([1.0, -2.0, 0.5]), 0.0)
         spec = th.NoiseSpec("mult_additive", 0.1, 0.4, 0.5, 0.2)
@@ -250,6 +256,9 @@ class TestSweep:
         with pytest.raises(ValueError):
             th.sweep_mask_stats(saliency(model, x, np.ones(1, int)), [9], "random",
                                 seed_stream(17, "s"))
+        with pytest.raises(ValueError, match="random selection needs draws >= 1"):
+            th.sweep_mask_stats(saliency(model, x, np.ones(1, int)), [1], "random",
+                                seed_stream(17, "s"), draws=0)
         with pytest.raises(FloatingPointError, match="non-finite"):
             th.sweep_mask_stats(np.array([[[np.nan, 1.0]]]), [1], "random",
                                 seed_stream(18, "s"))
