@@ -3,12 +3,12 @@ random-pixel noise, synthetic corruptions, and the joint-correct
 error-rate protocol.
 
 Conventions: images are [C, H, W] in [0,1]; batches stack on a leading
-axis. Attribution-guided attacks take a Mask over pixels (all channels
-of a masked pixel are touched). Every stochastic op draws from a caller
-supplied Generator, so identical streams reproduce identical outputs
-bit for bit. Every attack runs on a whole batch; in PGD and IOA a
-sample whose tape or its result goes non-finite is flagged alone
-(`_live_rows`).
+axis. Attribution-guided attacks take a bool [H, W] mask over pixels
+(all channels of a masked pixel are touched). Every stochastic op draws
+from a caller supplied Generator, so identical streams reproduce
+identical outputs bit for bit. Every attack runs on a whole batch; in
+PGD and IOA a sample whose tape or its result goes non-finite is flagged
+alone (`_live_rows`).
 """
 
 from __future__ import annotations
@@ -33,18 +33,6 @@ PGD_ITERS = 10
 COLORS = {"black": 0.0, "gray": 0.5, "white": 1.0}
 
 
-@dataclass(frozen=True)
-class Mask:
-    """Binary pixel selection over an [H, W] grid."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        if self.m.ndim != 2 or self.m.dtype != bool:
-            raise ValueError(f"mask must be a 2-d bool array, got "
-                             f"{self.m.ndim}-d {self.m.dtype}")
-
-
 def topk_flags(values: np.ndarray, k: int) -> np.ndarray:
     """Flat boolean selection of the k largest entries; ties resolved by
     row-major (flattened) index."""
@@ -55,11 +43,6 @@ def topk_flags(values: np.ndarray, k: int) -> np.ndarray:
     order = np.argsort(-flat, kind="stable")  # stable: earlier index wins ties
     m[order[:k]] = True
     return m
-
-
-def build_topk_mask(red: np.ndarray, k: int) -> Mask:
-    """Pixel-grid form of topk_flags for an [H, W] `reduced` attribution map."""
-    return Mask(topk_flags(red, k).reshape(np.shape(red)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +150,24 @@ def pgd(model: Model, x: np.ndarray, y: np.ndarray, eps: float = PGD_EPS,
 # Inductive noise attacks
 
 
-def _masked_noise(x: np.ndarray, mask: Mask, rng: np.random.Generator, additive: bool) -> np.ndarray:
+def _masked_noise(x: np.ndarray, mask: np.ndarray, rng: np.random.Generator,
+                  additive: bool) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
+    if mask.dtype != bool or mask.shape != x.shape[1:]:
+        raise ValueError(f"mask must be bool of shape {x.shape[1:]}, got {mask.dtype} {mask.shape}")
     out = x.copy()
-    ys, xs = np.nonzero(mask.m)
+    ys, xs = np.nonzero(mask)
     noise = rng.normal(size=(x.shape[0], len(ys)))  # one draw per channel
     out[:, ys, xs] = np.clip(out[:, ys, xs] + noise if additive else noise, 0.0, 1.0)
     return out
 
 
-def ina1(x: np.ndarray, mask: Mask, rng: np.random.Generator) -> np.ndarray:
+def ina1(x: np.ndarray, mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Additive standard-normal noise on masked pixels, clipped to [0,1]."""
     return _masked_noise(x, mask, rng, additive=True)
 
 
-def ina2(x: np.ndarray, mask: Mask, rng: np.random.Generator) -> np.ndarray:
+def ina2(x: np.ndarray, mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Masked pixels replaced by clipped standard-normal draws."""
     return _masked_noise(x, mask, rng, additive=False)
 
@@ -195,7 +181,7 @@ def rn(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     flat = rng.choice(h * w, size=k, replace=False)
     m = np.zeros(h * w, dtype=bool)
     m[flat] = True
-    return ina1(x, Mask(m.reshape(h, w)), rng)
+    return ina1(x, m.reshape(h, w), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +373,9 @@ class AttackSpec:
         if self.kind == "pgd":
             return pgd(model, xs, ys, self.eps, self.step, self.iters, rngs).x_adv
         if self.kind in ("ina1", "ina2"):
-            noise = ina1 if self.kind == "ina1" else ina2
             maps = reduced(attribute(model, xs, ys, self.method))
-            outs = [noise(x, build_topk_mask(m, self.k), rng)
-                    for x, m, rng in zip(xs, maps, rngs)]
+            outs = [_masked_noise(x, topk_flags(m, self.k).reshape(m.shape), rng,
+                                  self.kind == "ina1") for x, m, rng in zip(xs, maps, rngs)]
         elif self.kind == "ioa":
             outs = [o.x_adv for o in ioa(model, xs, ys, self.n, self.r, self.color,
                                          self.method)]

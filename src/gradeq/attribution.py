@@ -65,10 +65,12 @@ def smoothgrad(model: Model, x: np.ndarray, y: np.ndarray,
     a map does not depend on which images share its batch."""
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    if not sigma >= 0.0:
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
     if rng is None:
         rng = seed_stream(0, "smoothgrad")
     x = np.asarray(x, dtype=np.float64)
-    if sigma <= 0.0:
+    if sigma == 0.0:
         # degenerate smoothing: bitwise equal to plain saliency
         return input_gradients(model, x, y)
     acc = np.zeros_like(x)

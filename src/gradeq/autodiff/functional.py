@@ -49,9 +49,7 @@ def onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ValueError(f"labels out of range for {num_classes} classes")
-    out = np.zeros((labels.size, num_classes), dtype=np.float64)
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+    return np.eye(num_classes)[labels]
 
 
 def logsumexp_rows(logits: Var) -> Var:

@@ -171,7 +171,7 @@ class MLP(_OneForward):
 
     def _forward(self, ns, x, p):
         act = getattr(ns, self.activation)
-        h = flatten(ns, x) if len(x.shape) > 2 else x
+        h = flatten(ns, x)
         n_layers = len(self.hidden) + 1
         for i in range(n_layers):
             h = affine(ns, h, p[f"w{i}"], p[f"b{i}"])
@@ -258,9 +258,8 @@ class LinearScore(_OneForward):
         return float(self.params["b"][0])
 
     def _forward(self, ns, x, p):
-        flat = flatten(ns, x) if len(x.shape) > 2 else x
         lift = ns.const(np.array([[0.0, 1.0]]))
-        return ns.matmul(affine(ns, flat, p["w"], p["b"]), lift)
+        return ns.matmul(affine(ns, flatten(ns, x), p["w"], p["b"]), lift)
 
 
 Model = MLP | CNN | LinearScore
@@ -413,6 +412,8 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     offset = 0
     for name, arr in model.params.items():
         flat = np.frombuffer(payload, dtype="<f4", count=arr.size, offset=offset)
+        if not np.isfinite(flat).all():
+            raise IntegrityError(f"parameter {name} holds a non-finite value")
         model.params[name] = flat.reshape(arr.shape).astype(np.float32)
         offset += arr.size * 4
     return model, extra

@@ -60,19 +60,16 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class MaskStats:
-    """S1, S2 and the absolute sum over one masked coordinate set."""
+    """S1 and S2 over one masked coordinate set."""
 
     k: int
     sum_sq: float
     sum: float
-    sum_abs: float
 
     def __post_init__(self):
         slack = 1e-9 * max(1.0, self.k * self.sum_sq)
         if self.sum ** 2 > self.k * self.sum_sq + slack:
             raise ValueError("S1^2 exceeds k*S2 (Cauchy-Schwarz)")
-        if self.sum_abs ** 2 < self.sum ** 2 - slack:
-            raise ValueError("sum of |w| is below |S1|")
 
 
 def _flat_mask(mask, size: int) -> np.ndarray:
@@ -86,8 +83,7 @@ def mask_stats(w: np.ndarray, mask) -> MaskStats:
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     sel = w[_flat_mask(mask, w.size)]
     # fsum: correctly rounded, so the result is independent of term order
-    return MaskStats(sel.size, math.fsum((sel * sel).tolist()),
-                     math.fsum(sel.tolist()), math.fsum(np.abs(sel).tolist()))
+    return MaskStats(sel.size, math.fsum((sel * sel).tolist()), math.fsum(sel.tolist()))
 
 
 def predicted_deviation(model, mask, spec: NoiseSpec) -> float:

@@ -1,5 +1,6 @@
 """Helpers several test modules share and the package itself does not need:
-a single-input class score (the finite-difference oracle), the unpruned
+a single-input class score (the finite-difference oracle), a model whose
+class-1 logit log(sum x) goes non-finite at x = 0, the unpruned
 backward sweep (the oracle of `autodiff.grad`), the IGD objective on one
 tape (the oracle of `training.igd_loss`), PGD with a fresh tape every
 iteration (the oracle of `attacks.pgd`), conv2d as one `einsum` and the
@@ -35,6 +36,25 @@ def class_score(model, x: np.ndarray, y: int) -> float:
     if not 0 <= int(y) < model.classes:
         raise ValueError(f"class {y} out of range for {model.classes} classes")
     return float(model.logits(np.asarray(x)[None])[0, int(y)])
+
+
+class LogSumModel:
+    """Class-1 logit log(sum x): non-finite once PGD drives every pixel to 0."""
+
+    classes = 2
+
+    def bind(self, g):
+        return {}
+
+    def graph_logits(self, xv, params):
+        g = xv.graph
+        s = g.log(g.sum_axes(ag.flatten(g, xv), (1,)))  # [N,1]
+        return g.matmul(s, g.const(np.array([[0.0, 1.0]])))
+
+    def logits(self, x):
+        with np.errstate(divide="ignore"):
+            s = np.log(np.asarray(x).reshape(len(x), -1).sum(axis=1, keepdims=True))
+        return np.concatenate([np.zeros_like(s), s], axis=1)
 
 
 def unpruned_grad(out, wrts, *, create_graph=False) -> list:

@@ -13,9 +13,7 @@ from gradeq import attacks
 from gradeq import autodiff as ag
 from gradeq.attacks import (
     AttackSpec,
-    Mask,
     apply_spec,
-    build_topk_mask,
     clipped_square,
     corrupt,
     error_rate,
@@ -24,12 +22,13 @@ from gradeq.attacks import (
     ioa,
     pgd,
     rn,
+    topk_flags,
 )
 from gradeq.autodiff import kernels
 from gradeq.autodiff.functional import conv_bias
 from gradeq.models import CNN, MLP, LinearScore, build_model, input_gradients, predict
 from gradeq.seeding import seed_stream
-from support import tape_pgd
+from support import LogSumModel, tape_pgd
 
 EPS = 8.0 / 255.0
 STEP = 2.0 / 255.0
@@ -87,27 +86,13 @@ def test_pgd_bit_reproducible():
     assert np.array_equal(a, b)
 
 
-class _LogSumModel:
-    """Class-1 score log(sum x): gradient blows up as the sum crosses 0."""
-
-    classes = 2
-
-    def bind(self, g):
-        return {}
-
-    def graph_logits(self, xv, params):
-        g = xv.graph
-        s = g.log(g.sum_axes(xv, (1,)))  # [N,1]
-        return g.matmul(s, g.const(np.array([[0.0, 1.0]])))
-
-
 def test_pgd_flags_nonfinite_sample():
     # Raising the class-1 loss drives sum(x) down; the box clips the first
     # sample's pixels to 0, log(0) goes non-finite, and that sample must be
     # flagged and frozen rather than crash the batch.
     x = np.full((2, 3), 0.02)
     x[1] = 0.9  # healthy sample
-    res = pgd(_LogSumModel(), x, np.array([1, 1]), 0.5, 0.25, 8, random_start=False)
+    res = pgd(LogSumModel(), x, np.array([1, 1]), 0.5, 0.25, 8, random_start=False)
     assert bool(res.aborted[0])
     assert not bool(res.aborted[1])
     assert np.isfinite(res.x_adv).all()
@@ -201,8 +186,8 @@ def test_pgd_sample_failing_in_a_replay_matches_the_oracle(monkeypatch):
     _CountingGraph.built = []
     with monkeypatch.context() as m:
         m.setattr(ag, "Graph", _CountingGraph)
-        got = pgd(_LogSumModel(), x, y, 0.5, 0.25, 8, random_start=False)
-    want = tape_pgd(_LogSumModel(), x, y, 0.5, 0.25, 8, random_start=False)
+        got = pgd(LogSumModel(), x, y, 0.5, 0.25, 8, random_start=False)
+    want = tape_pgd(LogSumModel(), x, y, 0.5, 0.25, 8, random_start=False)
     assert got.aborted.tolist() == want.aborted.tolist() == [True, False, False]
     assert got.x_adv.tobytes() == want.x_adv.tobytes()
     # the recording tape, none for the second iteration, one per sample in
@@ -242,25 +227,24 @@ def test_topk_matches_sort_oracle():
         h, w = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         vals = rng.normal(size=(h, w))
         k = int(rng.integers(0, h * w + 1))
-        mask = build_topk_mask(vals, k)
+        mask = topk_flags(vals, k)
         order = sorted(range(h * w), key=lambda i: (-vals.reshape(-1)[i], i))
         expect = np.zeros(h * w, dtype=bool)
         expect[order[:k]] = True
-        assert mask.m.sum() == k
-        assert np.array_equal(mask.m.reshape(-1), expect)
+        assert mask.sum() == k
+        assert np.array_equal(mask, expect)
 
 
 def test_topk_ties_row_major():
-    mask = build_topk_mask(np.ones((3, 4)), 5)
-    flat = mask.m.reshape(-1)
+    flat = topk_flags(np.ones((3, 4)), 5)
     assert flat[:5].all() and not flat[5:].any()
 
 
 def test_topk_bounds():
-    assert not build_topk_mask(np.zeros((2, 2)), 0).m.any()
-    assert build_topk_mask(np.zeros((2, 2)), 4).m.all()
+    assert not topk_flags(np.zeros((2, 2)), 0).any()
+    assert topk_flags(np.zeros((2, 2)), 4).all()
     with pytest.raises(ValueError):
-        build_topk_mask(np.zeros((2, 2)), 5)
+        topk_flags(np.zeros((2, 2)), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +254,7 @@ def test_topk_bounds():
 def grid_mask(h, w, rows):
     m = np.zeros((h, w), dtype=bool)
     m[rows] = True
-    return Mask(m)
+    return m
 
 
 def test_ina1_touches_only_mask():
@@ -286,7 +270,7 @@ def test_ina1_matches_manual_stream():
     x = seed_stream(11, "x").uniform(size=(2, 4, 4))
     mask = grid_mask(4, 4, slice(1, 3))
     out = ina1(x, mask, seed_stream(12, "n"))
-    ys, xs = np.nonzero(mask.m)
+    ys, xs = np.nonzero(mask)
     noise = seed_stream(12, "n").normal(size=(2, len(ys)))
     expect = x.copy()
     expect[:, ys, xs] = np.clip(expect[:, ys, xs] + noise, 0.0, 1.0)
@@ -295,7 +279,7 @@ def test_ina1_matches_manual_stream():
 
 def test_ina1_zero_k_is_identity():
     x = seed_stream(13, "x").uniform(size=(3, 5, 5))
-    out = ina1(x, build_topk_mask(np.zeros((5, 5)), 0), seed_stream(14, "n"))
+    out = ina1(x, topk_flags(np.zeros((5, 5)), 0).reshape(5, 5), seed_stream(14, "n"))
     assert np.array_equal(out, x)
 
 
@@ -303,7 +287,7 @@ def test_ina1_zero_k_is_identity():
 def test_empty_mask_changes_nothing_and_draws_nothing(noise):
     x = seed_stream(13, "x").uniform(size=(3, 5, 5))
     rng = seed_stream(14, "n")
-    out = noise(x, Mask(np.zeros((5, 5), dtype=bool)), rng)
+    out = noise(x, np.zeros((5, 5), dtype=bool), rng)
     assert out.tobytes() == x.tobytes()
     assert rng.random() == seed_stream(14, "n").random()
 
@@ -313,7 +297,7 @@ def test_ina1_variance_matches_direct_simulation():
     # sample variance against an independent direct simulation.
     n = 100_000
     x = np.full((1, 250, 400), 0.5)
-    out = ina1(x, Mask(np.ones((250, 400), dtype=bool)), seed_stream(15, "a"))
+    out = ina1(x, np.ones((250, 400), dtype=bool), seed_stream(15, "a"))
     direct = np.clip(0.5 + seed_stream(16, "b").normal(size=n), 0.0, 1.0)
     assert out.var() == pytest.approx(direct.var(), rel=0.02)
 
@@ -322,7 +306,7 @@ def test_ina2_clipped_normal_distribution():
     # Replacement draws are clip(N(0,1), 0, 1): point mass 0.5 at zero,
     # Phi(1)-Phi(0) in between, 1-Phi(1) at one.
     x = np.full((1, 200, 500), 0.3)
-    out = ina2(x, Mask(np.ones((200, 500), dtype=bool)), seed_stream(17, "c"))
+    out = ina2(x, np.ones((200, 500), dtype=bool), seed_stream(17, "c"))
     v = out.reshape(-1)
     counts = [(v == 0).sum(), ((v > 0) & (v < 1)).sum(), (v == 1).sum()]
     probs = [0.5, stats.norm.cdf(1) - 0.5, 1 - stats.norm.cdf(1)]
@@ -543,6 +527,7 @@ def test_attack_spec_validation():
 
 
 _IMG = np.full((1, 1, 4, 4), 0.5)
+_IMG8 = np.full((1, 8, 8), 0.5)
 
 
 @pytest.mark.parametrize("call, match", [
@@ -564,6 +549,14 @@ _IMG = np.full((1, 1, 4, 4), 0.5)
                  r"color must be in \[0,1\], got 1.5", id="ioa-color"),
     pytest.param(lambda: error_rate([], AttackSpec(kind="rn", k=0), _IMG, [0], seed=0),
                  "need at least one model", id="error-rate-no-model"),
+    pytest.param(lambda: ina1(_IMG8, np.ones((4, 4), dtype=bool), seed_stream(0, "m")),
+                 r"shape \(8, 8\), got bool \(4, 4\)", id="ina1-mask-smaller"),
+    pytest.param(lambda: ina2(_IMG8, np.ones((16, 16), dtype=bool), seed_stream(0, "m")),
+                 r"shape \(8, 8\), got bool \(16, 16\)", id="ina2-mask-larger"),
+    pytest.param(lambda: ina1(_IMG8, np.ones((8, 8)), seed_stream(0, "m")),
+                 r"shape \(8, 8\), got float64 \(8, 8\)", id="ina1-mask-float"),
+    pytest.param(lambda: ina2(_IMG8, np.ones(64, dtype=bool), seed_stream(0, "m")),
+                 r"shape \(8, 8\), got bool \(64,\)", id="ina2-mask-1d"),
 ])
 def test_attacks_refuse_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):

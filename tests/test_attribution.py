@@ -135,6 +135,8 @@ class TestProperties:
                      r"baseline shape \(2, 4\) does not match \(1, 4\)", id="ig-baseline"),
         pytest.param(lambda m: at.smoothgrad(m, np.zeros((1, 4)), np.array([0]), samples=0),
                      "need at least one sample, got 0", id="smoothgrad-samples"),
+        pytest.param(lambda m: at.smoothgrad(m, np.zeros((1, 4)), np.array([0]), sigma=-1.0),
+                     "sigma must be nonnegative, got -1.0", id="smoothgrad-sigma"),
     ])
     def test_refuses_bad_arguments(self, call, match):
         with pytest.raises(ValueError, match=match):

@@ -23,14 +23,14 @@ import pytest
 import gradeq
 from gradeq import autodiff as ag
 from gradeq import theory as th
-from gradeq.attacks import (AttackSpec, IoaOutcome, IoaStep, apply_spec,
-                            build_topk_mask, clipped_square, corrupt, error_rate,
-                            ina1, ina2, ioa, pgd, rn)
+from gradeq.attacks import (AttackSpec, IoaOutcome, IoaStep, apply_spec, clipped_square,
+                            corrupt, error_rate, ina1, ina2, ioa, pgd, rn, topk_flags)
 from gradeq.attribution import attribute, input_gradients, reduced, saliency
 from gradeq.data import synth_blobs
 from gradeq.models import CNN, MLP, linearize, predict
 from gradeq.seeding import seed_stream
 from gradeq.training import TrainConfig, train
+from support import LogSumModel
 
 SPECS = (
     AttackSpec(kind="pgd", eps=0.1, step=0.03, iters=5),
@@ -76,7 +76,7 @@ def apply_one(spec, model, x, y, rng):
                    rng).x_adv[0]
     if spec.kind in ("ina1", "ina2"):
         red = reduced(attribute(model, x[None], np.array([y]), spec.method))[0]
-        mask = build_topk_mask(red, spec.k)
+        mask = topk_flags(red, spec.k).reshape(red.shape)
         return (ina1 if spec.kind == "ina1" else ina2)(x, mask, rng)
     if spec.kind == "ioa":
         return ioa_one(model, x, y, spec.n, spec.r, spec.color, spec.method).x_adv
@@ -168,30 +168,11 @@ def test_apply_needs_one_generator_per_sample():
         pgd(models[0], xs, labels, rng=[seed_stream(8)] * 3)
 
 
-class _LogSumModel:
-    """Class-1 logit log(sum x): non-finite once PGD drives every pixel to 0."""
-
-    classes = 2
-
-    def bind(self, g):
-        return {}
-
-    def graph_logits(self, xv, params):
-        g = xv.graph
-        s = g.log(g.sum_axes(ag.flatten(g, xv), (1,)))  # [N,1]
-        return g.matmul(s, g.const(np.array([[0.0, 1.0]])))
-
-    def logits(self, x):
-        with np.errstate(divide="ignore"):
-            s = np.log(np.asarray(x).reshape(len(x), -1).sum(axis=1, keepdims=True))
-        return np.concatenate([np.zeros_like(s), s], axis=1)
-
-
 def test_nonfinite_pgd_sample_flagged_alone(monkeypatch):
     # Sample 1 starts at 0.4 per pixel; eps 0.5 lets PGD clip it to 0 and
     # log(0) goes non-finite. The others keep sum(x) > 1, so class 1,
     # everywhere inside their ball.
-    model = _LogSumModel()
+    model = LogSumModel()
     xs = np.stack([np.full((1, 2, 2), v) for v in (0.8, 0.4, 0.9, 0.85)])
     ys = np.ones(4, dtype=int)
     spec = AttackSpec(kind="pgd", eps=0.5, step=0.25, iters=8)
@@ -225,7 +206,7 @@ def test_nonfinite_pgd_sample_flagged_alone(monkeypatch):
 def test_nonfinite_ioa_sample_flagged_alone(monkeypatch):
     # Sample 1 is all zero, so log(sum x) is non-finite at once; gray paint
     # keeps every other sum above 1, so class 1, and they run every step.
-    model = _LogSumModel()
+    model = LogSumModel()
     xs = np.stack([np.full((1, 4, 4), v) for v in (0.8, 0.0, 0.9, 0.85)])
     ys = np.ones(4, dtype=int)
     n_max, r_max = 2, 1
@@ -267,7 +248,7 @@ def sweep_per_sample(model, pixels, labels, ks, selection, rng, draws):
         ss, s2 = [], []
         for w, red in surrogates:
             if selection == "attribution_ranked":
-                masks = [build_topk_mask(red, k).m]
+                masks = [topk_flags(red, k).reshape(red.shape)]
             else:
                 masks = []
                 for _ in range(draws):
@@ -305,7 +286,7 @@ def test_sweep_rejects_nonfinite_gradient():
     xs = np.zeros((2, 1, 2, 2))
     xs[0] = 0.5
     with pytest.raises(FloatingPointError):
-        th.sweep_mask_stats(saliency(_LogSumModel(), xs, np.ones(2, dtype=int)), [1],
+        th.sweep_mask_stats(saliency(LogSumModel(), xs, np.ones(2, dtype=int)), [1],
                             "attribution_ranked", seed_stream(11))
 
 
@@ -323,16 +304,16 @@ def test_sweep_rejects_out_of_range_label():
 def test_validation_survives_python_O():
     script = """
 import numpy as np
-from gradeq.attacks import AttackSpec, Mask, ioa
+from gradeq.attacks import AttackSpec, ina1, ioa
 from gradeq.data import ImageBatch, synth_blobs
 from gradeq.models import CNN, build_model
 from gradeq.theory import MaskStats
 from gradeq.training import TrainConfig
 pix, lab = np.full((2, 1, 2, 2), 0.5), np.array([0, 1])
-bad = [lambda: Mask(np.zeros(5)),
-       lambda: Mask(np.zeros((2, 2))),
-       lambda: MaskStats(k=2, sum_sq=1.0, sum=3.0, sum_abs=3.0),
-       lambda: MaskStats(k=2, sum_sq=5.0, sum=3.0, sum_abs=1.0),
+bad = [lambda: ina1(pix[0], np.zeros(5, dtype=bool), None),
+       lambda: ina1(pix[0], np.zeros((2, 2)), None),
+       lambda: ina1(pix[0], np.zeros((3, 3), dtype=bool), None),
+       lambda: MaskStats(k=2, sum_sq=1.0, sum=3.0),
        lambda: ioa(CNN((1, 8, 8), [2, 2], 2), np.zeros((1, 8, 8)), lab[:1], 1, 1, 0.5),
        lambda: ioa(CNN((1, 8, 8), [2, 2], 2), np.zeros((2, 1, 8, 8)), lab[:1], 1, 1, 0.5),
        lambda: AttackSpec(kind="ina1", k=1.5),

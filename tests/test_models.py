@@ -322,6 +322,12 @@ def saved_bytes(tmp_path, model, extra=None):
 _SAMPLE = md.MLP((1, 2, 2), [3], 2, "softplus", seed=5)
 
 
+def nan_in_b0(header, payload):
+    """A NaN over the first bias of _SAMPLE (after w0's 12 floats), digest recomputed."""
+    payload = payload[:48] + struct.pack("<f", float("nan")) + payload[52:]
+    return dict(header, payload_sha256=hashlib.sha256(payload).hexdigest()), payload
+
+
 class TestMalformedCheckpoints:
     def load_bytes(self, tmp_path, raw):
         path = tmp_path / "bad.ckpt"
@@ -379,7 +385,8 @@ class TestMalformedCheckpoints:
             dict(header, payload_sha256=hashlib.sha256(payload + bytes(4)).hexdigest()),
             payload + bytes(4)),
          "payload length does not match"),
-    ], ids=["extra-a-list", "payload-4-bytes-long"])
+        (nan_in_b0, "parameter b0 holds a non-finite value"),
+    ], ids=["extra-a-list", "payload-4-bytes-long", "nan-parameter"])
     def test_refused_behind_a_matching_digest(self, tmp_path, edit, match):
         """A file whose payload digest holds is still refused by the checks
         after it."""

@@ -8,7 +8,7 @@ import pytest
 
 from gradeq import inequality as ineq
 from gradeq import theory as th
-from gradeq.attacks import Mask, topk_flags
+from gradeq.attacks import topk_flags
 from gradeq.attribution import input_gradients, saliency
 from gradeq.models import CNN, MLP, LinearScore
 from gradeq.seeding import seed_stream
@@ -21,11 +21,11 @@ def full_mask(n):
 class TestMaskStats:
     def test_hand_values(self):
         st = th.mask_stats(np.array([1.0, -1.0, 2.0]), full_mask(3))
-        assert (st.k, st.sum_sq, st.sum, st.sum_abs) == (3, 6.0, 2.0, 4.0)
+        assert (st.k, st.sum_sq, st.sum) == (3, 6.0, 2.0)
 
     def test_empty_mask(self):
         st = th.mask_stats(np.array([1.0, 2.0]), np.zeros(2, dtype=bool))
-        assert (st.k, st.sum_sq, st.sum, st.sum_abs) == (0, 0.0, 0.0, 0.0)
+        assert (st.k, st.sum_sq, st.sum) == (0, 0.0, 0.0)
 
     def test_matches_loop_oracle(self):
         # both sides are correctly-rounded sums, so equality is exact
@@ -37,15 +37,14 @@ class TestMaskStats:
             w = rng.normal(size=n)
             m = rng.random(n) < 0.4
             st = th.mask_stats(w, m)
-            terms = [(w[i] * w[i], w[i], abs(w[i])) for i in range(n) if m[i]]
+            terms = [(w[i] * w[i], w[i]) for i in range(n) if m[i]]
             assert st.sum_sq == math.fsum(t[0] for t in terms)
             assert st.sum == math.fsum(t[1] for t in terms)
-            assert st.sum_abs == math.fsum(t[2] for t in terms)
             assert st.k == int(m.sum())
 
     def test_cauchy_schwarz_guard(self):
         with pytest.raises(ValueError):
-            th.MaskStats(k=2, sum_sq=1.0, sum=3.0, sum_abs=3.0)
+            th.MaskStats(k=2, sum_sq=1.0, sum=3.0)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -171,8 +170,8 @@ def sweep_with_masks(model, pixels, labels, ks, selection, rng, draws):
                     masks.append(m)
             for m in masks:
                 if per_image:
-                    grid = Mask(m.reshape(pixels.shape[-2:]))
-                    m = np.broadcast_to(grid.m, (channels,) + grid.m.shape).reshape(-1)
+                    grid = m.reshape(pixels.shape[-2:])
+                    m = np.broadcast_to(grid, (channels,) + grid.shape).reshape(-1)
                 st = th.mask_stats(w, m)
                 ss.append(st.sum_sq)
                 s2.append(st.sum ** 2)
