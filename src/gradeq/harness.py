@@ -18,7 +18,7 @@ the bundle manifest.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 import csv
@@ -40,7 +40,7 @@ from .data import (CIFAR_VARIANTS, IMAGE_SIDE, ImageBatch, load_cifar, split_siz
 from .inequality import gini_exact  # noqa: F401  (re-exported: perfbench's tracer wraps it here)
 from .inequality import mean_gini
 from .models import (IntegrityError, Model, atomic_write, build_model, check_args,
-                     check_keys, check_kind, check_value, load_checkpoint,
+                     check_keys, check_kind, load_checkpoint,
                      remove_orphan_temps, save_checkpoint, signature_keys)
 from .seeding import seed_stream
 from .theory import SELECTIONS, sweep_mask_stats
@@ -76,34 +76,42 @@ def _at(where: str = ""):
         raise ConfigError(f"{where}: {e}" if where else str(e)) from e
 
 
-# section: {key: (default, annotation)}; section None is the top level. A
-# limit must keep at least one sample; a default of None means no limit.
-_VALUES = {
-    None: {
-        "seed": (0, Annotated[int, (">=", 0), ("<", 2**32)]),  # seed_stream reads 32 bits
-        "out": ("out", str),
-        "eval_fraction": (0.2, Annotated[float, (">", 0), ("<", 1)]),
-        "eval_limit": (None, Annotated[int, (">=", 1)]),
-        "train": ([], list),
-        "attacks": ([], list),
-    },
-    "gini": {
-        "region": (4, Annotated[int, (">=", 1)]),
-        "method": ("saliency", Annotated[str, ("in", tuple(attribution.METHODS))]),
-        "limit": (None, Annotated[int, (">=", 1)]),
-    },
-    "theory": {
-        "ks": ([1, 4, 16], Annotated[list[int], (">=", 0)]),
-        "selections": (list(SELECTIONS), Annotated[list[str], ("in", SELECTIONS)]),
-        "draws": (16, Annotated[int, (">=", 1)]),
-        "limit": (32, Annotated[int, (">=", 1)]),
-    },
-    "corrupt": {
-        "kinds": (list(SEVERITY), Annotated[list[str], ("in", CORRUPT_KINDS)]),
-        "severities": ([1, 2, 3, 4, 5], Annotated[list[int], (">=", 1), ("<=", 5)]),
-        "limit": (None, Annotated[int, (">=", 1)]),
-    },
-}
+# the top level and each section: the signature of the function that takes
+# it. A limit must keep at least one sample; a default of None means no limit.
+def _top(dataset, seed: Annotated[int, (">=", 0), ("<", 2**32)] = 0,  # seed_stream reads 32 bits
+         out: str = "out", eval_fraction: Annotated[float, (">", 0), ("<", 1)] = 0.2,
+         eval_limit: Annotated[int, (">=", 1)] = None, train: list = [], attacks: list = [],
+         gini={}, theory=None, corrupt=None) -> SimpleNamespace:
+    return SimpleNamespace(**locals())
+
+
+def _gini(region: Annotated[int, (">=", 1)] = 4,
+          method: Annotated[str, ("in", tuple(attribution.METHODS))] = "saliency",
+          limit: Annotated[int, (">=", 1)] = None) -> SimpleNamespace:
+    return SimpleNamespace(**locals())
+
+
+def _theory(ks: Annotated[list[int], (">=", 0)] = [1, 4, 16],
+            selections: Annotated[list[str], ("in", SELECTIONS)] = list(SELECTIONS),
+            draws: Annotated[int, (">=", 1)] = 16,
+            limit: Annotated[int, (">=", 1)] = 32) -> SimpleNamespace:
+    return SimpleNamespace(**locals())
+
+
+def _corrupt(kinds: Annotated[list[str], ("in", CORRUPT_KINDS)] = list(SEVERITY),
+             severities: Annotated[list[int], (">=", 1), ("<=", 5)] = [1, 2, 3, 4, 5],
+             limit: Annotated[int, (">=", 1)] = None) -> SimpleNamespace:
+    return SimpleNamespace(**locals())
+
+
+def _parsed(fn, given, keys_at: str, values_at: str = "") -> SimpleNamespace:
+    """`fn(**given)`, after refusing a missing or unknown key (reported at
+    `keys_at`) and a value outside its annotation (at `values_at`)."""
+    with _at(keys_at):
+        check_keys(given, *signature_keys(fn))
+    with _at(values_at):
+        check_args(fn, given)
+    return fn(**given)
 
 
 def _loaders() -> dict:
@@ -112,21 +120,6 @@ def _loaders() -> dict:
     the benchmark's tracer does) is the one that runs."""
     return {"blobs": synth_blobs, "cifar": load_cifar,
             "attribution_file": attribution.load_attribution}
-
-
-def _section(given: dict, section: str | None) -> SimpleNamespace:
-    """A section's values (None: the top level's), each checked or defaulted."""
-    if section is not None:
-        with _at(section):
-            check_keys(given, set(), set(_VALUES[section]))
-    prefix = "" if section is None else f"{section}."
-    values = {}
-    for key, (default, annotation) in _VALUES[section].items():
-        if key in given:
-            with _at():
-                check_value(prefix + key, annotation, given[key])
-        values[key] = given.get(key, default)
-    return SimpleNamespace(**values)
 
 
 def _dataset(d: dict, seed: int) -> dict:
@@ -250,15 +243,13 @@ def load_config(path, seed: int | None = None, out=None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    with _at("config"):
-        check_keys(cfg, {"dataset"}, set(_VALUES[None]) | {s for s in _VALUES if s})
-    top = _section(cfg, None)
+    top = _parsed(_top, cfg, "config")
     if seed is not None:
         with _at():
-            check_value("seed", _VALUES[None]["seed"][1], seed)
+            check_args(_top, {"seed": seed})
     use_seed = top.seed if seed is None else int(seed)
     with _at("dataset"):
-        dataset = _dataset(cfg["dataset"], use_seed)
+        dataset = _dataset(top.dataset, use_seed)
     if top.train and dataset["kind"] == "attribution_file":
         raise ConfigError("train: attribution_file datasets have nothing to train on")
     body = {k: v for k, v in cfg.items() if k not in ("seed", "out")}
@@ -266,9 +257,9 @@ def load_config(path, seed: int | None = None, out=None) -> ExperimentConfig:
         seed=use_seed, out=Path(out if out is not None else top.out),
         digest=config_digest(body), dataset=dataset,
         eval_fraction=top.eval_fraction, eval_limit=top.eval_limit,
-        gini=_section(cfg.get("gini", {}), "gini"),
-        theory=_section(cfg["theory"], "theory") if "theory" in cfg else None,
-        corrupt=_section(cfg["corrupt"], "corrupt") if "corrupt" in cfg else None,
+        gini=_parsed(_gini, top.gini, "gini", "gini"),
+        theory=_parsed(_theory, top.theory, "theory", "theory") if "theory" in cfg else None,
+        corrupt=_parsed(_corrupt, top.corrupt, "corrupt", "corrupt") if "corrupt" in cfg else None,
         attacks=_named(top.attacks, "attacks", lambda entry, _: AttackSpec.parse(entry)),
         train=_named(top.train, "train",
                      lambda entry, earlier: _train_entry(entry, earlier, use_seed)))
@@ -455,7 +446,7 @@ def _stage_train(state: RunState) -> None:
         model, record = train(tcfg, state.data, teacher)
         state.models[name] = model
         state.table(record_rel, ["name", *(f.name for f in fields(EpochRow))],
-                    [[name, *r.as_dict().values()] for r in record.rows])
+                    [[name, *astuple(r)] for r in record.rows])
         ckpt.parent.mkdir(parents=True, exist_ok=True)
         save_checkpoint(ckpt, model, {
             "model": tcfg.model, "method": tcfg.method, "lam": tcfg.lam,

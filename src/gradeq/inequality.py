@@ -142,29 +142,6 @@ def _untie(w: list, a: int, b: int) -> tuple[int, int]:
     return a, b
 
 
-def _transfer(weights, recipient: int, donor: int, delta) -> tuple[list, Fraction, int, int]:
-    """Exact weights and delta of a move from weights[donor] to
-    weights[recipient], refused unless it meets `monotonic_reduce`'s
-    requirements, and the tie-adjusted positions it starts from."""
-    w = [Fraction(v) for v in weights]
-    n = len(w)
-    if not 0 <= recipient < donor < n:
-        raise ValueError(f"need 0 <= recipient < donor < {n}")
-    if any(v < 0 for v in w):
-        raise ValueError("weights must be nonnegative")
-    if any(w[i] > w[i + 1] for i in range(n - 1)):
-        raise ValueError("weights must be ascending")
-    delta = Fraction(delta)
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if 2 * delta > w[donor] - w[recipient]:
-        raise ValueError(
-            f"delta {float(delta)} exceeds half the donor-recipient gap "
-            f"{float(w[donor] - w[recipient])}; positions would cross"
-        )
-    return (w, delta, *_untie(w, recipient, donor))
-
-
 def monotonic_reduce(weights, recipient: int, donor: int, delta) -> ReduceTrace:
     """Move `delta` of mass from weights[donor] to weights[recipient].
 
@@ -178,7 +155,23 @@ def monotonic_reduce(weights, recipient: int, donor: int, delta) -> ReduceTrace:
     Requires 2 * delta <= weights[donor] - weights[recipient]; a larger
     move would push the two positions past each other.
     """
-    w, remaining, a, b = _transfer(weights, recipient, donor, delta)
+    initial = tuple(Fraction(v) for v in weights)
+    w, n = list(initial), len(initial)
+    if not 0 <= recipient < donor < n:
+        raise ValueError(f"need 0 <= recipient < donor < {n}")
+    if any(v < 0 for v in w):
+        raise ValueError("weights must be nonnegative")
+    if any(w[i] > w[i + 1] for i in range(n - 1)):
+        raise ValueError("weights must be ascending")
+    remaining = Fraction(delta)
+    if remaining < 0:
+        raise ValueError("delta must be nonnegative")
+    if 2 * remaining > w[donor] - w[recipient]:
+        raise ValueError(
+            f"delta {float(remaining)} exceeds half the donor-recipient gap "
+            f"{float(w[donor] - w[recipient])}; positions would cross"
+        )
+    a, b = _untie(w, recipient, donor)
     steps: list[ReduceStep] = []
     while remaining > 0:
         # 2 * remaining <= w[b] - w[a] is invariant: ties do not change the
@@ -191,7 +184,7 @@ def monotonic_reduce(weights, recipient: int, donor: int, delta) -> ReduceTrace:
         remaining -= amount
         steps.append(ReduceStep(a, b, amount, tuple(w)))
         a, b = _untie(w, a, b)
-    return ReduceTrace(tuple(Fraction(v) for v in weights), tuple(steps))
+    return ReduceTrace(initial, tuple(steps))
 
 
 def sum_sq_after_transfer(weights, recipient: int, donor: int, delta) -> Fraction:
@@ -228,20 +221,17 @@ def transfer_ratio(weights, recipient: int, donor: int, delta) -> TransferRatio:
     ascending input, delta > 0, positions may not cross or reorder. Both
     deltas are recomputed from scratch; the closed form rides along.
     """
-    w, delta, a, b = _transfer(weights, recipient, donor, delta)
-    if delta == 0:
+    trace = monotonic_reduce(weights, recipient, donor, delta)
+    if not trace.steps:
         raise ValueError("delta must be positive")
-    if a + 1 < b and (delta > w[a + 1] - w[a] or delta > w[b] - w[b - 1]):
+    if len(trace.steps) > 1:
         raise ValueError("delta would reorder the sequence; split the move")
-
-    after = list(w)
-    after[recipient] += delta
-    after[donor] -= delta
-    d_sum_sq = sum(v * v for v in after) - sum(v * v for v in w)
-    d_gini = gini_exact(after) - gini_exact(w)
-    total = sum(w)
-    closed = (delta - w[donor] + w[recipient]) * len(w) * total / Fraction(a - b)
-    return TransferRatio(d_sum_sq, d_gini, d_sum_sq / d_gini, closed)
+    (step,), w = trace.steps, trace.initial
+    d_sum_sq = sum(v * v for v in step.weights) - sum(v * v for v in w)
+    before, after = trace.ginis()
+    closed = ((step.amount - w[step.donor] + w[step.recipient]) * len(w) * sum(w)
+              / Fraction(step.recipient - step.donor))
+    return TransferRatio(d_sum_sq, after - before, d_sum_sq / (after - before), closed)
 
 
 @dataclass(frozen=True)

@@ -33,25 +33,9 @@ from .autodiff import kernels
 from .autodiff.functional import affine, conv_bias, flatten
 from .seeding import seed_stream
 
-# elementwise namespace ops a hidden layer may apply, called by name
-_ACTIVATIONS = ("relu", "softplus")
-
-
-def _check_activation(activation: str) -> None:
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-
 
 def is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _sizes(what: str, values) -> list[int]:
-    """`values` as ints, each a positive int; checked before any arithmetic."""
-    values = list(values)
-    if not all(is_int(v) and v > 0 for v in values):
-        raise ValueError(f"{what} must be positive integers, got {values!r}")
-    return [int(v) for v in values]
 
 
 def check_keys(d, required: set, optional: set) -> None:
@@ -81,12 +65,13 @@ def signature_keys(fn, skip=()) -> tuple[set, set]:
 
 
 # type: (what a value must be, its test); a bool is neither an integer nor a
-# number, and an integer beyond every float is not a finite number
+# number, and an integer beyond every float is not a finite number; a tuple
+# is a list (Python callers pass shapes as tuples, and JSON has none)
 _TYPES = {int: ("an integer", is_int),
           float: ("a finite number", lambda v: (is_int(v) or isinstance(v, float))
                   and abs(v) <= sys.float_info.max),
           str: ("a string", lambda v: isinstance(v, str)),
-          list: ("a list", lambda v: isinstance(v, list))}
+          list: ("a list", lambda v: isinstance(v, (list, tuple)))}
 _BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt,
            "in": lambda v, choices: v in choices}
 
@@ -118,6 +103,11 @@ def check_args(fn, args: dict) -> None:
     params = inspect.signature(fn, eval_str=True).parameters
     for name, value in args.items():
         check_value(name, params[name].annotation, value)
+
+
+# a model's sizes, and the elementwise namespace op its hidden layers apply
+_SIZES = Annotated[list[int], (">=", 1)]
+_ACTIVATION = Annotated[str, ("in", ("relu", "softplus"))]
 
 
 class _OneForward:
@@ -155,11 +145,12 @@ class MLP(_OneForward):
 
     kind = "mlp"
 
-    def __init__(self, in_shape, hidden, classes, activation="relu", seed=0):
-        _check_activation(activation)
-        self.in_shape = tuple(_sizes("in_shape", in_shape))
-        self.hidden = _sizes("hidden", hidden)
-        (self.classes,) = _sizes("classes", [classes])
+    def __init__(self, in_shape: _SIZES, hidden: _SIZES, classes: Annotated[int, (">=", 1)],
+                 activation: _ACTIVATION = "relu", seed=0):
+        check_args(MLP.__init__, locals())
+        self.in_shape = tuple(map(int, in_shape))
+        self.hidden = list(map(int, hidden))
+        self.classes = int(classes)
         self.activation = activation
         self.params: dict[str, np.ndarray] = {}
         rng = seed_stream(seed, "init", self.kind)
@@ -185,16 +176,16 @@ class CNN(_OneForward):
 
     kind = "cnn"
 
-    def __init__(self, in_shape, channels, classes, activation="relu", seed=0):
-        _check_activation(activation)
-        c, h, w = _sizes("in_shape", in_shape)
+    def __init__(self, in_shape: _SIZES, channels: _SIZES, classes: Annotated[int, (">=", 1)],
+                 activation: _ACTIVATION = "relu", seed=0):
+        check_args(CNN.__init__, locals())
+        c, h, w = self.in_shape = tuple(map(int, in_shape))
         if h % 4 or w % 4:
             raise ValueError(f"two pooling stages need dims divisible by 4, got {h}x{w}")
-        self.in_shape = (c, h, w)
-        self.channels = _sizes("channels", channels)
+        self.channels = list(map(int, channels))
         if len(self.channels) != 2:
             raise ValueError("expected exactly two conv stages")
-        (self.classes,) = _sizes("classes", [classes])
+        self.classes = int(classes)
         self.activation = activation
         self.params = {}
         rng = seed_stream(seed, "init", self.kind)
@@ -229,8 +220,9 @@ class LinearScore(_OneForward):
 
     kind = "linear"
 
-    def __init__(self, in_shape, seed=0):
-        self.in_shape = tuple(_sizes("in_shape", in_shape))
+    def __init__(self, in_shape: _SIZES, seed=0):
+        check_args(LinearScore.__init__, locals())
+        self.in_shape = tuple(map(int, in_shape))
         self.classes = 2
         d = int(np.prod(self.in_shape))
         rng = seed_stream(seed, "init", self.kind)

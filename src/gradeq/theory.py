@@ -123,7 +123,6 @@ def monte_carlo_deviation(model, mask, spec: NoiseSpec, samples: int,
 @dataclass(frozen=True)
 class CurvePoint:
     k: int
-    selection: str
     mean_sum_sq: float
     stderr_sum_sq: float
     mean_sum2: float  # mean of S1^2
@@ -177,5 +176,5 @@ def sweep_mask_stats(maps: np.ndarray, ks, selection: str, rng: np.random.Genera
             s2 += [math.fsum(row) ** 2 for row in sel.tolist()]
         m_ss, e_ss = _mean_stderr(np.array(ss))
         m_s2, e_s2 = _mean_stderr(np.array(s2))
-        points.append(CurvePoint(int(k), selection, m_ss, e_ss, m_s2, e_s2, len(ss)))
+        points.append(CurvePoint(int(k), m_ss, e_ss, m_s2, e_s2, len(ss)))
     return points

@@ -17,7 +17,7 @@ to plain adversarial training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Annotated
 
 import numpy as np
@@ -150,9 +150,6 @@ class EpochRow:
     clean_acc: float
     adv_acc: float
     saliency_gini: float
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ under pytest -s); a failure keeps the standard assertion output.
 
 import time
 import warnings
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -438,7 +439,7 @@ def test_criterion_09_lambda_zero_equivalence():
                           teacher=teacher)
     for key in m_pgdat.params:
         assert m_pgdat.params[key].tobytes() == m_igd0.params[key].tobytes()
-    assert [r.as_dict() for r in rec_p.rows] == [r.as_dict() for r in rec_i.rows]
+    assert [asdict(r) for r in rec_p.rows] == [asdict(r) for r in rec_i.rows]
     assert rec_p.best_epoch == rec_i.best_epoch
     _line(9, f"{len(m_pgdat.params)} tensors and {len(rec_p.rows)} epoch rows "
              f"bit-identical")

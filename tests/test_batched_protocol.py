@@ -306,7 +306,7 @@ def test_validation_survives_python_O():
 import numpy as np
 from gradeq.attacks import AttackSpec, ina1, ioa
 from gradeq.data import ImageBatch, synth_blobs
-from gradeq.models import CNN, build_model
+from gradeq.models import CNN, MLP, build_model
 from gradeq.theory import MaskStats
 from gradeq.training import TrainConfig
 pix, lab = np.full((2, 1, 2, 2), 0.5), np.array([0, 1])
@@ -320,6 +320,8 @@ bad = [lambda: ina1(pix[0], np.zeros(5, dtype=bool), None),
        lambda: AttackSpec(kind="ioa", n=True),
        lambda: AttackSpec(kind="ioa", n=0),
        lambda: build_model({"kind": "linear"}),
+       lambda: MLP((4,), [0], 2),
+       lambda: CNN((1, 8, 8), [2, 2], 2, "tanh"),
        lambda: synth_blobs(4.5),
        lambda: TrainConfig(method="standard", model={}, epochs=1.5),
        lambda: TrainConfig(method="standard", model={}, lr="0.1"),

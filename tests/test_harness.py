@@ -21,7 +21,7 @@ from gradeq.harness import (SEVERITY, ConfigError, StageError, confidence_stats,
                             config_digest, csv_text, load_config, run,
                             svg_line_chart)
 from gradeq.inequality import gini_exact
-from gradeq.models import (LinearScore, atomic_write, check_value, load_checkpoint,
+from gradeq.models import (CNN, MLP, LinearScore, atomic_write, check_value, load_checkpoint,
                            remove_orphan_temps)
 from gradeq.seeding import seed_stream
 from gradeq.training import mean_saliency_gini
@@ -329,6 +329,7 @@ def test_missing_file(tmp_path):
     ("train.0", "plateau_factor", 0),
     ("train.0", "plateau_factor", 1.5),
     ("train.0", "plateau_patience", -1),
+    ("train.0.model", "in_shape", 5),
 ])
 def test_bad_values_rejected_at_load(tmp_path, section, key, value):
     """Refused at load, before any model trains: severity 0 would index
@@ -365,12 +366,10 @@ def test_bad_dataset_values_rejected_through_another_entry(tmp_path, key, value,
 def declared_defaults():
     """(where, name, annotation, default) of each declared config value, and
     each severity ladder step as a corruption `param`."""
-    for fn in (training.TrainConfig, AttackSpec, synth_blobs, load_cifar):
+    for fn in (training.TrainConfig, AttackSpec, synth_blobs, load_cifar, MLP, CNN,
+               LinearScore, harness._top, harness._gini, harness._theory, harness._corrupt):
         for p in inspect.signature(fn, eval_str=True).parameters.values():
             yield fn.__name__, p.name, p.annotation, p.default
-    for section, values in harness._VALUES.items():
-        for key, (default, annotation) in values.items():
-            yield f"section {section}", key, annotation, default
     for kind, ladder in SEVERITY.items():
         for param in ladder:
             yield f"SEVERITY[{kind!r}]", "param", CORRUPT_PARAM[kind], param

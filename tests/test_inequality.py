@@ -287,11 +287,12 @@ class TestTransferRatio:
 
     def test_reorder_rejected(self):
         # Non-adjacent move larger than the neighbor gap must be refused.
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^delta would reorder the sequence; split the move$"):
             ineq.transfer_ratio([1, 2, 30], 0, 2, 5)
-        with pytest.raises(ValueError):
-            ineq.transfer_ratio([1, 5], 0, 1, 3)  # positions would cross
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^delta 3\.0 exceeds half the donor-recipient "
+                                             r"gap 4\.0; positions would cross$"):
+            ineq.transfer_ratio([1, 5], 0, 1, 3)
+        with pytest.raises(ValueError, match="^delta must be positive$"):
             ineq.transfer_ratio([1, 5], 0, 1, 0)
 
     def test_reverse_transfer_increases_gini(self):

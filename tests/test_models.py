@@ -113,8 +113,24 @@ class TestForwardRoutes:
     ])
     def test_nonpositive_sizes_rejected(self, config):
         # refused before any arithmetic: np.sqrt(2.0 / 0) raised ZeroDivisionError
-        with pytest.raises(ValueError, match="positive integers"):
+        with pytest.raises(ValueError,
+                           match="^(in_shape|hidden|channels|classes)( entry)? must be "):
             md.build_model(config)
+
+    def test_numpy_sizes_are_stored_as_ints(self, tmp_path):
+        """Sizes given as numpy integers come back from `config()` as plain
+        ints, so the config is JSON and a checkpoint of it round-trips."""
+        model = md.MLP((np.int64(1), 4, 4), [np.int64(3)], np.int64(2))
+        config = model.config()
+        assert config == {"kind": "mlp", "in_shape": [1, 4, 4], "hidden": [3], "classes": 2,
+                          "activation": "relu"}
+        assert all(type(v) is int for v in [*config["in_shape"], *config["hidden"],
+                                             config["classes"]])
+        md.save_checkpoint(tmp_path / "m.ckpt", model)
+        loaded, _ = md.load_checkpoint(tmp_path / "m.ckpt")
+        assert loaded.config() == config
+        for name, arr in model.params.items():
+            assert loaded.params[name].tobytes() == arr.tobytes()
 
     @pytest.mark.parametrize("config, match", [
         ({"kind": "mlp", "in_shape": [4], "hidden": [3]}, r"missing keys \['classes'\]"),

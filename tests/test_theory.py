@@ -175,7 +175,7 @@ def sweep_with_masks(model, pixels, labels, ks, selection, rng, draws):
                 st = th.mask_stats(w, m)
                 ss.append(st.sum_sq)
                 s2.append(st.sum ** 2)
-        points.append(th.CurvePoint(k, selection, *th._mean_stderr(np.array(ss)),
+        points.append(th.CurvePoint(k, *th._mean_stderr(np.array(ss)),
                                     *th._mean_stderr(np.array(s2)), len(ss)))
     return points
 
