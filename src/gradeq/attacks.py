@@ -99,10 +99,11 @@ def pgd(model: Model, x: np.ndarray, y: np.ndarray, eps: float = PGD_EPS,
     input gradient over the live samples, recorded on one tape with
     `grad(..., create_graph=True)` and replayed by each later iteration
     while the same samples stay live, so the work that depends only on the
-    parameters and labels (float64 casts, transposes, bias broadcasts,
-    flipped kernels) is done once per live set. A new live set, or a
-    sample that `_live_rows` retries on its own, records a new plan. A
-    replay gives the gradient a fresh tape would, bit for bit.
+    parameters and labels (float64 casts, transposes, flipped kernels) is
+    done once per live set; a bias broadcast is a view of the bias, so a
+    plan keeps no full-size copy of one. A new live set, or a sample that
+    `_live_rows` retries on its own, records a new plan. A replay gives the
+    gradient a fresh tape would, bit for bit.
 
     `rng` is one Generator for the whole batch's random start, or one per
     sample; sample i then draws its start from rng[i] alone, exactly as a

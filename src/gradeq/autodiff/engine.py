@@ -2,9 +2,11 @@
 
 A Graph records every primitive application as a node holding the op name,
 the argument node ids, any static payload (padding, axes, shapes), and the
-eagerly computed float64 value. Node arguments always have smaller
-ids than the node itself, so the tape is topologically sorted by
-construction and a backward sweep is a single reverse pass.
+eagerly computed float64 value. A value may be a read-only view (a
+`broadcast`'s is one of its argument's) and is never written in place.
+Node arguments always have smaller ids than the node itself, so the tape
+is topologically sorted by construction and a backward sweep is a single
+reverse pass.
 
 An op is its kernel, `kernels.<op>`, which checks its arguments, and its
 VJP rule; `_OPS` is the one list of them. `Graph.<op>` (`graph.matmul(a,
@@ -271,7 +273,8 @@ def grad(out: Var, wrts: Sequence[Var], *, create_graph: bool = False) -> list:
     """Gradients of `out` with respect to each entry of `wrts`.
 
     With `create_graph=False` the sweep runs on raw arrays and returns
-    ndarrays. With `create_graph=True` the adjoint computation is emitted
+    ndarrays, any of which may be a read-only view (a broadcast's value
+    is one). With `create_graph=True` the adjoint computation is emitted
     onto the tape and Vars come back, ready for another `grad` call.
     The sweep starts from ones of the output's shape and computes only the
     adjoints of nodes on a path to a `wrts` entry; a cut op ends the path,

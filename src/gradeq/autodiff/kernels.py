@@ -8,6 +8,14 @@ op namespace. So each kernel checks its own arguments, raising `GraphError`
 where numpy would broadcast or compute silently; where numpy already
 raises, it is left to. All arithmetic is float64.
 
+`broadcast` returns a read-only view with zero strides on its broadcast
+axes, not a copy, and no kernel writes into its arguments. An elementwise
+op gives the same bytes on a view as on its copy. A sum or a GEMM need
+not, as numpy orders their additions by the operands' strides: summing a
+[64, 16, 32, 32] bias broadcast over every axis, or a GEMM through numpy's
+non-BLAS loop, changes the last bits. So `sum_axes` and `matmul` read
+C-contiguous operands, a no-op on every operand a model hands them today.
+
 `conv2d` is im2col and GEMM over tiles of images for every shape: each
 tile's windows go to a fresh buffer of at most `_TILE_COLS` columns (or one
 wider image), so the module keeps no state. Splitting the columns leaves
@@ -39,7 +47,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise GraphError(f"matmul needs 2-d operands with equal inner dims, "
                          f"got {a.shape} @ {b.shape}")
-    return a @ b
+    return np.ascontiguousarray(a) @ np.ascontiguousarray(b)
 
 
 _TILE_COLS = 2048  # GEMM columns per conv2d tile, not bytes: a kernel adjoint stays one GEMM
@@ -148,7 +156,7 @@ def reciprocal(x: np.ndarray) -> np.ndarray:
 def sum_axes(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     if not axes:
         return x.copy()  # np.sum over no axes would turn -0.0 into 0.0
-    return np.sum(x, axis=axes, keepdims=True)
+    return np.sum(np.ascontiguousarray(x), axis=axes, keepdims=True)
 
 
 def rowmax(x: np.ndarray) -> np.ndarray:
@@ -164,7 +172,7 @@ def broadcast(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     for have, want in zip(x.shape, shape):
         if have != want and have != 1:
             raise GraphError(f"broadcast shape mismatch: {x.shape} -> {shape}")
-    return np.ascontiguousarray(np.broadcast_to(x, shape))
+    return np.broadcast_to(x, shape)
 
 
 def _corners(x: np.ndarray) -> list[np.ndarray]:

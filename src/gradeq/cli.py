@@ -8,7 +8,8 @@ listed, as written or as stale, and it did not write. Exit codes:
 0 success, 2 config problem, 3 a stage failed partway (partial outputs
 and the failing stage id are left in the output directory) or a write to
 the output directory outside a stage failed (one stderr line names the path;
-after a failed stage it follows the stage's own line).
+after a failed stage it follows the stage's own line), 130 interrupted by
+Ctrl-C (one stderr line; a rerun recovers as after a failed stage).
 """
 
 import argparse
@@ -40,6 +41,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
+
+
+def _run(args) -> int:
     try:
         config = load_config(args.config, seed=args.seed, out=args.out)
     except ConfigError as e:

@@ -15,6 +15,7 @@ checkpoint reproduces the run that wrote it bit for bit.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -97,12 +98,19 @@ def check_value(name: str, annotation, value) -> None:
                 raise ValueError(f"{name} must be {limit}, got {v!r}")
 
 
+@functools.cache
+def _annotations(fn) -> dict:
+    """Parameter name -> evaluated annotation of `fn`, read once per `fn`."""
+    return {name: p.annotation
+            for name, p in inspect.signature(fn, eval_str=True).parameters.items()}
+
+
 def check_args(fn, args: dict) -> None:
     """`check_value` per argument in `args`, by the annotations of `fn`'s
     parameters (a wrapper's are those of the function it wraps)."""
-    params = inspect.signature(fn, eval_str=True).parameters
+    annotations = _annotations(fn)
     for name, value in args.items():
-        check_value(name, params[name].annotation, value)
+        check_value(name, annotations[name], value)
 
 
 # a model's sizes, and the elementwise namespace op its hidden layers apply

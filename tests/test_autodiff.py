@@ -676,6 +676,95 @@ class TestKernelWorkspace:
         assert peak < 1.25 * mask.nbytes
 
 
+# (B, K, N): batch, features, classes of the MLP affines; the first is the
+# criterion-08 MLP's last layer
+MLP_AFFINES = [(64, 64, 4), (16, 2048, 4), (64, 1024, 4), (32, 16, 4)]
+# the cnn workload's conv_bias outputs [64, 16, 32, 32] and [64, 32, 16, 16],
+# each with the output channels of a conv that reads it
+CNN_BIASES = [((64, 16, 32, 32), 32), ((64, 32, 16, 16), 32)]
+
+
+def _view_calls(op):
+    """(shapes of op's arguments, index of the one given as a broadcast,
+    its broadcast axes, payload) on the model shapes. The axes are a bias's
+    (an MLP's rows, a CNN's all but channels), a row reduction's adjoint
+    (an MLP's columns) and a scalar's (all)."""
+    for b, k, n in MLP_AFFINES:
+        for axes in ((0,), (1,), (0, 1)):
+            if op == "matmul":
+                yield from (([(b, k), (k, n)], at, axes, ()) for at in (0, 1))
+            elif op in ("add", "mul"):
+                yield from (([(b, k)] * 2, at, axes, ()) for at in (0, 1))
+            elif op == "rowmax":
+                yield [(b, k)], 0, axes, ()
+            elif op == "sum_axes":
+                yield from (([(b, k)], 0, axes, (over,)) for over in ((), (0,), (1,), (0, 1)))
+    for shape, o in CNN_BIASES:
+        for axes in ((0, 2, 3), (0, 1, 2, 3)):
+            if op == "conv2d":
+                yield [shape, (o, shape[1], 3, 3)], 0, axes, (1,)
+            elif op in ("add", "mul"):
+                yield from (([shape] * 2, at, axes, ()) for at in (0, 1))
+            elif op == "sum_axes":
+                yield from (([shape], 0, axes, (over,))
+                            for over in ((), (0, 2, 3), (1,), (0, 1, 2, 3)))
+
+
+class TestBroadcastView:
+    """`broadcast` returns a read-only zero-stride view of its argument, not
+    a copy. Every op that reads one gives the bytes it gives on the view's
+    contiguous copy, on the shapes the models broadcast to, and so does
+    every sweep, raw or recorded."""
+
+    def test_broadcast_is_a_read_only_view_of_its_argument(self):
+        b = np.random.default_rng(90).normal(size=(1, 16, 1, 1))
+        view = kernels.broadcast(b, (64, 16, 32, 32))
+        assert np.shares_memory(view, b)
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(view, 1.0, out=view)
+
+    @pytest.mark.parametrize("op", ["matmul", "sum_axes", "conv2d", "rowmax", "add", "mul"])
+    def test_an_op_on_a_view_gives_the_bytes_of_the_op_on_its_copy(self, op):
+        rng = np.random.default_rng(91)
+        kernel = getattr(kernels, op)
+        for shapes, at, axes, payload in _view_calls(op):
+            args = [rng.normal(size=s) for s in shapes]
+            source = rng.normal(size=[1 if i in axes else d for i, d in enumerate(shapes[at])])
+            view = kernels.broadcast(source, shapes[at])
+            on_view = kernel(*args[:at], view, *args[at + 1:], *payload)
+            on_copy = kernel(*args[:at], np.ascontiguousarray(view), *args[at + 1:], *payload)
+            assert on_view.shape == on_copy.shape, (shapes, at, axes, payload)
+            assert on_view.tobytes() == on_copy.tobytes(), (shapes, at, axes, payload)
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_attack_input_gradients_and_igd_loss_equal_them_on_copies(self, kind, monkeypatch):
+        """PGD (a recorded sweep, replayed), input gradients (a raw sweep)
+        and the IGD loss (a sweep through a recorded input gradient) give
+        the bytes they give when every broadcast is a contiguous copy."""
+        got = TestPrunedSweep()._outputs(kind)
+        view = kernels.broadcast
+        monkeypatch.setattr(kernels, "broadcast",
+                            lambda x, shape: np.ascontiguousarray(view(x, shape)))
+        want = TestPrunedSweep()._outputs(kind)
+        assert set(got) == set(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_a_recorded_sweep_gives_the_bytes_of_the_raw_sweep(self):
+        """The cnn workload's PGD tape: its input gradient, recorded through
+        `_vjp_sum_axes`' broadcasts, equals the raw sweep's."""
+        model = build_model({"kind": "cnn", "in_shape": [3, 32, 32], "channels": [16, 32],
+                             "classes": 4}, seed=5)
+        rng = np.random.default_rng(93)
+        x, y = rng.uniform(size=(64, 3, 32, 32)), rng.integers(0, 4, size=64)
+        recorded = TestPlan._tape(model, x, y, create_graph=True)[1]
+        raw = TestPlan._tape(model, x, y, create_graph=False)[1]
+        assert recorded.value.tobytes() == raw.tobytes()
+
+
 class TestOneDispatch:
     """Each op of `_OPS` runs through one kernel in `kernels` and is emitted
     by one method of `Graph`, and the tape records what the kernel computes."""
@@ -735,6 +824,19 @@ class TestOneDispatch:
         arrays, payload = self._cases()[op]
         g = ag.Graph()
         got = getattr(g, op)(*(g.const(a) for a in arrays), *payload).value
+        want = getattr(kernels, op)(*arrays, *payload)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("op", sorted(engine._OPS))
+    def test_no_kernel_writes_into_its_arguments(self, op):
+        """A tape value may be a read-only view, which is safe only while no
+        kernel writes into an argument: each runs on read-only copies of
+        its arguments and gives the bytes it gives on writable ones."""
+        arrays, payload = self._cases()[op]
+        frozen = [a.copy() for a in arrays]
+        for a in frozen:
+            a.setflags(write=False)
+        got = getattr(kernels, op)(*frozen, *payload)
         want = getattr(kernels, op)(*arrays, *payload)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -902,6 +1004,28 @@ class TestPlan:
         want = self._tape(model, x1, y, create_graph=False)[1]
         assert plan.run(x1).tobytes() == want.tobytes()
         assert plan.run(x0).tobytes() == gx.value.tobytes()
+
+    def test_a_plan_keeps_no_full_size_bias(self):
+        """Every broadcast on a PGD tape shares memory with its argument, so
+        a `Plan` keeps each bias broadcast as a view of the bias, and no
+        full array of a conv layer's output shape."""
+        model = build_model(self.MODELS["cnn"], seed=4)
+        x = np.random.default_rng(82).uniform(size=(5, *model.in_shape))
+        xv, gx = self._tape(model, x, np.arange(5) % 3, create_graph=True)
+        plan = ag.Plan(xv, gx)
+        nodes = xv.graph.nodes
+        casts = [i for i, node in enumerate(nodes) if node.op == "broadcast"]
+        for i in casts:
+            assert np.shares_memory(nodes[i].value, nodes[nodes[i].args[0]].value), i
+        biases = [i for i in casts if nodes[nodes[i].args[0]].op == "reshape"
+                  and nodes[nodes[nodes[i].args[0]].args[0]].op == "var"]
+        assert len(biases) == 3 and set(biases) <= set(plan.kept)  # two convs and the logits
+        # the logits' [B, classes] is also the shape of the label term a plan
+        # keeps, so only the conv outputs' shapes mark a full-size bias
+        shapes = {nodes[i].value.shape for i in biases if nodes[i].value.ndim == 4}
+        assert len(shapes) == 2
+        full = [j for j, v in plan.kept.items() if v.shape in shapes and 0 not in v.strides]
+        assert full == []
 
     def test_replay_checks_every_op(self):
         model = build_model(self.MODELS["mlp-relu"], seed=4)

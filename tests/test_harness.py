@@ -1247,6 +1247,22 @@ def test_a_full_disk_at_any_write_exits_3_and_a_rerun_recovers(fault_run, tmp_pa
         capsys.readouterr()
 
 
+def test_ctrl_c_at_any_write_exits_130_and_a_rerun_recovers(fault_run, tmp_path, capsys):
+    p, _, moved = fault_run
+
+    def ctrl_c():
+        raise KeyboardInterrupt
+
+    for n in range(1, len(moved) + 1):
+        out = tmp_path / str(n)
+        with faulty_replace(out, n, "before", ctrl_c):
+            assert cli.main(["report", "--config", str(p), "--out", str(out)]) == 130, n
+        assert capsys.readouterr().err == "error: interrupted\n", n
+        assert not list(out.rglob("*.tmp")), n
+        assert_rerun_recovers(fault_run, out, n)
+        capsys.readouterr()
+
+
 @pytest.mark.parametrize("when", ["before", "after"])
 def test_a_run_killed_at_any_write_is_recovered_by_a_rerun(fault_run, tmp_path, capsys, when):
     p, _, moved = fault_run

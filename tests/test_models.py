@@ -475,3 +475,21 @@ class TestCheckValue:
         md.check_args(wrapper, {"n": 1, "name": "b"})
         with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             md.check_args(wrapper, {"n": 0})
+
+    def test_check_args_reads_a_signature_once(self, monkeypatch):
+        """A model construction checks its arguments, so their annotations
+        are read once per function, not once per call."""
+        md.check_args(md.MLP.__init__, {"hidden": [4]})
+        calls = []
+        real = md.inspect.signature
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(md.inspect, "signature", counted)
+        md.check_args(md.MLP.__init__, {"hidden": [4], "classes": 2})
+        assert calls == []
+        with pytest.raises(ValueError, match="^hidden entry must be >= 1, got 0$"):
+            md.check_args(md.MLP.__init__, {"hidden": [0]})
+        assert calls == []
