@@ -66,7 +66,8 @@ def load_cifar(path: str,
     labels = rows[:, label_bytes - 1].astype(np.int64)  # fine label for cifar100
     if labels.max() >= classes:
         raise ValueError(f"label {labels.max()} out of range for {classes} classes")
-    pixels = rows[:, label_bytes:].reshape(-1, 3, IMAGE_SIDE, IMAGE_SIDE).astype(np.float64) / 255.0
+    pixels = rows[:, label_bytes:].reshape(-1, 3, IMAGE_SIDE, IMAGE_SIDE).astype(np.float64)
+    pixels /= 255.0
     return ImageBatch(pixels, labels, classes)
 
 
@@ -103,11 +104,19 @@ def synth_blobs(n: Annotated[int, (">=", 1), ("<=", sys.float_info.max)],
     offsets = rng.uniform(-jitter, jitter, size=(n, 2))
     cy = centers[labels, 0] + offsets[:, 0]
     cx = centers[labels, 1] + offsets[:, 1]
-    d2 = (yy[None] - cy[:, None, None]) ** 2 + (xx[None] - cx[:, None, None]) ** 2
+    # One [n, r, r] buffer, updated in place, holds the batch throughout. It
+    # computes background + amplitude * exp(-d2 / (2 spread^2)) + noise with
+    # the operands of each commutative op swapped and the sign moved to the
+    # divisor, which keeps every byte of that expression.
+    field = (yy[None] - cy[:, None, None]) ** 2
+    field += (xx[None] - cx[:, None, None]) ** 2
     with np.errstate(over="ignore"):  # a far bump under a narrow spread: exp(-inf) = 0
-        bumps = amplitude * np.exp(-d2 / (2.0 * spread**2))
-    field = background + bumps + rng.normal(0.0, noise, size=bumps.shape)
-    pixels = np.clip(field[:, None, :, :], 0.0, 1.0)
+        field /= -2.0 * spread**2
+        np.exp(field, out=field)
+    field *= amplitude
+    field += background
+    field += rng.normal(0.0, noise, size=field.shape)
+    pixels = np.clip(field, 0.0, 1.0, out=field).reshape(n, 1, resolution, resolution)
     if channels > 1:
         pixels = np.repeat(pixels, channels, axis=1)
     return ImageBatch(pixels, labels, classes)
@@ -122,13 +131,20 @@ def split_sizes(n: int, val_fraction: float) -> tuple[int, int]:
     return n_val, n - n_val
 
 
-def train_val_split(batch: ImageBatch, val_fraction: float, seed: int) -> tuple[ImageBatch, ImageBatch]:
-    """Deterministic shuffle-split into (training, validation) halves."""
+def split_rows(n: int, val_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic shuffle-split of `n` row indices into (training,
+    validation) index arrays."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in (0,1), got {val_fraction}")
-    order = seed_stream(seed, "split").permutation(len(batch))
-    n_val, _ = split_sizes(len(batch), val_fraction)
-    return batch.subset(order[n_val:]), batch.subset(order[:n_val])
+    order = seed_stream(seed, "split").permutation(n)
+    n_val, _ = split_sizes(n, val_fraction)
+    return order[n_val:], order[:n_val]
+
+
+def train_val_split(batch: ImageBatch, val_fraction: float, seed: int) -> tuple[ImageBatch, ImageBatch]:
+    """Deterministic shuffle-split into (training, validation) halves."""
+    tr_rows, val_rows = split_rows(len(batch), val_fraction, seed)
+    return batch.subset(tr_rows), batch.subset(val_rows)
 
 
 def _hole_range(center: int, hole: int, extent: int) -> tuple[int, int]:

@@ -23,12 +23,12 @@ from pathlib import Path
 from types import SimpleNamespace
 import csv
 import hashlib
+import html
 import inspect
 import io
 import json
 import math
 import time
-import xml.sax.saxutils
 from typing import Annotated
 
 import numpy as np
@@ -309,7 +309,9 @@ def svg_line_chart(title: str, xlabel: str, ylabel: str,
                    series: list[tuple[str, list[float], list[float]]]) -> str:
     """Hand-rolled line chart. Deterministic text output, no external deps,
     fixed 640x420 canvas with 5 ticks per axis."""
-    esc = xml.sax.saxutils.escape
+    def esc(text: str) -> str:
+        return html.escape(text, quote=False)
+
     width, height = 640, 420
     ml, mr, mt, mb = 60, 160, 40, 50
     pw, ph = width - ml - mr, height - mt - mb

@@ -26,7 +26,8 @@ from . import autodiff as ag
 from .autodiff import kernels
 from .attacks import PGD_EPS, PGD_ITERS, PGD_STEP, pgd
 from .attribution import input_gradients, reduced, saliency
-from .data import ImageBatch, cutout, train_val_split
+from .data import ImageBatch, cutout, split_rows
+from .data import train_val_split  # noqa: F401  (perfbench's tracer wraps this name)
 from .inequality import gini, mean_gini  # noqa: F401  (gini: perfbench's tracer wraps this name)
 from .models import Model, build_model, check_args, label_score, predict
 from .models import load_checkpoint  # noqa: F401  (perfbench's tracer wraps this name)
@@ -191,8 +192,11 @@ def train(config: TrainConfig, data: ImageBatch,
     if config.method == "igd" and teacher is None:
         raise ValueError("igd needs a teacher model")
     student = build_model(config.model, seed=config.seed)
-    tr, val = train_val_split(data, config.val_fraction, config.seed)
-    fill = float(tr.pixels.mean())  # cutout paints its holes with the training mean
+    # the training split stays row indices into `data`: batches index it
+    tr_rows, val_rows = split_rows(len(data), config.val_fraction, config.seed)
+    val = data.subset(val_rows)
+    if config.method == "pgdat_cutout":  # cutout paints its holes with the training mean
+        fill = float(data.pixels[tr_rows].mean())
 
     velocity = {n: np.zeros_like(p, dtype=np.float64)
                 for n, p in student.params.items()}
@@ -204,15 +208,15 @@ def train(config: TrainConfig, data: ImageBatch,
     aborted = False
 
     for epoch in range(config.epochs):
-        order = seed_stream(config.seed, "shuffle", epoch).permutation(len(tr))
+        order = seed_stream(config.seed, "shuffle", epoch).permutation(len(tr_rows))
         sums = np.zeros(3)  # loss, ce, cos accumulators
         degen = 0
         seen = 0
         for bi in range(0, len(order), config.batch_size):
-            idx = order[bi:bi + config.batch_size]
-            xb, yb = tr.pixels[idx], tr.labels[idx]
+            idx = tr_rows[order[bi:bi + config.batch_size]]
+            xb, yb = data.pixels[idx], data.labels[idx]
             if config.method == "pgdat_cutout":
-                xb = cutout(tr.subset(idx), config.cutout_hole, fill,
+                xb = cutout(data.subset(idx), config.cutout_hole, fill,
                             seed_stream(config.seed, "cutout", epoch, bi)).pixels
             try:
                 if config.method == "standard":

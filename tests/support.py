@@ -2,7 +2,9 @@
 a single-input class score (the finite-difference oracle), a model whose
 class-1 logit log(sum x) goes non-finite at x = 0, the unpruned
 backward sweep (the oracle of `autodiff.grad`), the IGD objective on one
-tape (the oracle of `training.igd_loss`), PGD with a fresh tape every
+tape (the oracle of `training.igd_loss`), blob synthesis through a new
+array per step (the oracle of `data.synth_blobs`), the training loop over
+a copied training split (the oracle of `training.train`), PGD with a fresh tape every
 iteration (the oracle of `attacks.pgd`), conv2d as one `einsum` and the
 2x2 pool through a copied window array (the oracles of `kernels.conv2d`,
 `pool_mask`, `maxpool2` and `unpool2`), the writer of attribution-map
@@ -25,10 +27,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from gradeq import attacks, models
 from gradeq import autodiff as ag
-from gradeq.attacks import PGD_EPS, PGD_ITERS, PGD_STEP, PgdResult, _live_rows
+from gradeq import training as tr
+from gradeq.attacks import PGD_EPS, PGD_ITERS, PGD_STEP, PgdResult, _live_rows, pgd
 from gradeq.autodiff import engine, kernels
-from gradeq.models import load_checkpoint
-from gradeq.training import LossParts
+from gradeq.data import ImageBatch, blob_centers, cutout, train_val_split
+from gradeq.models import build_model, load_checkpoint
+from gradeq.seeding import seed_stream
+from gradeq.training import EpochRow, LossParts, TrainRecord
 
 
 def class_score(model, x: np.ndarray, y: int) -> float:
@@ -108,6 +113,98 @@ def one_tape_igd_loss(student, teacher, x, x_adv, y, lam) -> LossParts:
     names = list(pv)
     grads = dict(zip(names, ag.grad(total, [pv[n] for n in names])))
     return LossParts(float(total.value), float(ce.value), cos_val, flags, grads)
+
+
+def copied_blobs(n, resolution=32, classes=4, seed=0, channels=1, background=0.2,
+                 amplitude=0.5, spread=4.0, noise=0.15, jitter=2.0) -> ImageBatch:
+    """`data.synth_blobs` with a new array for every step of the field.
+    `synth_blobs` must give the same pixel bytes, shape and strides."""
+    rng = seed_stream(seed, "blobs", resolution, classes)
+    labels = np.arange(n, dtype=np.int64) % classes
+    centers = blob_centers(resolution, classes)
+    yy, xx = np.mgrid[0:resolution, 0:resolution].astype(np.float64)
+    offsets = rng.uniform(-jitter, jitter, size=(n, 2))
+    cy = centers[labels, 0] + offsets[:, 0]
+    cx = centers[labels, 1] + offsets[:, 1]
+    d2 = (yy[None] - cy[:, None, None]) ** 2 + (xx[None] - cx[:, None, None]) ** 2
+    with np.errstate(over="ignore"):
+        bumps = amplitude * np.exp(-d2 / (2.0 * spread**2))
+    field = background + bumps + rng.normal(0.0, noise, size=bumps.shape)
+    pixels = np.clip(field[:, None, :, :], 0.0, 1.0)
+    if channels > 1:
+        pixels = np.repeat(pixels, channels, axis=1)
+    return ImageBatch(pixels, labels, classes)
+
+
+def copied_split_train(config, data, teacher=None):
+    """`training.train` over a training split copied out of `data` by
+    `data.train_val_split`. `train` must return the same parameter bytes
+    and an equal record."""
+    student = build_model(config.model, seed=config.seed)
+    trn, val = train_val_split(data, config.val_fraction, config.seed)
+    fill = float(trn.pixels.mean())
+    velocity = {n: np.zeros_like(p, dtype=np.float64) for n, p in student.params.items()}
+    lr = config.lr
+    best_metric, best_epoch = -np.inf, -1
+    best_params = {n: p.copy() for n, p in student.params.items()}
+    bad_epochs = 0
+    rows = []
+    aborted = False
+    for epoch in range(config.epochs):
+        order = seed_stream(config.seed, "shuffle", epoch).permutation(len(trn))
+        sums = np.zeros(3)
+        degen = 0
+        seen = 0
+        for bi in range(0, len(order), config.batch_size):
+            idx = order[bi:bi + config.batch_size]
+            xb, yb = trn.pixels[idx], trn.labels[idx]
+            if config.method == "pgdat_cutout":
+                xb = cutout(trn.subset(idx), config.cutout_hole, fill,
+                            seed_stream(config.seed, "cutout", epoch, bi)).pixels
+            try:
+                if config.method == "standard":
+                    parts = tr.igd_loss(student, None, xb, xb, yb, 0.0)
+                else:
+                    adv = pgd(student, xb, yb, config.pgd_eps, config.pgd_step,
+                              config.pgd_iters,
+                              seed_stream(config.seed, "pgd", epoch, bi)).x_adv
+                    parts = tr.igd_loss(student, teacher, xb, adv, yb, config.lam)
+            except ag.NonFiniteError:
+                aborted = True
+                break
+            with np.errstate(over="ignore"):
+                for name, p in student.params.items():
+                    g = parts.grads[name] + config.weight_decay * p.astype(np.float64)
+                    velocity[name] = config.momentum * velocity[name] + g
+                    updated = p.astype(np.float64) - lr * velocity[name]
+                    student.params[name] = updated.astype(p.dtype)
+            if not all(np.isfinite(p).all() for p in student.params.values()):
+                aborted = True
+                break
+            sums += (parts.total * len(idx), parts.ce * len(idx),
+                     parts.cos_mean * len(idx))
+            degen += int(parts.degenerate.sum())
+            seen += len(idx)
+        if aborted:
+            break
+        clean = tr.accuracy(student, val.pixels, val.labels)
+        adv_acc = tr.pgd_accuracy(student, val.pixels, val.labels, config,
+                                  seed_stream(config.seed, "eval-pgd", epoch))
+        row = EpochRow(epoch, lr, *(sums / max(seen, 1)), degen / max(seen, 1), clean,
+                       adv_acc, tr.mean_saliency_gini(student, val.pixels, val.labels))
+        rows.append(row)
+        metric = getattr(row, config.selection_metric)
+        if metric > best_metric:
+            best_metric, best_epoch = metric, epoch
+            best_params = {n: p.copy() for n, p in student.params.items()}
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs > config.plateau_patience:
+                lr *= config.plateau_factor
+                bad_epochs = 0
+    student.params = best_params
+    return student, TrainRecord(tuple(rows), best_epoch, aborted)
 
 
 def tape_pgd(model, x, y, eps=PGD_EPS, step=PGD_STEP, iters=PGD_ITERS, rng=None,

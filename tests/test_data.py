@@ -1,10 +1,23 @@
 """Dataset loading, synthesis, and augmentation contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gradeq import data as dt
 from gradeq.seeding import seed_stream
+from support import copied_blobs
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def write_record(path, label, pixel_bytes):
@@ -66,6 +79,22 @@ class TestCifarLoader:
         with pytest.raises(ValueError, match="label"):
             dt.load_cifar(path, "cifar10")
 
+    def test_scales_in_place(self, tmp_path):
+        """The bytes of `astype(float64) / 255`, with no second float64
+        copy of the pixels on the way. numpy reuses the temporary of
+        `astype(float64) / 255` by itself only from 256 KiB up, so the file
+        holds 8 images: 192 KiB of float64."""
+        path = tmp_path / "eight.bin"
+        rng = np.random.default_rng(0)
+        records = rng.integers(0, 256, size=(8, 3073), dtype=np.uint8)
+        records[:, 0] %= 10
+        path.write_bytes(records.tobytes())
+        batch, peak = traced_peak(dt.load_cifar, path, "cifar10")
+        want = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
+        assert batch.pixels.tobytes() == want.tobytes()
+        assert batch.pixels.shape == want.shape and batch.pixels.strides == want.strides
+        assert peak < batch.pixels.nbytes + 2 * records.nbytes, peak
+
     def test_export_round_trip(self, tmp_path):
         batch = dt.synth_blobs(6, resolution=32, classes=3, seed=5, channels=3)
         path = tmp_path / "export.bin"
@@ -111,6 +140,23 @@ class TestSynthBlobs:
         for key, value in (("spread", 1e-151), ("spread", 1e151), ("jitter", 2e150)):
             with pytest.raises(ValueError, match=f"{key} must be"):
                 dt.synth_blobs(4, resolution=8, classes=2, **{key: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        *({"n": n, "channels": c} for n in (1, 257, 2000) for c in (1, 3)),
+        *({"n": 257, "channels": c, **extra} for c in (1, 3) for extra in (
+            {"spread": 1e-150, "jitter": 1e150}, {"noise": 0.0},
+            {"amplitude": -0.5}, {"background": 1.5}))])
+    def test_bytes_match_the_copying_oracle(self, kwargs):
+        got, want = dt.synth_blobs(seed=11, **kwargs), copied_blobs(seed=11, **kwargs)
+        assert got.pixels.tobytes() == want.pixels.tobytes()
+        assert got.pixels.shape == want.pixels.shape
+        assert got.pixels.strides == want.pixels.strides
+        assert np.array_equal(got.labels, want.labels)
+
+    def test_builds_the_batch_in_one_buffer(self):
+        # the noise draw is the one full-size temporary beside the batch
+        batch, peak = traced_peak(dt.synth_blobs, 2000, seed=7)
+        assert peak <= 2.1 * batch.pixels.nbytes, peak / batch.pixels.nbytes
 
     def test_balanced_labels(self):
         batch = dt.synth_blobs(20, classes=4, seed=0)

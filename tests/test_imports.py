@@ -1,8 +1,12 @@
 """The modules of gradeq use each other only through public names: no
-module imports an underscore name from another gradeq module, and no
-module imports a name it never uses."""
+module imports an underscore name from another gradeq module, no module
+imports a name it never uses, and importing the command line pulls in no
+network or markup package of the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gradeq"
@@ -49,6 +53,7 @@ PERFBENCH_TRACER = SRC.parents[1] / "perfbench" / "tracer.py"
 
 # imported only so that perfbench's tracer, which wraps names by module, finds them
 TRACED_REEXPORTS = {("training.py", "gini"), ("training.py", "load_checkpoint"),
+                    ("training.py", "train_val_split"),
                     ("theory.py", "linearize"), ("harness.py", "gini_exact")}
 
 
@@ -211,3 +216,14 @@ def test_private_scanner_sees_each_definition_form():
               "_dead = None\n")
     assert unread_private_names(source) == [(3, "_UNUSED"), (7, "_dead"), (10, "_Gone"),
                                             (13, "_dead")]
+
+
+def test_cli_imports_no_network_or_markup_package():
+    # `pathlib` itself imports `urllib.parse`; `urllib.request` is the
+    # part that would bring `http`, `email` and `socket` along
+    code = ("import sys, gradeq.cli\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] in "
+            "{'xml', 'http', 'email', 'socket'} or m == 'urllib.request'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert out.stdout.split() == []

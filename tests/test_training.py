@@ -14,7 +14,7 @@ from gradeq import training as tr
 from gradeq.data import synth_blobs, train_val_split
 from gradeq.models import MLP, LinearScore, build_model
 from gradeq.seeding import seed_stream
-from support import one_tape_igd_loss
+from support import copied_split_train, one_tape_igd_loss
 
 
 def upcast(model):
@@ -422,3 +422,33 @@ class TestTrain:
         for n in a.params:
             assert np.array_equal(a.params[n], b.params[n])
         assert ra == rb
+
+    @pytest.mark.parametrize("method", tr.METHODS)
+    def test_matches_the_copied_split_oracle(self, method):
+        data = blobs()
+        teacher = None
+        kw = {"cutout_hole": 3} if method == "pgdat_cutout" else {}
+        if method == "igd":
+            teacher, _ = tr.train(blob_config("standard", epochs=1), data)
+            kw = {"lam": 1.0}
+        cfg = blob_config(method, epochs=2, **kw)
+        model, record = tr.train(cfg, data, teacher=teacher)
+        want, want_record = copied_split_train(cfg, data, teacher)
+        assert {n: p.tobytes() for n, p in model.params.items()} == \
+            {n: p.tobytes() for n, p in want.params.items()}
+        assert record == want_record
+
+    def test_indexes_the_training_split_in_place(self):
+        # no copy of the training split: what a run allocates is its
+        # validation split, the evaluation's PGD on it, and batches
+        data = synth_blobs(2000, seed=7)
+        cfg = tr.TrainConfig("standard", {"kind": "mlp", "in_shape": [1, 32, 32],
+                                          "hidden": [16], "classes": 4},
+                             epochs=1, pgd_iters=2, val_fraction=0.05, seed=3)
+        tracemalloc.start()
+        try:
+            tr.train(cfg, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.pixels.nbytes / 2, peak / data.pixels.nbytes
