@@ -2,8 +2,9 @@
 
 A Graph records every primitive application as a node holding the op name,
 the argument node ids, any static payload (padding, axes, shapes), and the
-eagerly computed float64 value. A value may be a read-only view (a
-`broadcast`'s is one of its argument's) and is never written in place.
+eagerly computed value, float64 but for the bool `relu_mask`. A value may
+be a read-only view (a `broadcast`'s is one of its argument's) and is never
+written in place.
 Node arguments always have smaller ids than the node itself, so the tape
 is topologically sorted by construction and a backward sweep is a single
 reverse pass.
@@ -150,6 +151,14 @@ def _vjp_conv2d(ns, g, xs, out, meta, want):
     return gx, gk
 
 
+def _vjp_conv_bias(ns, g, xs, out, meta, want):
+    x, k, b = xs
+    # the bias adjoint first: a recorded sweep then emits the ops that the
+    # sweep of conv2d, add and broadcast emitted, in the same order
+    gb = ns.reshape(ns.sum_axes(g, (0, 2, 3)), b.shape) if want[2] else None
+    return (*_vjp_conv2d(ns, g, (x, k), out, meta, want[:2]), gb)
+
+
 def _vjp_permute(ns, g, xs, out, meta, want):
     inv = [0] * len(meta)
     for i, a in enumerate(meta):
@@ -230,9 +239,9 @@ _CUTS = ("const", "rowmax", "relu_mask", "pool_mask")
 # the one list of op names: each maps to its VJP rule `_vjp_<op>`, a cut op
 # to None; its forward is `kernels.<op>`
 _OPS = {op: globals().get(f"_vjp_{op}") for op in (
-    "matmul", "conv2d", "permute", "flip_hw", "reshape", "add", "mul", "scale",
-    "relu", "softplus", "exp", "log", "rsqrt", "reciprocal", "sum_axes",
-    "broadcast", "maxpool2", "unpool2", *_CUTS[1:])}
+    "matmul", "conv2d", "conv_bias", "permute", "flip_hw", "reshape", "add",
+    "mul", "scale", "relu", "softplus", "exp", "log", "rsqrt", "reciprocal",
+    "sum_axes", "broadcast", "maxpool2", "unpool2", *_CUTS[1:])}
 
 
 def _method(op: str):

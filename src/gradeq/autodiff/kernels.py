@@ -6,7 +6,10 @@ node's value with it, and the non-recording backward pass, a replayed
 `Plan` and a model forward on plain arrays run with this module as their
 op namespace. So each kernel checks its own arguments, raising `GraphError`
 where numpy would broadcast or compute silently; where numpy already
-raises, it is left to. All arithmetic is float64.
+raises, it is left to. All arithmetic is float64, and so is every result
+but `relu_mask`'s, a bool array: `mul` casts its flags to 1.0 and 0.0
+inside the multiply, so a product with it has the bytes of a product with
+their float64 copy, and a tape keeps an eighth of the memory.
 
 `broadcast` returns a read-only view with zero strides on its broadcast
 axes, not a copy, and no kernel writes into its arguments. An elementwise
@@ -21,12 +24,14 @@ tile's windows go to a fresh buffer of at most `_TILE_COLS` columns (or one
 wider image), so the module keeps no state. Splitting the columns leaves
 each output element's reduction as one GEMM computes it, and `np.einsum(...,
 optimize=True)` makes that GEMM where no axis is 1: the tests keep it as the
-oracle. The 2x2 pool kernels read each window's four corners as strided
-views of the input, row-major. Their mask is corner first, [4, n, c, h/2,
-w/2]: `pool_mask` copies the corners into its planes and builds the one-hot
-from comparisons there (argmax only for input holding NaN), and `maxpool2`
-and `unpool2` read one contiguous plane per corner. It stays float64, since
-numpy would cast a boolean mask on every multiply.
+oracle. `conv_bias` adds its bias in place into that fresh result, so a
+conv layer's output is one value. The 2x2 pool kernels read each window's
+four corners as strided views of the input, row-major. Their mask is corner
+first, [4, n, c, h/2, w/2]: `pool_mask` copies the corners into its planes
+and builds the one-hot from comparisons there (argmax only for input
+holding NaN), and `maxpool2` and `unpool2` read one contiguous plane per
+corner. It stays float64, since numpy would cast a boolean mask on every
+strided corner product, which made `maxpool2` slower.
 """
 
 from __future__ import annotations
@@ -87,6 +92,20 @@ def conv2d(x: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
     return out.transpose(1, 0, 2, 3)
 
 
+def conv_bias(x: np.ndarray, k: np.ndarray, b: np.ndarray, pad: int) -> np.ndarray:
+    """conv2d(x, k, pad) plus b[o] on every entry of output channel o.
+
+    The bias is added in place into conv2d's fresh result: the IEEE adds of
+    `add(conv2d(x, k, pad), broadcast(reshape(b, (1, O, 1, 1)), ...))`,
+    without a second value of the output's size.
+    """
+    if b.shape != k.shape[:1]:
+        raise GraphError(f"conv_bias needs a bias of shape {k.shape[:1]}, got {b.shape}")
+    out = conv2d(x, k, pad)
+    out += np.reshape(b, (1, b.shape[0], 1, 1))
+    return out
+
+
 def permute(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(x, axes))
 
@@ -123,8 +142,8 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_mask(x: np.ndarray) -> np.ndarray:
-    """Where relu passes its input: 1.0 where x > 0, else 0.0."""
-    return (x > 0.0).astype(np.float64)
+    """Where relu passes its input, as a bool array: x > 0."""
+    return x > 0.0
 
 
 def softplus(x: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ array per step (the oracle of `data.synth_blobs`), the training loop over
 a copied training split (the oracle of `training.train`), PGD with a fresh tape every
 iteration (the oracle of `attacks.pgd`), conv2d as one `einsum` and the
 2x2 pool through a copied window array (the oracles of `kernels.conv2d`,
-`pool_mask`, `maxpool2` and `unpool2`), the writer of attribution-map
+`pool_mask`, `maxpool2` and `unpool2`), the convolution plus bias as
+three ops (the oracle of `kernels.conv_bias` and its VJP), the tracemalloc
+peak of one call, the writer of attribution-map
 fixture files, the check that every CSV a run wrote parses, the recorder
 of the arrays a run computes but does not write, the fault injector at
 the N-th `os.replace` of a run, and the summary of a `report` run that
@@ -19,6 +21,7 @@ import json
 import os
 import re
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -249,6 +252,26 @@ def einsum_conv2d(x: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
     kh, kw = k.shape[2:]
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))  # [n, c, ho, wo, kh, kw]
     return np.einsum("nchwuv,ocuv->nohw", win, k, optimize=True)
+
+
+def composite_conv_bias(ns, x, k, b, pad: int):
+    """`functional.conv_bias` as three ops on either namespace: conv2d, then
+    the bias reshaped to [1, O, 1, 1], broadcast to the output and added.
+    The one op `conv_bias` must equal it bit for bit, on a forward and on
+    every sweep through it."""
+    y = ns.conv2d(x, k, pad)
+    bias = ns.broadcast(ns.reshape(b, (1, b.shape[0], 1, 1)), y.shape)
+    return ns.add(y, bias)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def window_array(x: np.ndarray) -> np.ndarray:

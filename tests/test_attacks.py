@@ -28,7 +28,7 @@ from gradeq.autodiff import kernels
 from gradeq.autodiff.functional import conv_bias
 from gradeq.models import CNN, MLP, LinearScore, build_model, input_gradients, predict
 from gradeq.seeding import seed_stream
-from support import LogSumModel, tape_pgd
+from support import LogSumModel, tape_pgd, traced_peak
 
 EPS = 8.0 / 255.0
 STEP = 2.0 / 255.0
@@ -128,6 +128,20 @@ def test_pgd_equals_the_per_iteration_tape_oracle(name, iters, starts):
     want = tape_pgd(model, x, y, EPS, STEP, iters, **kwargs)
     assert got.x_adv.tobytes() == want.x_adv.tobytes()
     assert got.aborted.tolist() == want.aborted.tolist()
+
+
+def test_pgd_peak_on_the_cnn_workload_batch():
+    """PGD's peak is its recorded tape. A conv layer keeps one value per
+    step there, its biased output, and the ReLU mask is a bool array: on
+    64 images of 3x32x32 through a CNN [16, 32] the tracemalloc peak is
+    about 89 MB, against about 113 MB with the bias added as a separate
+    op and a float64 mask."""
+    model = build_model({"kind": "cnn", "in_shape": [3, 32, 32], "channels": [16, 32],
+                         "classes": 4}, seed=7)
+    rng = np.random.default_rng(40)
+    x, y = rng.uniform(size=(64, 3, 32, 32)), rng.integers(0, 4, size=64)
+    _, peak = traced_peak(pgd, model, x, y, rng=np.random.default_rng(41))
+    assert peak <= 95e6, peak / 1e6
 
 
 @pytest.mark.parametrize("starts", ["one", "per-sample", "none"])

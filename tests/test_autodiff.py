@@ -6,7 +6,8 @@ analytic first derivative. Nothing here trusts the engine to test itself
 except the bit-reproducibility cases, where the oracle is repetition, the
 pruned-sweep cases, where it is the unpruned sweep of `support`, the
 plan cases, where it is a fresh tape, and the conv and pool kernel cases,
-where it is the einsum and copied-window kernels of `support`.
+where it is the einsum and copied-window kernels of `support` and, for
+`conv_bias`, the three ops it replaced.
 """
 
 import inspect
@@ -18,12 +19,15 @@ import numpy as np
 import pytest
 
 from gradeq import autodiff as ag
+from gradeq import models
 from gradeq.attacks import pgd
 from gradeq.autodiff import engine, kernels
 from gradeq.models import build_model, input_gradients
 from gradeq.training import igd_loss
 from support import (
+    composite_conv_bias,
     einsum_conv2d,
+    traced_peak,
     unpruned_grad,
     window_maxpool2,
     window_pool_mask,
@@ -359,14 +363,18 @@ class TestGuards:
          "conv2d kernels must be square, got 2x3"),
         ("conv2d", (np.ones((1, 1, 2, 2)), np.ones((1, 1, 3, 3))), (0,),
          "conv2d kernel larger than padded input"),
+        ("conv_bias", (np.ones((1, 1, 4, 4)), np.ones((2, 1, 3, 3)), np.ones(3)), (1,),
+         r"conv_bias needs a bias of shape \(2,\), got \(3,\)"),
+        ("conv_bias", (np.ones((1, 1, 4, 4)), np.ones((2, 1, 3, 3)), np.ones((1, 2))), (1,),
+         r"conv_bias needs a bias of shape \(2,\), got \(1, 2\)"),
         ("rowmax", (np.ones(3),), (), r"rowmax needs a 2-d array, got shape \(3,\)"),
         ("broadcast", (np.ones((2, 1)),), ((2, 2, 2),),
          r"broadcast rank mismatch: \(2, 1\) -> \(2, 2, 2\)"),
         ("broadcast", (np.ones((2, 3)),), ((2, 2),),
          r"broadcast shape mismatch: \(2, 3\) -> \(2, 2\)"),
     ], ids=["add-shape", "mul-shape", "matmul-1d", "matmul-inner", "conv2d-pad3",
-            "conv2d-2x3", "conv2d-larger", "rowmax-1d", "broadcast-rank",
-            "broadcast-shape"])
+            "conv2d-2x3", "conv2d-larger", "conv_bias-length", "conv_bias-2d",
+            "rowmax-1d", "broadcast-rank", "broadcast-shape"])
     def test_bad_arguments_raise_on_both_routes(self, op, arrays, payload, match):
         """The kernel is the one place an op checks its arguments, so the raw
         route refuses what the tape refuses, where numpy would broadcast or
@@ -620,6 +628,119 @@ class TestKernelOracles:
             getattr(kernels, op)(*args)
 
 
+def sum_of_squares(g, vs):
+    """The sum of the squares of every entry of the Vars `vs`, on their graph."""
+    total = ag.sum_all(g.mul(vs[0], vs[0]))
+    for v in vs[1:]:
+        total = g.add(total, ag.sum_all(g.mul(v, v)))
+    return total
+
+
+class TestConvBias:
+    """`conv_bias` is one op with the bytes of the three it replaced, conv2d
+    and the bias reshaped, broadcast and added (`support.composite_conv_bias`):
+    its kernel on the conv shapes the models make, and every sweep through
+    it, raw, recorded, replayed and second order."""
+
+    @staticmethod
+    def _calls():
+        """3x3 kernels with pad 1 over batches of 1, 5 (three tiles of 32x32
+        images, the last partial) and 64, 1 and 3 input channels, 1 and 4
+        output channels, and the cnn workload's two layers; each with
+        float64 and with float32 parameters, as `Model.check_input` passes
+        them."""
+        rng = np.random.default_rng(94)
+        shapes = [*itertools.product((1, 5), (1, 3), (1, 4), (8, 32)),
+                  (64, 3, 16, 32), (64, 16, 32, 16)]
+        for (n, c, o, side), dtype in itertools.product(shapes, (np.float64, np.float32)):
+            yield (rng.normal(size=(n, c, side, side)),
+                   rng.normal(size=(o, c, 3, 3)).astype(dtype),
+                   rng.normal(size=o).astype(dtype))
+
+    def test_kernel_is_the_composite(self):
+        """Bytes and shape, and the strides of every axis longer than 1: a
+        size-1 axis keeps conv2d's stride, where the composite's fresh sum
+        is C-ordered."""
+        for x, k, b in self._calls():
+            got = kernels.conv_bias(x, k, b, 1)
+            assert got.dtype == np.float64
+            _same_values(got, composite_conv_bias(kernels, x, k, b, 1))
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(95)
+        x0, k0, b0 = rng.normal(size=(2, 2, 5, 5)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
+        w = rng.normal(size=(2, 3, 5, 5))
+
+        def loss(g, x, k, b):
+            return ag.sum_all(g.mul(g.softplus(g.conv_bias(x, k, b, 1)), g.const(w)))
+
+        check_grad(lambda g, x: loss(g, x, g.const(k0), g.const(b0)), x0)
+        check_grad(lambda g, k: loss(g, g.const(x0), k, g.const(b0)), k0)
+        check_grad(lambda g, b: loss(g, g.const(x0), g.const(k0), b), b0)
+
+    # relu and softplus CNNs: 3 channels over tiles of 32 images, 1 channel
+    # over two tiles of 8 with a partial last one, and a batch of 1
+    CNNS = {"relu": ({"kind": "cnn", "in_shape": [3, 8, 8], "channels": [4, 6],
+                      "classes": 3}, 5),
+            "softplus": ({"kind": "cnn", "in_shape": [1, 16, 16], "channels": [4, 6],
+                          "classes": 3, "activation": "softplus"}, 10),
+            "softplus-one": ({"kind": "cnn", "in_shape": [3, 8, 8], "channels": [4, 6],
+                              "classes": 3, "activation": "softplus"}, 1)}
+
+    @staticmethod
+    def _outputs(cfg, n):
+        student, teacher = build_model(cfg, seed=1), build_model(cfg, seed=2)
+        rng = np.random.default_rng(96)
+        x = rng.uniform(size=(n, *cfg["in_shape"]))
+        y = rng.integers(0, cfg["classes"], size=n)
+        g = ag.Graph()
+        pv, xv = student.bind(g), g.var(x)
+        loss = ag.cross_entropy_mean(student.graph_logits(xv, pv), y)
+        outs = {"logits": student.logits(x), "loss": loss.value}
+        outs.update(zip(pv, ag.grad(loss, list(pv.values()))))
+        outs["input gradient"] = ag.grad(loss, [xv], create_graph=True)[0].value
+        penalty = sum_of_squares(g, ag.grad(loss, list(pv.values()), create_graph=True))
+        outs["penalty input gradient"] = ag.grad(penalty, [xv])[0]
+        outs["x_adv"] = pgd(student, x, y, rng=np.random.default_rng(97)).x_adv
+        parts = igd_loss(student, teacher, x, outs["x_adv"], y, 2.0)
+        outs["igd loss"] = np.array([parts.total, parts.ce, parts.cos_mean])
+        outs.update((f"igd {name}", grad) for name, grad in parts.grads.items())
+        return outs
+
+    @pytest.mark.parametrize("name", sorted(CNNS))
+    def test_a_tape_through_it_gives_the_composite_bytes(self, name, monkeypatch):
+        """The loss, the raw parameter gradients, the recorded input
+        gradient, the input gradient of a penalty on the recorded parameter
+        gradients (whose sweep adds each adjoint's contributions in the
+        order they were recorded), PGD (a replayed plan) and `igd_loss`
+        (whose alignment gradients come from a second-order sweep)."""
+        got = self._outputs(*self.CNNS[name])
+        monkeypatch.setattr(models, "conv_bias", composite_conv_bias)
+        want = self._outputs(*self.CNNS[name])
+        assert set(got) == set(want)
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+
+class TestReluMask:
+    """`relu_mask` is a bool array, and `mul` by it gives the bytes of the
+    product with its float64 copy, negative zeros included, on both routes."""
+
+    @pytest.mark.parametrize("shape", [(64, 64), (32, 16), (64, 16, 32, 32), (64, 32, 16, 16)])
+    def test_mul_by_the_bool_mask_is_the_float_product(self, shape):
+        rng = np.random.default_rng(98)
+        x, g = rng.normal(size=shape), rng.normal(size=shape)
+        x.flat[::7], x.flat[3::11] = 0.0, -0.0
+        g.flat[::5], g.flat[2::13] = -0.0, 0.0
+        want = g * (x > 0).astype(np.float64)
+        assert np.signbit(want[want == 0.0]).any() and not np.signbit(want[want == 0.0]).all()
+        mask = kernels.relu_mask(x)
+        assert mask.dtype == bool and mask.shape == shape
+        _same(kernels.mul(g, mask), want)
+        tape = ag.Graph()
+        _same(tape.mul(tape.const(g), tape.relu_mask(tape.const(x))).value, want)
+
+
 class TestKernelWorkspace:
     """conv2d keeps no state: each tile of images gets its own im2col
     buffer, no result shares memory with another, and a call over many
@@ -653,6 +774,16 @@ class TestKernelWorkspace:
             finally:
                 tracemalloc.stop()
             assert peak < (im2col + result) / 2, (c, o)
+
+    def test_conv_bias_peaks_no_higher_than_conv2d(self):
+        """The bias goes into conv2d's fresh result in place: no second
+        array of the output's size."""
+        rng = np.random.default_rng(69)
+        for n, c, o, side in [(16, 3, 16, 32), (16, 16, 32, 16), (1, 1, 4, 8)]:
+            x, k = rng.normal(size=(n, c, side, side)), rng.normal(size=(o, c, 3, 3))
+            conv = traced_peak(kernels.conv2d, x, k, 1)[1]
+            fused = traced_peak(kernels.conv_bias, x, k, rng.normal(size=o), 1)[1]
+            assert fused <= conv, (n, c, o, side, fused, conv)
 
     def test_maxpool2_peak_is_below_its_input(self):
         x = np.random.default_rng(67).normal(size=(4, 8, 16, 16))
@@ -798,6 +929,7 @@ class TestOneDispatch:
             "rowmax": ((small,), ()),
             "relu_mask": ((small,), ()),
             "pool_mask": ((img,), ()),
+            "conv_bias": ((img, rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)), (1,)),
         }
 
     def test_every_op_has_one_kernel_and_one_emitter(self):
@@ -1006,26 +1138,29 @@ class TestPlan:
         assert plan.run(x0).tobytes() == gx.value.tobytes()
 
     def test_a_plan_keeps_no_full_size_bias(self):
-        """Every broadcast on a PGD tape shares memory with its argument, so
-        a `Plan` keeps each bias broadcast as a view of the bias, and no
-        full array of a conv layer's output shape."""
+        """Each conv layer's bias enters a PGD tape only through `conv_bias`,
+        so the one bias broadcast left is the logits', a view of the bias,
+        and a `Plan` keeps no value of a conv layer's output shape."""
         model = build_model(self.MODELS["cnn"], seed=4)
         x = np.random.default_rng(82).uniform(size=(5, *model.in_shape))
         xv, gx = self._tape(model, x, np.arange(5) % 3, create_graph=True)
         plan = ag.Plan(xv, gx)
         nodes = xv.graph.nodes
+        convs = [i for i, node in enumerate(nodes) if node.op == "conv_bias"]
+        assert len(convs) == 2
+        conv_biases = {nodes[i].args[2] for i in convs}
+        assert {nodes[j].op for j in conv_biases} == {"var"}
+        assert [(i, node.op) for i, node in enumerate(nodes)
+                if conv_biases & set(node.args) and i not in convs] == []
         casts = [i for i, node in enumerate(nodes) if node.op == "broadcast"]
         for i in casts:
             assert np.shares_memory(nodes[i].value, nodes[nodes[i].args[0]].value), i
         biases = [i for i in casts if nodes[nodes[i].args[0]].op == "reshape"
                   and nodes[nodes[nodes[i].args[0]].args[0]].op == "var"]
-        assert len(biases) == 3 and set(biases) <= set(plan.kept)  # two convs and the logits
-        # the logits' [B, classes] is also the shape of the label term a plan
-        # keeps, so only the conv outputs' shapes mark a full-size bias
-        shapes = {nodes[i].value.shape for i in biases if nodes[i].value.ndim == 4}
-        assert len(shapes) == 2
-        full = [j for j, v in plan.kept.items() if v.shape in shapes and 0 not in v.strides]
-        assert full == []
+        assert [nodes[i].value.shape for i in biases] == [(5, model.classes)]
+        assert set(biases) <= set(plan.kept)
+        shapes = {nodes[i].value.shape for i in convs}
+        assert [j for j, v in plan.kept.items() if v.shape in shapes] == []
 
     def test_replay_checks_every_op(self):
         model = build_model(self.MODELS["mlp-relu"], seed=4)

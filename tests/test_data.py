@@ -1,23 +1,11 @@
 """Dataset loading, synthesis, and augmentation contracts."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from gradeq import data as dt
 from gradeq.seeding import seed_stream
-from support import copied_blobs
-
-
-def traced_peak(fn, *args, **kwargs):
-    """(result, tracemalloc peak in bytes) of one call."""
-    tracemalloc.start()
-    try:
-        out = fn(*args, **kwargs)
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+from support import copied_blobs, traced_peak
 
 
 def write_record(path, label, pixel_bytes):
